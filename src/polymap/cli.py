@@ -1,7 +1,9 @@
 """Command-line surface for the plane-map toolkit.
 
 Every subcommand produces a RunReport: a command echo plus a list of
-named checks, each pass / fail / skipped-budget.  The JSON rendering is
+named checks, each pass / fail / skipped-budget.  A subcommand whose
+computation runs out of budget reports one skipped-budget check with
+the limit hit and the engine's counters, and exits 0.  The JSON rendering is
 deterministic (no timing, stable ordering) so golden tests can compare
 bytes; the human rendering appends elapsed time.
 """
@@ -112,10 +114,7 @@ def _cmd_proper(args):
 
 def _cmd_degree(args):
     f = _read_map(args.map)
-    try:
-        d = topological_degree(f, seed=args.seed, budget=_budget(args))
-    except ResourceBudgetExceeded:
-        return None, [Check("degree", SKIPPED, {"map": _render_map(f)})]
+    d = topological_degree(f, _budget(args))
     return None, [Check("degree", PASS,
                         {"map": _render_map(f), "degree": d})]
 
@@ -123,22 +122,13 @@ def _cmd_degree(args):
 def _cmd_branch(args):
     f = _read_map(args.map)
     if args.claimed is None:
-        try:
-            gens = branch_ideal(f, _budget(args))
-        except ResourceBudgetExceeded:
-            return None, [Check("branch", SKIPPED, {"map": _render_map(f)})]
+        gens = branch_ideal(f, _budget(args))
         return None, [Check("branch", PASS,
                             {"map": _render_map(f),
                              "generators": [_target_poly_text(g) for g in gens]})]
     claim = parse_poly(args.claimed)
     check = verify_branch(f, claim, run_elimination=True, budget=_budget(args))
-    if not (check.substitution_divisible and check.claimed_squarefree):
-        status = FAIL
-    elif check.elimination_status == "skipped-budget":
-        status = SKIPPED
-    else:
-        status = PASS if check.elimination_status == "pass" else FAIL
-    return None, [Check("branch-claim", status,
+    return None, [Check("branch-claim", check.status,
                         {"map": _render_map(f), "claimed": format_poly(claim),
                          **check.tier_report()})]
 
@@ -153,7 +143,7 @@ def _cmd_milnor(args):
         x = MultiPoly.variable("x", F.vars, F.field)
         y = MultiPoly.variable("y", F.vars, F.field)
         F = substitute(F, {"x": x + a, "y": y + b})
-    result = milnor_at_origin(F)
+    result = milnor_at_origin(F, _budget(args))
     value = result.value if result.isolated else "infinite"
     return None, [Check("milnor", PASS,
                         {"curve": format_poly(F), "milnor": value,
@@ -252,19 +242,12 @@ def _cmd_verify_table4(args):
     checks = []
     for record in default_table4_rows():
         report = verify_table4_row(record, tier=args.tier, budget=budget)
-        tiers = report["tiers"]
-        if not report["ok"]:
-            status = FAIL
-        elif args.tier == "full" and tiers["elimination"] == "skipped-budget":
-            status = SKIPPED
-        else:
-            status = PASS
-        checks.append(Check(_row_identifier(record), status,
-                            {"group": record.label, **tiers}))
+        checks.append(Check(_row_identifier(record), report["status"],
+                            {"group": record.label, **report["tiers"]}))
     return args.tier, checks
 
 
-def _theorem_a_checks(d: int, budget):
+def _theorem_a_checks(d: int):
     checks = []
     f = make_family("pinch", d=d)
     split = jacobian_power_factorization(f, d)
@@ -294,11 +277,10 @@ def _theorem_a_checks(d: int, budget):
 
 
 def _cmd_verify_theorem_a(args):
-    budget = _budget(args)
     checks = []
     ds = [args.d] if args.d else [3, 4, 5]
     for d in ds:
-        checks.extend(_theorem_a_checks(d, budget))
+        checks.extend(_theorem_a_checks(d))
     # the degree-2 remark: conjugating (x, y^2) into the family shape
     half = Fraction(1, 2)
     phi1 = PlaneAutomorphism.linear(half, half, half, -half)
@@ -321,7 +303,7 @@ def _cmd_verify_theorem_b(args):
     for n in range(1, args.n_max + 1):
         f = make_family("shifted_power", d=d, n=n)
         J = critical_ideal(f)
-        mu = milnor_at_origin(J)
+        mu = milnor_at_origin(J, budget)
         values[n] = mu.value
         expected = (d - 2) * (n - 1)
         checks.append(Check(f"milnor(d={d},n={n})",
@@ -362,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="bound on Groebner pair reductions")
         if seed:
             p.add_argument("--seed", type=int, default=0,
-                           help="seed for random point draws")
+                           help="accepted and ignored: the degree is exact")
 
     p = sub.add_parser("proper", help="decide properness of a map")
     p.add_argument("map")
@@ -452,6 +434,9 @@ def main(argv=None) -> int:
     started = time.time()
     try:
         tier, checks = args.handler(args)
+    except ResourceBudgetExceeded as exc:
+        tier, checks = None, [Check(args.command, SKIPPED,
+                                    {"limit": str(exc), **exc.stats})]
     except (PolyParseError, PreconditionError, ValueError, ArithmeticError,
             RuntimeError) as exc:
         print(f"polymap: {exc}", file=sys.stderr)

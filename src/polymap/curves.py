@@ -30,7 +30,7 @@ class MilnorResult:
         return self.value
 
 
-def milnor_at_origin(F: MultiPoly) -> MilnorResult:
+def milnor_at_origin(F: MultiPoly, budget=None) -> MilnorResult:
     """Milnor number of the curve F = 0 at the origin.
 
     Computes dim of the local ring modulo the two partial derivatives.
@@ -44,14 +44,14 @@ def milnor_at_origin(F: MultiPoly) -> MilnorResult:
     gens = [g for g in gens if g.terms]
     if not gens:
         return MilnorResult(math.inf, False)
-    basis = mora_standard_basis(gens)
+    basis = mora_standard_basis(gens, budget)
     dim = local_quotient_dimension(basis)
     if dim == math.inf:
         return MilnorResult(math.inf, False)
     return MilnorResult(dim, True)
 
 
-def singular_points_exist_outside_origin(F: MultiPoly) -> bool:
+def singular_points_exist_outside_origin(F: MultiPoly, budget=None) -> bool:
     """Whether the reduced curve F = 0 has singular points away from the origin.
 
     Compares the total count of singular points (with multiplicity)
@@ -61,14 +61,14 @@ def singular_points_exist_outside_origin(F: MultiPoly) -> bool:
         raise ValueError("curve must be squarefree")
     gens = [F] + [derivative(F, v) for v in F.vars]
     gens = [g for g in gens if g.terms]
-    total = quotient_dimension(buchberger(gens))
+    total = quotient_dimension(buchberger(gens, budget=budget))
     if total == math.inf:
         # squarefree curves have finite singular locus; an infinite
         # answer means the input was degenerate in some other way
         return True
     if total == 0:
         return False
-    local = local_quotient_dimension(mora_standard_basis(gens))
+    local = local_quotient_dimension(mora_standard_basis(gens, budget))
     return total > local
 
 
@@ -154,10 +154,10 @@ def distinguish_by_milnor(f: PolyMap, g: PolyMap, budget=None):
         if evaluate(J, origin):
             raise PreconditionError(
                 f"{label} critical curve misses the origin")
-        if singular_points_exist_outside_origin(J):
+        if singular_points_exist_outside_origin(J, budget):
             raise PreconditionError(
                 f"{label} critical curve is singular away from the origin")
-        values.append(milnor_at_origin(J).value)
+        values.append(milnor_at_origin(J, budget).value)
     if values[0] == values[1]:
         return None
     return NonEquivalenceCertificate(values[0], values[1])

@@ -7,9 +7,11 @@ tangent-cone algorithm: the weak normal form lets the reducer set grow
 by intermediate results whenever the reducer's ecart exceeds the
 current one, which is what makes local division terminate.
 
-Budgets are first class: exceeding one raises ResourceBudgetExceeded,
-which callers surface as a distinct "skipped" outcome rather than a
-pass or a fail.
+Both engines take the same ComputationBudget and check it the same
+way: before each pair reduction and on each new basis element.
+Exceeding a limit raises ResourceBudgetExceeded, whose stats say how
+far the computation got; the command line reports it as a
+"skipped-budget" check rather than a pass or a fail.
 """
 
 from __future__ import annotations
@@ -24,7 +26,11 @@ from .polyring import (LocalOrder, DegRevLex, MonomialOrder, MultiPoly,
 
 
 class ResourceBudgetExceeded(RuntimeError):
-    """A computation hit its pair or coefficient-size budget before finishing."""
+    """A computation hit its pair or coefficient-size budget before finishing.
+
+    `stats` holds the engine's counters at the moment of the stop: the
+    pairs reduced so far and the size of the live basis.
+    """
 
     def __init__(self, message, stats=None):
         super().__init__(message)
@@ -33,13 +39,21 @@ class ResourceBudgetExceeded(RuntimeError):
 
 @dataclass
 class ComputationBudget:
-    """Limits for a single basis computation; None means unlimited."""
+    """Limits for each Buchberger or Mora computation; None means unlimited.
+
+    One budget is passed through every engine a command runs, and each
+    basis computation counts against it from zero.  A computation stops
+    before its (max_pair_reductions + 1)-th pair reduction, or when a new
+    basis element has a coefficient wider than max_coeff_bits.
+    """
 
     max_pair_reductions: int | None = None
     max_coeff_bits: int | None = None
 
-    def check_pairs(self, count, stats):
-        if self.max_pair_reductions is not None and count > self.max_pair_reductions:
+    def check_pairs(self, stats):
+        """Raise before a pair reduction that would go over the limit."""
+        if (self.max_pair_reductions is not None
+                and stats["pair_reductions"] >= self.max_pair_reductions):
             raise ResourceBudgetExceeded(
                 f"pair-reduction budget {self.max_pair_reductions} exceeded", dict(stats))
 
@@ -235,8 +249,8 @@ def _gm_update(pairs, entries, new: _Entry):
 
 
 def buchberger(generators, order: MonomialOrder = None,
-               budget: ComputationBudget = None, auto_reduce=True) -> IdealBasis:
-    """Groebner basis of the generated ideal under a global monomial order."""
+               budget: ComputationBudget = None) -> IdealBasis:
+    """Reduced Groebner basis of the generated ideal under a global monomial order."""
     if order is None:
         order = DegRevLex()
     if not order.is_global:
@@ -249,6 +263,8 @@ def buchberger(generators, order: MonomialOrder = None,
     for g in gens[1:]:
         ring._same_ring(g)
     keyf = _key_memo(order)
+    # basis_size counts the live (non-retired) entries throughout, so a
+    # budget stop reports the basis as it stood
     stats = {"pair_reductions": 0, "zero_reductions": 0, "basis_size": 0}
 
     entries: list[_Entry] = []
@@ -257,12 +273,14 @@ def buchberger(generators, order: MonomialOrder = None,
     def add(poly, sugar):
         entry = _Entry(poly, order, sugar, len(entries))
         entries.append(entry)
+        stats["basis_size"] += 1
         # pairs are formed against the pre-retirement basis; only afterwards may
         # elements with now-redundant leading terms stop spawning future pairs
         new_pairs = _gm_update(pairs, entries, entry)
         for e in entries:
             if e is not entry and not e.retired and _exp_divides(entry.lead_exp, e.lead_exp):
                 e.retired = True
+                stats["basis_size"] -= 1
         return new_pairs
 
     for g in sorted((_normalize(g, order) for g in gens),
@@ -270,10 +288,10 @@ def buchberger(generators, order: MonomialOrder = None,
         pairs = add(g, g.total_degree())
 
     while pairs:
+        budget.check_pairs(stats)
         (i, j), _lcm = min(pairs.items(), key=lambda kv: (keyf(kv[1]), kv[0]))
         del pairs[(i, j)]
         stats["pair_reductions"] += 1
-        budget.check_pairs(stats["pair_reductions"], stats)
         sterms, sugar = _spoly_terms(entries[i], entries[j])
         active = sorted((e for e in entries if not e.retired),
                         key=lambda e: keyf(e.lead_exp))
@@ -285,9 +303,7 @@ def buchberger(generators, order: MonomialOrder = None,
         budget.check_coeffs(h, stats)
         pairs = add(h, sugar)
 
-    basis = [e.poly for e in entries if not e.retired]
-    if auto_reduce:
-        basis = _interreduce(basis, order, keyf)
+    basis = _interreduce([e.poly for e in entries if not e.retired], order, keyf)
     stats["basis_size"] = len(basis)
     return IdealBasis(list(generators), order, basis, is_local=False, stats=stats)
 
@@ -384,42 +400,8 @@ def _staircase_count(leads, nvars):
     return count
 
 
-def finite_extension_test(f1: MultiPoly, f2: MultiPoly,
-                          source_vars=("x", "y"), target_vars=("s", "t"),
-                          budget=None) -> bool:
-    """Whether the source coordinate ring is a finite module over the image.
-
-    Basis of the graph ideal <s - f1, t - f2> under a block order with
-    the source variables up front; finite iff the leading monomials
-    include a pure power of every source variable (no target variables
-    in those leading monomials).
-    """
-    from .polyring import jacobian_det
-    f1._same_ring(f2)
-    if not jacobian_det(f1, f2, source_vars).terms:
-        raise ValueError("map is not dominant (identically zero Jacobian)")
-    allvars = tuple(source_vars) + tuple(target_vars)
-    field = f1.field
-    g1 = MultiPoly.variable(target_vars[0], allvars, field) - f1.extended(allvars)
-    g2 = MultiPoly.variable(target_vars[1], allvars, field) - f2.extended(allvars)
-    order = block_order(allvars, tuple(source_vars))
-    gb = buchberger([g1, g2], order, budget)
-    src_idx = [allvars.index(v) for v in source_vars]
-    tgt_idx = [allvars.index(v) for v in target_vars]
-    found = dict.fromkeys(src_idx, False)
-    for e in gb.leading_exponents():
-        if any(e[i] for i in tgt_idx):
-            continue
-        live = [i for i in src_idx if e[i]]
-        if len(live) == 1:
-            found[live[0]] = True
-    return all(found.values())
-
-
 # ---------------------------------------------------------------------------
 # local standard bases (Mora's algorithm)
-
-DEFAULT_MORA_STEP_CEILING = 200_000
 
 
 def _ecart(terms, lead_exp):
@@ -437,7 +419,7 @@ class _LocalEntry:
         self.ecart = _ecart(terms, self.lead_exp)
 
 
-def _mora_normal_form(hterms, reducers, keyf, counter, ceiling):
+def _mora_normal_form(hterms, reducers, keyf, counter):
     """Mora weak normal form; the reducer list grows with eligible intermediates."""
     local = list(reducers)
     while hterms:
@@ -450,8 +432,6 @@ def _mora_normal_form(hterms, reducers, keyf, counter, ceiling):
         if g.ecart > h_ecart:
             local.append(_LocalEntry(dict(hterms), keyf))
         counter["steps"] += 1
-        if counter["steps"] > ceiling:
-            raise ResourceBudgetExceeded("local reduction step ceiling hit", dict(counter))
         shift = _exp_sub(le, g.lead_exp)
         factor = _coeff_quot(hterms[le], g.lead_coeff)
         for ge, gc in g.terms.items():
@@ -469,8 +449,7 @@ def _mora_normal_form(hterms, reducers, keyf, counter, ceiling):
     return hterms
 
 
-def mora_standard_basis(generators,
-                        step_ceiling=DEFAULT_MORA_STEP_CEILING) -> IdealBasis:
+def mora_standard_basis(generators, budget: ComputationBudget = None) -> IdealBasis:
     """Standard basis of the generated ideal in the local ring at the origin."""
     order = LocalOrder()
     gens = [g for g in generators if g.terms]
@@ -479,11 +458,11 @@ def mora_standard_basis(generators,
     ring = gens[0]
     for g in gens[1:]:
         ring._same_ring(g)
+    budget = budget or ComputationBudget()
     keyf = _key_memo(order)
-    counter = {"steps": 0, "pair_reductions": 0}
-
     entries = [_LocalEntry(dict(_normalize(g, order).terms), keyf)
                for g in sorted(gens, key=lambda p: keyf(p.leading(order)[0]))]
+    counter = {"steps": 0, "pair_reductions": 0, "basis_size": len(entries)}
     pairs = [(i, j) for i in range(len(entries)) for j in range(i + 1, len(entries))]
     while pairs:
         pairs.sort(key=lambda ij: (keyf(_exp_lcm(entries[ij[0]].lead_exp,
@@ -493,6 +472,7 @@ def mora_standard_basis(generators,
         f, g = entries[i], entries[j]
         if _exp_coprime(f.lead_exp, g.lead_exp):
             continue
+        budget.check_pairs(counter)
         counter["pair_reductions"] += 1
         lcm = _exp_lcm(f.lead_exp, g.lead_exp)
         sf, sg = _exp_sub(lcm, f.lead_exp), _exp_sub(lcm, g.lead_exp)
@@ -511,13 +491,15 @@ def mora_standard_basis(generators,
                     sterms[ne] = cur
                 else:
                     del sterms[ne]
-        rterms = _mora_normal_form(sterms, entries, keyf, counter, step_ceiling)
+        rterms = _mora_normal_form(sterms, entries, keyf, counter)
         if not rterms:
             continue
         poly = _normalize(MultiPoly(ring.vars, rterms, ring.field, _clean=True), order)
+        budget.check_coeffs(poly, counter)
         new = _LocalEntry(dict(poly.terms), keyf)
         k = len(entries)
         entries.append(new)
+        counter["basis_size"] += 1
         pairs.extend((i2, k) for i2 in range(k))
 
     # keep one representative per minimal leading monomial
@@ -529,5 +511,5 @@ def mora_standard_basis(generators,
         final.append(e)
     basis = sorted((MultiPoly(ring.vars, e.terms, ring.field, _clean=True) for e in final),
                    key=lambda p: keyf(p.leading(order)[0]), reverse=True)
-    return IdealBasis(list(generators), order, basis, is_local=True,
-                      stats=dict(counter))
+    counter["basis_size"] = len(basis)
+    return IdealBasis(list(generators), order, basis, is_local=True, stats=counter)

@@ -2,23 +2,21 @@
 
 A PolyMap is a pair of polynomials in the source variables (x, y); its
 target plane carries the variables (s, t) so graph ideals can mix both
-planes.  Properness is decided by the finite-extension test, the
-topological degree by counting a fiber with multiplicity, and the
-branch locus by eliminating the source variables from the graph ideal
-over the critical locus.
+planes.  Properness and topological degree are both read from one
+basis of the graph ideal <s - f1, t - f2> under a block order with
+(x, y) first; the branch locus comes from eliminating the source
+variables from the graph ideal over the critical locus.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import (ComputationBudget, ResourceBudgetExceeded, buchberger,
-                       elimination_ideal, finite_extension_test,
-                       quotient_dimension)
+from .groebner import (ResourceBudgetExceeded, _staircase_count, buchberger,
+                       elimination_ideal)
 from .polyring import (ExactDivisionError, MultiPoly, QQ, RingMismatch,
-                       common_field, divides, exact_div, gcd_poly,
+                       block_order, common_field, divides, exact_div, gcd_poly,
                        is_scalar_multiple, jacobian_det, primitive_normalize,
                        squarefree_part, substitute)
 
@@ -196,9 +194,33 @@ def make_family(name: str, **params) -> PolyMap:
 # ---------------------------------------------------------------------------
 # basic geometry
 
+def _graph_basis_leads(f: PolyMap, budget=None) -> list:
+    """Leading exponents, over (x, y, s, t), of the graph ideal's block-order basis.
+
+    The basis of <s - f1, t - f2> with (x, y) eliminated first
+    specializes to a basis of the fiber over a generic target point, so
+    the (x, y)-parts of these exponents describe that fiber.  Elements
+    whose leading monomial avoids x and y generate the polynomial
+    relations between f1 and f2; f is dominant exactly when there are none.
+    """
+    allv = SOURCE_VARS + TARGET_VARS
+    gens = [MultiPoly.variable(v, allv, f.field) - c.extended(allv)
+            for v, c in zip(TARGET_VARS, f.components())]
+    leads = buchberger(gens, block_order(allv, SOURCE_VARS), budget).leading_exponents()
+    if any(not any(e[:len(SOURCE_VARS)]) for e in leads):
+        raise ValueError("map is not dominant (algebraically dependent components)")
+    return leads
+
+
 def is_proper(f: PolyMap, budget=None) -> bool:
-    """Whether f is proper, i.e. the coordinate ring is finite over the image."""
-    return finite_extension_test(f.f1, f.f2, SOURCE_VARS, TARGET_VARS, budget)
+    """Whether f is proper, i.e. the coordinate ring is finite over the image.
+
+    Finite exactly when the graph basis has leading monomials that are
+    pure powers of x and of y, free of the target variables.
+    """
+    leads = _graph_basis_leads(f, budget)
+    return all(any(e[i] and not any(e[:i] + e[i + 1:]) for e in leads)
+               for i in range(len(SOURCE_VARS)))
 
 
 def is_monic_in_y(q: MultiPoly) -> bool:
@@ -214,30 +236,15 @@ def is_monic_in_y(q: MultiPoly) -> bool:
     return not any(e[j] for j in range(len(e)) if j != i)
 
 
-def topological_degree(f: PolyMap, seed: int = 0, retries: int = 5,
-                       budget=None) -> int:
-    """Cardinality (with multiplicity) of a fiber over a random rational point.
+def topological_degree(f: PolyMap, budget=None) -> int:
+    """Number of points, with multiplicity, in the fiber over a generic point.
 
-    Two independent draws must agree; disagreement re-draws up to
-    `retries` times before raising.
+    Counts the standard monomials of the (x, y)-parts of the graph
+    basis's leading monomials; for a proper map this is the topological
+    degree.
     """
-    rng = random.Random(seed)
-
-    def draw():
-        return Fraction(rng.randint(-99, 99), rng.randint(1, 7))
-
-    def fiber_dim():
-        a, b = draw(), draw()
-        gens = [f.f1 - a, f.f2 - b]
-        gb = buchberger(gens, budget=budget)
-        return quotient_dimension(gb)
-
-    for _ in range(retries):
-        d1 = fiber_dim()
-        d2 = fiber_dim()
-        if d1 == d2 and d1 not in (0, float("inf")):
-            return d1
-    raise ArithmeticError("fiber counts kept disagreeing; is the map proper?")
+    leads = _graph_basis_leads(f, budget)
+    return _staircase_count([e[:len(SOURCE_VARS)] for e in leads], len(SOURCE_VARS))
 
 
 def critical_ideal(f: PolyMap) -> MultiPoly:
@@ -276,10 +283,18 @@ class BranchCheck:
     elimination_generators: list | None = None
 
     @property
-    def ok(self) -> bool:
+    def status(self) -> str:
+        """Overall verdict: fail if any tier refutes the claim,
+        skipped-budget if the elimination ran out of budget, else pass."""
         if not (self.substitution_divisible and self.claimed_squarefree):
-            return False
-        return self.elimination_status in ("pass", "skipped-budget", "not-run")
+            return "fail"
+        if self.elimination_status in ("fail", "skipped-budget"):
+            return self.elimination_status
+        return "pass"
+
+    @property
+    def ok(self) -> bool:
+        return self.status != "fail"
 
     def tier_report(self):
         return {

@@ -690,6 +690,7 @@ def verify_table4_row(record: GroupRecord, tier: str = "divisibility",
         "tier": tier,
         "tiers": check.tier_report(),
         "ok": check.ok,
+        "status": check.status,
     }
 
 

@@ -174,6 +174,40 @@ def test_budget_env_override(capsys, monkeypatch):
     assert "degree=4" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("proper", "(x+y+x*y, x^3*y)", "--budget", "1"),
+    ("family", "pinch", "--d", "5", "--budget", "1"),
+])
+def test_budget_skip_reports_progress(capsys, argv):
+    code, out, _ = run(capsys, "--json", *argv)
+    _, again, _ = run(capsys, "--json", *argv)
+    assert code == 0 and out == again
+    check = json.loads(out)["checks"][0]
+    assert check["status"] == "skipped-budget"
+    assert check["details"] == {"limit": "pair-reduction budget 1 exceeded",
+                                "pair_reductions": 1, "zero_reductions": 0,
+                                "basis_size": 2}
+
+
+def test_budget_reaches_local_and_singular_engines(capsys, monkeypatch):
+    # the first map's graph basis needs no pair reduction, so a zero budget
+    # first runs out in the global singular-point count of its critical curve
+    code, out, _ = run(capsys, "distinguish", "(x, y^4 - 4*x^2*y)",
+                       "(x, y^4 - 4*x^3*y)", "--budget", "0")
+    assert code == 0 and "distinguish: skipped-budget" in out
+    # milnor has no --budget flag; the environment budget reaches Mora
+    monkeypatch.setenv("POLYMAP_BUDGET", "1")
+    code, out, _ = run(capsys, "--json", "milnor", "x^4 + x^2*y + y^4")
+    check = json.loads(out)["checks"][0]
+    assert code == 0 and check["status"] == "skipped-budget"
+    assert check["details"] == {"limit": "pair-reduction budget 1 exceeded",
+                                "steps": 1, "pair_reductions": 1,
+                                "basis_size": 3}
+    monkeypatch.delenv("POLYMAP_BUDGET")
+    code, out, _ = run(capsys, "milnor", "x^4 + x^2*y + y^4")
+    assert code == 0 and "milnor=5" in out
+
+
 def test_branch_with_claim(capsys):
     code, out, _ = run(capsys, "branch", "(x, y^3+x*y)",
                        "--claimed", "4*x^3 + 27*y^2")

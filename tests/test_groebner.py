@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from polymap.groebner import (ComputationBudget, ResourceBudgetExceeded,
                               buchberger, elimination_ideal,
-                              finite_extension_test, local_quotient_dimension,
+                              local_quotient_dimension,
                               mora_standard_basis, normal_form,
                               quotient_dimension)
 from polymap.parser import parse_poly
@@ -78,13 +78,6 @@ def test_elimination_agrees_with_resultant():
     assert is_scalar_multiple(out[0].extended(("x", "y")), r)
 
 
-def test_finite_extension():
-    assert finite_extension_test(X, Y ** 2)
-    assert finite_extension_test(parse_poly("x + y + x*y"), parse_poly("x^2*y"))
-    assert not finite_extension_test(parse_poly("x + x^2*y"), Y)
-    assert not finite_extension_test(X, X * Y)
-
-
 def test_budget_interrupts():
     gens = [parse_poly("x^4 + y^3 - 1"), parse_poly("x^2*y + x*y^2 - 7")]
     with pytest.raises(ResourceBudgetExceeded):
@@ -126,11 +119,36 @@ def test_local_vs_global_dimension():
     assert total == 2
 
 
-def test_mora_step_ceiling():
+def test_mora_budget():
     gens = [parse_poly("x^2 - y^3"), parse_poly("x*y^2 + x^4")]
     with pytest.raises(ResourceBudgetExceeded):
-        mora_standard_basis(gens, step_ceiling=0)
+        mora_standard_basis(gens, ComputationBudget(max_pair_reductions=0))
     mora_standard_basis(gens)
+
+
+def test_budget_stop_reports_progress():
+    # the unlimited run reduces 3 pairs; each smaller limit stops right
+    # after its last allowed reduction, with the live basis at that point
+    gens = [parse_poly("x^4 + y^3 - 1"), parse_poly("x^2*y + x*y^2 - 7")]
+    assert buchberger(gens).stats["pair_reductions"] == 3
+    for limit, live in ((0, 2), (1, 3), (2, 4)):
+        with pytest.raises(ResourceBudgetExceeded) as exc:
+            buchberger(gens, budget=ComputationBudget(max_pair_reductions=limit))
+        assert exc.value.stats == {"pair_reductions": limit,
+                                   "zero_reductions": 0, "basis_size": live}
+    # the coefficient limit trips on the first new element, before it joins
+    wide = [parse_poly("x^4 + 1000000000*y^3 - 1"),
+            parse_poly("x^2*y + x*y^2 - 1/999999937")]
+    with pytest.raises(ResourceBudgetExceeded) as exc:
+        buchberger(wide, budget=ComputationBudget(max_coeff_bits=8))
+    assert exc.value.stats == {"pair_reductions": 1, "zero_reductions": 0,
+                               "basis_size": 2}
+    # Mora reports pairs and live basis too, plus its weak-normal-form steps
+    local = [parse_poly("x^2 - y^3"), parse_poly("x*y^2 + x^4")]
+    assert mora_standard_basis(local).stats["pair_reductions"] == 2
+    with pytest.raises(ResourceBudgetExceeded) as exc:
+        mora_standard_basis(local, ComputationBudget(max_pair_reductions=1))
+    assert exc.value.stats == {"steps": 1, "pair_reductions": 1, "basis_size": 3}
 
 
 small = st.fractions(min_value=-5, max_value=5, max_denominator=3)

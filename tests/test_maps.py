@@ -60,6 +60,11 @@ def test_properness_frozen():
     assert is_proper(make_family("pinch", d=3))
     # a coordinate projection collapses fibers
     assert not is_proper(pmap("(x, x*y)"))
+    # algebraically dependent components: the image is the curve s^3 = t^2
+    with pytest.raises(ValueError):
+        is_proper(pmap("(x^2, x^3)"))
+    with pytest.raises(ValueError):
+        topological_degree(pmap("(x + y, (x + y)^2)"))
 
 
 def test_degree_frozen():
@@ -70,9 +75,11 @@ def test_degree_frozen():
         assert topological_degree(make_family("pinch", d=d)) == d
 
 
-def test_degree_is_seed_independent():
-    f = make_family("pinch", d=4)
-    assert topological_degree(f, seed=1) == topological_degree(f, seed=99)
+def test_degree_counts_generic_fiber_of_non_proper_map():
+    # x + x^2*t = s has two roots for t != 0; the fiber over t = 0 is smaller
+    f = pmap("(x + x^2*y, y)")
+    assert not is_proper(f)
+    assert topological_degree(f) == 2
 
 
 def test_degree_budget():

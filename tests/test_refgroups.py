@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polymap.maps import topological_degree, verify_branch
+from polymap.maps import is_proper, topological_degree, verify_branch
 from polymap.numberfield import zeta
 from polymap.parser import parse_poly
 from polymap.polyring import (MultiPoly, QQ, common_field, is_scalar_multiple,
@@ -176,10 +176,11 @@ def test_basic_invariants_structure():
 
 
 def test_quotient_map_degree():
-    assert topological_degree(quotient_map(cyclic_group(3))) == 3
-    assert topological_degree(quotient_map(product_group(2, 2))) == 4
-    assert topological_degree(quotient_map(imprimitive_group(2, 1))) == 8
-    assert topological_degree(quotient_map(exceptional_group(4))) == 24
+    # C^2 -> C^2/G is proper of degree |G|: an oracle independent of the basis
+    for record in default_table4_rows():
+        f = quotient_map(record)
+        assert is_proper(f), record.label
+        assert topological_degree(f) == record.expected_order, record.label
 
 
 def test_claimed_branch_frozen():
