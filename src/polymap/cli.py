@@ -90,12 +90,27 @@ def _read_map(text: str) -> PolyMap:
     return PolyMap(f1, f2)
 
 
+def _budget_limit(text: str) -> int:
+    """A pair-reduction limit from --budget or POLYMAP_BUDGET."""
+    try:
+        limit = int(text)
+    except ValueError:
+        limit = -1
+    if limit < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return limit
+
+
 def _budget(args) -> ComputationBudget | None:
     limit = getattr(args, "budget", None)
     if limit is None:
         env = os.environ.get("POLYMAP_BUDGET")
         if env:
-            limit = int(env)
+            try:
+                limit = _budget_limit(env)
+            except argparse.ArgumentTypeError as exc:
+                raise argparse.ArgumentTypeError(f"POLYMAP_BUDGET {exc}") from None
     if limit is None:
         return None
     return ComputationBudget(max_pair_reductions=limit)
@@ -340,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         if budget:
-            p.add_argument("--budget", type=int, default=None,
+            p.add_argument("--budget", type=_budget_limit, default=None,
                            help="bound on Groebner pair reductions")
         if seed:
             p.add_argument("--seed", type=int, default=0,
@@ -437,6 +452,9 @@ def main(argv=None) -> int:
     except ResourceBudgetExceeded as exc:
         tier, checks = None, [Check(args.command, SKIPPED,
                                     {"limit": str(exc), **exc.stats})]
+    except argparse.ArgumentTypeError as exc:  # a malformed POLYMAP_BUDGET
+        print(f"polymap: {exc}", file=sys.stderr)
+        return 2
     except (PolyParseError, PreconditionError, ValueError, ArithmeticError,
             RuntimeError) as exc:
         print(f"polymap: {exc}", file=sys.stderr)

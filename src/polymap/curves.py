@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import (buchberger, local_quotient_dimension,
-                       mora_standard_basis, quotient_dimension)
+from .groebner import buchberger, mora_standard_basis, quotient_dimension
 from .maps import PolyMap, critical_ideal, is_proper
 from .polyring import (MultiPoly, derivative, evaluate, is_scalar_multiple,
                        squarefree_part, substitute)
@@ -45,7 +44,7 @@ def milnor_at_origin(F: MultiPoly, budget=None) -> MilnorResult:
     if not gens:
         return MilnorResult(math.inf, False)
     basis = mora_standard_basis(gens, budget)
-    dim = local_quotient_dimension(basis)
+    dim = quotient_dimension(basis)
     if dim == math.inf:
         return MilnorResult(math.inf, False)
     return MilnorResult(dim, True)
@@ -68,7 +67,7 @@ def singular_points_exist_outside_origin(F: MultiPoly, budget=None) -> bool:
         return True
     if total == 0:
         return False
-    local = local_quotient_dimension(mora_standard_basis(gens, budget))
+    local = quotient_dimension(mora_standard_basis(gens, budget))
     return total > local
 
 

@@ -1,17 +1,19 @@
 """Groebner and local standard bases with an explicit computation budget.
 
-The global engine is Buchberger's algorithm with the Gebauer-Moeller
+There is one engine: Buchberger's algorithm with the Gebauer-Moeller
 pair criteria, normal pair selection (smallest lcm in the active
-order) and sugar-degree bookkeeping.  The local engine is Mora's
-tangent-cone algorithm: the weak normal form lets the reducer set grow
-by intermediate results whenever the reducer's ecart exceeds the
-current one, which is what makes local division terminate.
+order) and sugar-degree bookkeeping.  Standard bases in the local ring
+at the origin come from the same engine by Lazard's method: homogenize
+the generators with one new variable, compute a global basis under a
+degree order that breaks ties by the local order, and set the new
+variable to 1 (Greuel & Pfister, A Singular Introduction to
+Commutative Algebra, 1.7).
 
-Both engines take the same ComputationBudget and check it the same
-way: before each pair reduction and on each new basis element.
-Exceeding a limit raises ResourceBudgetExceeded, whose stats say how
-far the computation got; the command line reports it as a
-"skipped-budget" check rather than a pass or a fail.
+The engine takes a ComputationBudget and checks it before each pair
+reduction and on each new basis element.  Exceeding a limit raises
+ResourceBudgetExceeded, whose stats say how far the computation got;
+the command line reports it as a "skipped-budget" check rather than a
+pass or a fail.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class ResourceBudgetExceeded(RuntimeError):
 
 @dataclass
 class ComputationBudget:
-    """Limits for each Buchberger or Mora computation; None means unlimited.
+    """Limits for each basis computation, global or local; None means unlimited.
 
     One budget is passed through every engine a command runs, and each
     basis computation counts against it from zero.  A computation stops
@@ -80,8 +82,11 @@ class IdealBasis:
     generators: list
     order: MonomialOrder
     basis: list
-    is_local: bool = False
     stats: dict = dataclass_field(default_factory=dict)
+
+    @property
+    def is_local(self):
+        return not self.order.is_global
 
     @property
     def vars(self):
@@ -305,7 +310,7 @@ def buchberger(generators, order: MonomialOrder = None,
 
     basis = _interreduce([e.poly for e in entries if not e.retired], order, keyf)
     stats["basis_size"] = len(basis)
-    return IdealBasis(list(generators), order, basis, is_local=False, stats=stats)
+    return IdealBasis(list(generators), order, basis, stats=stats)
 
 
 def _interreduce(basis, order, keyf):
@@ -362,16 +367,8 @@ def elimination_ideal(generators, eliminate, budget=None) -> list:
 
 
 def quotient_dimension(basis: IdealBasis):
-    """Vector-space dimension of the global quotient ring; math.inf if not finite."""
-    if basis.is_local:
-        raise ValueError("use local_quotient_dimension for local bases")
-    return _staircase_count(basis.leading_exponents(), len(basis.vars))
-
-
-def local_quotient_dimension(basis: IdealBasis):
-    """Dimension of the local quotient at the origin; math.inf if not finite."""
-    if not basis.is_local:
-        raise ValueError("needs a local standard basis")
+    """Dimension of the quotient ring, global or local at the origin as the
+    basis's order says; math.inf if not finite."""
     return _staircase_count(basis.leading_exponents(), len(basis.vars))
 
 
@@ -401,115 +398,54 @@ def _staircase_count(leads, nvars):
 
 
 # ---------------------------------------------------------------------------
-# local standard bases (Mora's algorithm)
+# local standard bases (Lazard's homogenization)
 
 
-def _ecart(terms, lead_exp):
-    deg = max(sum(e) for e in terms)
-    return deg - sum(lead_exp)
+class _HomogenizedLocalOrder(MonomialOrder):
+    """Global order on the ring with the homogenizing variable appended last.
 
+    Within one total degree a higher power of that variable, i.e. a lower
+    degree in the original variables, ranks higher, with LocalOrder's
+    revlex breaking ties; so on homogeneous polynomials the leading term,
+    once the variable is set to 1, is the LocalOrder leading term.
+    """
 
-class _LocalEntry:
-    __slots__ = ("terms", "lead_exp", "lead_coeff", "ecart")
+    name = "homogenized-local"
 
-    def __init__(self, terms, keyf):
-        self.terms = terms
-        self.lead_exp = max(terms, key=keyf)
-        self.lead_coeff = terms[self.lead_exp]
-        self.ecart = _ecart(terms, self.lead_exp)
-
-
-def _mora_normal_form(hterms, reducers, keyf, counter):
-    """Mora weak normal form; the reducer list grows with eligible intermediates."""
-    local = list(reducers)
-    while hterms:
-        le = max(hterms, key=keyf)
-        candidates = [g for g in local if _exp_divides(g.lead_exp, le)]
-        if not candidates:
-            return hterms
-        h_ecart = _ecart(hterms, le)
-        g = min(candidates, key=lambda g: (g.ecart, g.lead_exp))
-        if g.ecart > h_ecart:
-            local.append(_LocalEntry(dict(hterms), keyf))
-        counter["steps"] += 1
-        shift = _exp_sub(le, g.lead_exp)
-        factor = _coeff_quot(hterms[le], g.lead_coeff)
-        for ge, gc in g.terms.items():
-            ne = _exp_add(ge, shift)
-            cur = hterms.get(ne)
-            delta = factor * gc
-            if cur is None:
-                hterms[ne] = -delta
-            else:
-                cur = cur - delta
-                if cur:
-                    hterms[ne] = cur
-                else:
-                    del hterms[ne]
-    return hterms
+    def key(self, exps):
+        return (sum(exps), exps[-1]) + tuple(-e for e in reversed(exps[:-1]))
 
 
 def mora_standard_basis(generators, budget: ComputationBudget = None) -> IdealBasis:
-    """Standard basis of the generated ideal in the local ring at the origin."""
-    order = LocalOrder()
+    """Standard basis of the generated ideal in the local ring at the origin.
+
+    Lazard's method: homogenize each generator with one new variable h,
+    compute the global basis of the homogeneous ideal with `buchberger`
+    under _HomogenizedLocalOrder, then set h = 1.  Every reduction stays
+    inside one degree of a homogeneous ideal, so the pair budget bounds
+    the work; the stats and budget stops are those of `buchberger`.
+    """
     gens = [g for g in generators if g.terms]
     if not gens:
         raise ValueError("no nonzero generators")
     ring = gens[0]
     for g in gens[1:]:
         ring._same_ring(g)
-    budget = budget or ComputationBudget()
+    h = "h"
+    while h in ring.vars:
+        h += "_"
+    homogenized = []
+    for g in gens:
+        d = g.total_degree()
+        homogenized.append(MultiPoly(ring.vars + (h,),
+                                     {e + (d - sum(e),): c for e, c in g.terms.items()},
+                                     ring.field, _clean=True))
+    gb = buchberger(homogenized, _HomogenizedLocalOrder(), budget)
+    order = LocalOrder()
     keyf = _key_memo(order)
-    entries = [_LocalEntry(dict(_normalize(g, order).terms), keyf)
-               for g in sorted(gens, key=lambda p: keyf(p.leading(order)[0]))]
-    counter = {"steps": 0, "pair_reductions": 0, "basis_size": len(entries)}
-    pairs = [(i, j) for i in range(len(entries)) for j in range(i + 1, len(entries))]
-    while pairs:
-        pairs.sort(key=lambda ij: (keyf(_exp_lcm(entries[ij[0]].lead_exp,
-                                                 entries[ij[1]].lead_exp)), ij),
-                   reverse=True)
-        i, j = pairs.pop()
-        f, g = entries[i], entries[j]
-        if _exp_coprime(f.lead_exp, g.lead_exp):
-            continue
-        budget.check_pairs(counter)
-        counter["pair_reductions"] += 1
-        lcm = _exp_lcm(f.lead_exp, g.lead_exp)
-        sf, sg = _exp_sub(lcm, f.lead_exp), _exp_sub(lcm, g.lead_exp)
-        sterms = {}
-        for e, c in f.terms.items():
-            sterms[_exp_add(e, sf)] = c * g.lead_coeff
-        for e, c in g.terms.items():
-            ne = _exp_add(e, sg)
-            cur = sterms.get(ne)
-            delta = c * f.lead_coeff
-            if cur is None:
-                sterms[ne] = -delta
-            else:
-                cur = cur - delta
-                if cur:
-                    sterms[ne] = cur
-                else:
-                    del sterms[ne]
-        rterms = _mora_normal_form(sterms, entries, keyf, counter)
-        if not rterms:
-            continue
-        poly = _normalize(MultiPoly(ring.vars, rterms, ring.field, _clean=True), order)
-        budget.check_coeffs(poly, counter)
-        new = _LocalEntry(dict(poly.terms), keyf)
-        k = len(entries)
-        entries.append(new)
-        counter["basis_size"] += 1
-        pairs.extend((i2, k) for i2 in range(k))
-
-    # keep one representative per minimal leading monomial
-    final = []
-    for e in sorted(entries, key=lambda e: keyf(e.lead_exp), reverse=True):
-        if any(_exp_divides(f.lead_exp, e.lead_exp) for f in final):
-            continue
-        final = [f for f in final if not _exp_divides(e.lead_exp, f.lead_exp)]
-        final.append(e)
-    basis = sorted((MultiPoly(ring.vars, e.terms, ring.field, _clean=True) for e in final),
-                   key=lambda p: keyf(p.leading(order)[0]), reverse=True)
-    counter["basis_size"] = len(basis)
-    return IdealBasis(list(generators), order, basis, is_local=True, stats=counter)
+    # the h-exponent of a term of a homogeneous polynomial is fixed by
+    # its other exponents, so setting h = 1 merges no terms
+    basis = [MultiPoly(ring.vars, {e[:-1]: c for e, c in g.terms.items()},
+                       ring.field, _clean=True) for g in gb.basis]
+    basis.sort(key=lambda p: keyf(p.leading(order)[0]), reverse=True)
+    return IdealBasis(list(generators), order, basis, stats=gb.stats)

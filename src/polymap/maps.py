@@ -281,6 +281,8 @@ class BranchCheck:
     claimed_squarefree: bool
     elimination_status: str  # "pass" | "fail" | "skipped-budget" | "not-run"
     elimination_generators: list | None = None
+    # for a skipped elimination: the limit hit and the engine's counters
+    elimination_stop: dict | None = None
 
     @property
     def status(self) -> str:
@@ -297,11 +299,14 @@ class BranchCheck:
         return self.status != "fail"
 
     def tier_report(self):
-        return {
+        report = {
             "substitution_divisible": self.substitution_divisible,
             "claimed_squarefree": self.claimed_squarefree,
             "elimination": self.elimination_status,
         }
+        if self.elimination_stop is not None:
+            report["elimination_stop"] = self.elimination_stop
+        return report
 
 
 def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
@@ -325,7 +330,7 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
     sub_ok = divides(squarefree_part(J), pullback)
     sf_ok = is_scalar_multiple(squarefree_part(claim), claim)
     elim_status = "not-run"
-    elim_gens = None
+    elim_gens = elim_stop = None
     if run_elimination:
         try:
             gens = branch_ideal(fl, budget)
@@ -335,9 +340,10 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
                 elim_status = "pass"
             else:
                 elim_status = "fail"
-        except ResourceBudgetExceeded:
+        except ResourceBudgetExceeded as exc:
             elim_status = "skipped-budget"
-    return BranchCheck(claim, sub_ok, sf_ok, elim_status, elim_gens)
+            elim_stop = {"limit": str(exc), **exc.stats}
+    return BranchCheck(claim, sub_ok, sf_ok, elim_status, elim_gens, elim_stop)
 
 
 # ---------------------------------------------------------------------------

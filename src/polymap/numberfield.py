@@ -12,7 +12,6 @@ into any conductor.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -384,16 +383,6 @@ def embed(a: CycloNumber, conductor: int) -> CycloNumber:
                 if r:
                     out[j] += c * r
     return CycloNumber(conductor, out)
-
-
-def approx(a: CycloNumber) -> complex:
-    """Floating-point image of a under zeta_N -> exp(2*pi*i/N)."""
-    n = a.conductor
-    z = 0j
-    for i, c in enumerate(a.coeffs):
-        if c:
-            z += float(c) * cmath.exp(2j * cmath.pi * i / n)
-    return z
 
 
 def common_conductor(m: int, n: int) -> int:

@@ -47,6 +47,23 @@ def test_unknown_command_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_malformed_budget_flag_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["degree", "(x, y^2)", "--budget", value])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
+def test_malformed_budget_env_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("POLYMAP_BUDGET", value)
+    for argv in (("degree", "(x, y^2)"), ("milnor", "y^2 - x^3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("polymap: POLYMAP_BUDGET must be a non-negative")
+
+
 def test_computation_failure_exits_one(capsys):
     code, _, err = run(capsys, "milnor", "y^2 - x^3 + 1")
     assert code == 1 and err.strip()
@@ -189,19 +206,39 @@ def test_budget_skip_reports_progress(capsys, argv):
                                 "basis_size": 2}
 
 
+def test_elimination_skip_reports_progress(capsys):
+    # the cheap tiers still pass; the skipped elimination says where it stopped
+    claim = ("256*x^5*y + 27*x^4*y^2 - 36*x^3*y^2 + 50*x^2*y^2 - 2500*x*y^2"
+             " - 256*y^3 - 3125*y^2")
+    argv = ("--json", "branch", "(x+y+x*y, x^4*y)", "--claimed", claim,
+            "--budget", "2")
+    code, out, _ = run(capsys, *argv)
+    _, again, _ = run(capsys, *argv)
+    assert code == 0 and out == again
+    check = json.loads(out)["checks"][0]
+    assert check["status"] == "skipped-budget"
+    assert check["details"]["substitution_divisible"] is True
+    assert check["details"]["claimed_squarefree"] is True
+    assert check["details"]["elimination"] == "skipped-budget"
+    assert check["details"]["elimination_stop"] == {
+        "limit": "pair-reduction budget 2 exceeded",
+        "pair_reductions": 2, "zero_reductions": 0, "basis_size": 3}
+
+
 def test_budget_reaches_local_and_singular_engines(capsys, monkeypatch):
     # the first map's graph basis needs no pair reduction, so a zero budget
     # first runs out in the global singular-point count of its critical curve
     code, out, _ = run(capsys, "distinguish", "(x, y^4 - 4*x^2*y)",
                        "(x, y^4 - 4*x^3*y)", "--budget", "0")
     assert code == 0 and "distinguish: skipped-budget" in out
-    # milnor has no --budget flag; the environment budget reaches Mora
+    # milnor has no --budget flag; the environment budget reaches the
+    # local basis, whose unlimited run reduces 3 pairs
     monkeypatch.setenv("POLYMAP_BUDGET", "1")
     code, out, _ = run(capsys, "--json", "milnor", "x^4 + x^2*y + y^4")
     check = json.loads(out)["checks"][0]
     assert code == 0 and check["status"] == "skipped-budget"
     assert check["details"] == {"limit": "pair-reduction budget 1 exceeded",
-                                "steps": 1, "pair_reductions": 1,
+                                "pair_reductions": 1, "zero_reductions": 0,
                                 "basis_size": 3}
     monkeypatch.delenv("POLYMAP_BUDGET")
     code, out, _ = run(capsys, "milnor", "x^4 + x^2*y + y^4")

@@ -1,19 +1,19 @@
 """Buchberger bases, elimination, and local standard bases."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polymap.groebner import (ComputationBudget, ResourceBudgetExceeded,
                               buchberger, elimination_ideal,
-                              local_quotient_dimension,
                               mora_standard_basis, normal_form,
                               quotient_dimension)
 from polymap.parser import parse_poly
-from polymap.polyring import (DegRevLex, Lex, MultiPoly, QQ, divides,
-                              is_scalar_multiple, monic)
+from polymap.polyring import (DegRevLex, Lex, MultiPoly, QQ, derivative,
+                              divides, is_scalar_multiple, monic)
 
 X = MultiPoly.variable("x", ("x", "y"))
 Y = MultiPoly.variable("y", ("x", "y"))
@@ -96,15 +96,15 @@ def test_coefficient_budget_interrupts():
 def test_local_quotient_dimension_cusp():
     # ordinary cusp: local algebra of the Jacobian ideal has length 2
     basis = mora_standard_basis([X ** 2 * 3, Y * 2])
-    assert local_quotient_dimension(basis) == 2
+    assert quotient_dimension(basis) == 2
     basis = mora_standard_basis([X * 2, Y * 2])
-    assert local_quotient_dimension(basis) == 1
+    assert quotient_dimension(basis) == 1
 
 
 def test_local_unit_factors_are_invisible():
     # x - x^2 = x(1 - x): locally a coordinate, so the quotient is a point
     basis = mora_standard_basis([X - X ** 2, Y])
-    assert local_quotient_dimension(basis) == 1
+    assert quotient_dimension(basis) == 1
 
 
 def test_local_vs_global_dimension():
@@ -112,7 +112,7 @@ def test_local_vs_global_dimension():
     # y^2 - x^2(x + 1) has a node at the origin and nothing else on x = y
     F = parse_poly("y^2 - x^3 - x^2")
     gens = [parse_poly("-3*x^2 - 2*x"), Y * 2]
-    local = local_quotient_dimension(mora_standard_basis(gens))
+    local = quotient_dimension(mora_standard_basis(gens))
     total = quotient_dimension(buchberger(gens))
     assert local == 1
     # the global critical scheme also sees x = -2/3
@@ -143,12 +143,16 @@ def test_budget_stop_reports_progress():
         buchberger(wide, budget=ComputationBudget(max_coeff_bits=8))
     assert exc.value.stats == {"pair_reductions": 1, "zero_reductions": 0,
                                "basis_size": 2}
-    # Mora reports pairs and live basis too, plus its weak-normal-form steps
+    # a local basis runs through the same engine on the homogenized
+    # generators, so it stops and reports the same way
     local = [parse_poly("x^2 - y^3"), parse_poly("x*y^2 + x^4")]
-    assert mora_standard_basis(local).stats["pair_reductions"] == 2
+    assert mora_standard_basis(local).stats == {"pair_reductions": 3,
+                                                "zero_reductions": 1,
+                                                "basis_size": 4}
     with pytest.raises(ResourceBudgetExceeded) as exc:
         mora_standard_basis(local, ComputationBudget(max_pair_reductions=1))
-    assert exc.value.stats == {"steps": 1, "pair_reductions": 1, "basis_size": 3}
+    assert exc.value.stats == {"pair_reductions": 1, "zero_reductions": 0,
+                               "basis_size": 3}
 
 
 small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
@@ -209,3 +213,53 @@ def test_elimination_matches_resultant_random(a, b):
     # curves it is a multiple of the principal generator
     if len(out) == 1 and out[0].terms:
         assert divides(out[0].extended(("x", "y")), r)
+
+
+# ---------------------------------------------------------------------------
+# the local engine against a truncation oracle: for an ideal J of Q[x, y],
+# Q[x, y]/(J + m^n) is supported at the origin only, so its dimension is
+# the local one of J + m^n.  It equals mu = dim O/J as soon as m^n lies in
+# J locally, and until then it grows strictly with n (Nakayama): equal
+# values at n and n + 1 prove mu, and a finite mu is reached by n = mu.
+
+
+def truncated_dimension(gens, n):
+    """dim Q[x, y]/(gens + m^n), by the global engine alone."""
+    power = [MultiPoly(("x", "y"), {(i, n - i): 1}, QQ) for i in range(n + 1)]
+    return quotient_dimension(buchberger(list(gens) + power))
+
+
+def jacobian(F):
+    return [g for g in (derivative(F, v) for v in F.vars) if g.terms]
+
+
+curve_exps = [(i, j) for i in range(6) for j in range(6) if 1 <= i + j <= 5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(curve_exps), small, min_size=1, max_size=6))
+def test_local_dimension_matches_truncation(terms):
+    F = MultiPoly(("x", "y"), terms, QQ)
+    assume(F.terms)
+    gens = jacobian(F)
+    # two curves of degree <= d - 1 with no common component through the
+    # origin meet there at most (d - 1)^2 times, so a finite mu is below n
+    n = (F.total_degree() - 1) ** 2 + 1
+    mu = quotient_dimension(mora_standard_basis(gens))
+    truncated = truncated_dimension(gens, n)
+    if mu == math.inf:
+        assert truncated_dimension(gens, n + 1) > truncated
+    else:
+        assert mu == truncated
+
+
+@pytest.mark.parametrize("curve, mu, stable", [
+    ("2/3*x^4*y^4 + x^2*y^4 - 1/2*x^4*y - 1/3*x*y^4 - 2*x^4", 13, 7),
+    ("x^6*y^3 - x^2*y^5 - x^6 - 4*x^5*y - x*y^5", 25, 9),
+])
+def test_local_dimension_frozen_curves(curve, mu, stable):
+    # both took Mora's tangent-cone algorithm past 5 s
+    gens = jacobian(parse_poly(curve))
+    assert quotient_dimension(mora_standard_basis(gens)) == mu
+    assert truncated_dimension(gens, stable) == mu
+    assert truncated_dimension(gens, stable + 1) == mu
