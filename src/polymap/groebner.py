@@ -1,19 +1,23 @@
 """Groebner and local standard bases with an explicit computation budget.
 
 There is one engine: Buchberger's algorithm with the Gebauer-Moeller
-pair criteria, normal pair selection (smallest lcm in the active
-order) and sugar-degree bookkeeping.  Standard bases in the local ring
-at the origin come from the same engine by Lazard's method: homogenize
-the generators with one new variable, compute a global basis under a
-degree order that breaks ties by the local order, and set the new
-variable to 1 (Greuel & Pfister, A Singular Introduction to
-Commutative Algebra, 1.7).
+pair criteria.  When the generators are homogeneous for some positive
+integer weights w, the next pair is the one whose lcm has the smallest
+w-degree, ties broken by the active order; for a w-homogeneous ideal
+that w-degree is the pair's sugar (Giovini, Mora, Niesi, Robbiano,
+Traverso, "One sugar cube, please", ISSAC 1991).  Otherwise selection is
+the normal strategy: the smallest lcm in the active order.
+
+Standard bases in the local ring at the origin come from the same
+engine by Lazard's method: homogenize the generators with one new
+variable, compute a global basis under a degree order that breaks ties
+by the local order, and set the new variable to 1 (Greuel & Pfister,
+A Singular Introduction to Commutative Algebra, 1.7).
 
 The engine takes a ComputationBudget and checks it before each pair
-reduction and on each new basis element.  Exceeding a limit raises
-ResourceBudgetExceeded, whose stats say how far the computation got;
-the command line reports it as a "skipped-budget" check rather than a
-pass or a fail.
+reduction.  Exceeding the limit raises ResourceBudgetExceeded, whose
+stats say how far the computation got; the command line reports it as
+a "skipped-budget" check rather than a pass or a fail.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .polyring import (LocalOrder, DegRevLex, MonomialOrder, MultiPoly,
 
 
 class ResourceBudgetExceeded(RuntimeError):
-    """A computation hit its pair or coefficient-size budget before finishing.
+    """A computation hit its pair-reduction budget before finishing.
 
     `stats` holds the engine's counters at the moment of the stop: the
     pairs reduced so far and the size of the live basis.
@@ -45,12 +49,10 @@ class ComputationBudget:
 
     One budget is passed through every engine a command runs, and each
     basis computation counts against it from zero.  A computation stops
-    before its (max_pair_reductions + 1)-th pair reduction, or when a new
-    basis element has a coefficient wider than max_coeff_bits.
+    before its (max_pair_reductions + 1)-th pair reduction.
     """
 
     max_pair_reductions: int | None = None
-    max_coeff_bits: int | None = None
 
     def check_pairs(self, stats):
         """Raise before a pair reduction that would go over the limit."""
@@ -58,21 +60,6 @@ class ComputationBudget:
                 and stats["pair_reductions"] >= self.max_pair_reductions):
             raise ResourceBudgetExceeded(
                 f"pair-reduction budget {self.max_pair_reductions} exceeded", dict(stats))
-
-    def check_coeffs(self, p: MultiPoly, stats):
-        if self.max_coeff_bits is None:
-            return
-        bits = 0
-        for c in p.terms.values():
-            if isinstance(c, CycloNumber):
-                qs = [Fraction(q) for q in c.coeffs if q]
-            else:
-                qs = [Fraction(c)]
-            for q in qs:
-                bits = max(bits, q.numerator.bit_length(), q.denominator.bit_length())
-        if bits > self.max_coeff_bits:
-            raise ResourceBudgetExceeded(
-                f"coefficient budget {self.max_coeff_bits} bits exceeded", dict(stats))
 
 
 @dataclass
@@ -150,18 +137,17 @@ def _key_memo(order):
 
 
 class _Entry:
-    __slots__ = ("poly", "lead_exp", "lead_coeff", "sugar", "index", "retired")
+    __slots__ = ("poly", "lead_exp", "lead_coeff", "index", "retired")
 
-    def __init__(self, poly, order, sugar, index):
+    def __init__(self, poly, order, index):
         self.poly = poly
         self.lead_exp, self.lead_coeff = poly.leading(order)
-        self.sugar = sugar
         self.index = index
         self.retired = False
 
 
-def _reduce_terms(hterms, entries, keyf, sugar=None):
-    """Full division of a raw term dict by the entry list; returns (remainder, sugar)."""
+def _reduce_terms(hterms, entries, keyf):
+    """Full division of a raw term dict by the entry list; returns the remainder."""
     out = {}
     while hterms:
         e = max(hterms, key=keyf)
@@ -176,8 +162,6 @@ def _reduce_terms(hterms, entries, keyf, sugar=None):
             continue
         shift = _exp_sub(e, red.lead_exp)
         factor = _coeff_quot(c, red.lead_coeff)
-        if sugar is not None:
-            sugar = max(sugar, red.sugar + sum(shift))
         for ge, gc in red.poly.terms.items():
             if ge == red.lead_exp:
                 continue
@@ -192,7 +176,7 @@ def _reduce_terms(hterms, entries, keyf, sugar=None):
                     hterms[ne] = cur
                 else:
                     del hterms[ne]
-    return out, sugar
+    return out
 
 
 def _spoly_terms(f: _Entry, g: _Entry):
@@ -216,8 +200,7 @@ def _spoly_terms(f: _Entry, g: _Entry):
                 terms[ne] = cur
             else:
                 del terms[ne]
-    sugar = max(f.sugar + sum(sf), g.sugar + sum(sg))
-    return terms, sugar
+    return terms
 
 
 def _gm_update(pairs, entries, new: _Entry):
@@ -253,6 +236,55 @@ def _gm_update(pairs, entries, new: _Entry):
     return survivors
 
 
+def _grading(gens):
+    """Positive integer weights making every generator weighted-homogeneous, or None.
+
+    The admissible weights form the kernel of the term-difference
+    vectors.  The answer is its generator when the kernel is a positive
+    line, (1, ..., 1) when the kernel contains it, and None otherwise.
+    """
+    n = len(gens[0].vars)
+    diffs = []
+    for g in gens:
+        first, *rest = g.terms
+        diffs.extend(_exp_sub(e, first) for e in rest)
+    if all(sum(d) == 0 for d in diffs):
+        return (1,) * n
+    # integer row echelon form, built one row at a time: pivot column -> row
+    rows = {}
+    for d in diffs:
+        v = list(d)
+        for col in sorted(rows):
+            if v[col]:
+                r = rows[col]
+                a, b = r[col], v[col]
+                v = [a * x - b * y for x, y in zip(v, r)]
+        if not any(v):
+            continue
+        content = math.gcd(*v)
+        rows[next(k for k, x in enumerate(v) if x)] = [x // content for x in v]
+        if len(rows) == n:
+            return None
+    if len(rows) != n - 1:
+        return None
+    # the kernel is a line: back-substitute from its free column, scaling
+    # the solution so far to keep it integral
+    w = [0] * n
+    w[next(k for k in range(n) if k not in rows)] = 1
+    for col in sorted(rows, reverse=True):
+        r = rows[col]
+        rest = sum(r[k] * w[k] for k in range(col + 1, n))
+        g = math.gcd(rest, r[col])
+        w = [x * (r[col] // g) for x in w]
+        w[col] = -rest // g
+    if all(x < 0 for x in w):
+        w = [-x for x in w]
+    if not all(x > 0 for x in w):
+        return None
+    content = math.gcd(*w)
+    return tuple(x // content for x in w)
+
+
 def buchberger(generators, order: MonomialOrder = None,
                budget: ComputationBudget = None) -> IdealBasis:
     """Reduced Groebner basis of the generated ideal under a global monomial order."""
@@ -275,8 +307,8 @@ def buchberger(generators, order: MonomialOrder = None,
     entries: list[_Entry] = []
     pairs: dict = {}
 
-    def add(poly, sugar):
-        entry = _Entry(poly, order, sugar, len(entries))
+    def add(poly):
+        entry = _Entry(poly, order, len(entries))
         entries.append(entry)
         stats["basis_size"] += 1
         # pairs are formed against the pre-retirement basis; only afterwards may
@@ -290,23 +322,31 @@ def buchberger(generators, order: MonomialOrder = None,
 
     for g in sorted((_normalize(g, order) for g in gens),
                     key=lambda p: keyf(p.leading(order)[0])):
-        pairs = add(g, g.total_degree())
+        pairs = add(g)
+
+    weights = _grading(gens)
+    if weights is None:
+        def pair_key(item):
+            return keyf(item[1]), item[0]
+    else:
+        def pair_key(item):
+            lcm = item[1]
+            return sum(w * e for w, e in zip(weights, lcm)), keyf(lcm), item[0]
 
     while pairs:
         budget.check_pairs(stats)
-        (i, j), _lcm = min(pairs.items(), key=lambda kv: (keyf(kv[1]), kv[0]))
+        (i, j), _lcm = min(pairs.items(), key=pair_key)
         del pairs[(i, j)]
         stats["pair_reductions"] += 1
-        sterms, sugar = _spoly_terms(entries[i], entries[j])
+        sterms = _spoly_terms(entries[i], entries[j])
         active = sorted((e for e in entries if not e.retired),
                         key=lambda e: keyf(e.lead_exp))
-        rterms, sugar = _reduce_terms(sterms, active, keyf, sugar)
+        rterms = _reduce_terms(sterms, active, keyf)
         if not rterms:
             stats["zero_reductions"] += 1
             continue
-        h = _normalize(MultiPoly(ring.vars, rterms, ring.field, _clean=True), order)
-        budget.check_coeffs(h, stats)
-        pairs = add(h, sugar)
+        pairs = add(_normalize(MultiPoly(ring.vars, rterms, ring.field, _clean=True),
+                               order))
 
     basis = _interreduce([e.poly for e in entries if not e.retired], order, keyf)
     stats["basis_size"] = len(basis)
@@ -324,10 +364,9 @@ def _interreduce(basis, order, keyf):
         leads.append(le)
     out = []
     for i, p in enumerate(kept):
-        others = [_Entry(q, order, q.total_degree(), k)
-                  for k, q in enumerate(kept) if k != i]
+        others = [_Entry(q, order, k) for k, q in enumerate(kept) if k != i]
         others.sort(key=lambda e: keyf(e.lead_exp))
-        terms, _ = _reduce_terms(dict(p.terms), others, keyf)
+        terms = _reduce_terms(dict(p.terms), others, keyf)
         out.append(_normalize(MultiPoly(p.vars, terms, p.field, _clean=True), order))
     return sorted(out, key=lambda p: keyf(p.leading(order)[0]))
 
@@ -340,9 +379,9 @@ def normal_form(p: MultiPoly, basis: IdealBasis) -> MultiPoly:
         return p
     order = basis.order
     keyf = _key_memo(order)
-    entries = [_Entry(g, order, g.total_degree(), i) for i, g in enumerate(basis.basis)]
+    entries = [_Entry(g, order, i) for i, g in enumerate(basis.basis)]
     entries.sort(key=lambda e: keyf(e.lead_exp))
-    terms, _ = _reduce_terms(dict(p.terms), entries, keyf)
+    terms = _reduce_terms(dict(p.terms), entries, keyf)
     return MultiPoly(p.vars, terms, p.field, _clean=True)
 
 

@@ -663,10 +663,9 @@ def claimed_branch(record: GroupRecord) -> MultiPoly:
     return parse_poly(_CLAIMED_EXCEPTIONAL[record.params[0]])
 
 
-# sized so every tractable row eliminates in seconds while the rows with
-# exploding coefficients bail out early instead of running for hours
-FULL_TIER_BUDGET = ComputationBudget(max_pair_reductions=6000,
-                                     max_coeff_bits=256)
+# every Table 4 row eliminates in at most a few hundred pair reductions;
+# the limit only stops an input the weighted pair selection cannot tame
+FULL_TIER_BUDGET = ComputationBudget(max_pair_reductions=6000)
 
 
 def verify_table4_row(record: GroupRecord, tier: str = "divisibility",
