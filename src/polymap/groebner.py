@@ -463,6 +463,8 @@ def mora_standard_basis(generators, budget: ComputationBudget = None) -> IdealBa
     under _HomogenizedLocalOrder, then set h = 1.  Every reduction stays
     inside one degree of a homogeneous ideal, so the pair budget bounds
     the work; the stats and budget stops are those of `buchberger`.
+    A generator with a nonzero constant term is a unit in the local
+    ring, so the basis is [1] at once, with zero pair reductions.
     """
     gens = [g for g in generators if g.terms]
     if not gens:
@@ -470,6 +472,14 @@ def mora_standard_basis(generators, budget: ComputationBudget = None) -> IdealBa
     ring = gens[0]
     for g in gens[1:]:
         ring._same_ring(g)
+    order = LocalOrder()
+    origin = (0,) * len(ring.vars)
+    if any(origin in g.terms for g in gens):
+        # a generator is a unit in the local ring, so the ideal is (1)
+        one = MultiPoly.constant(1, ring.vars, ring.field)
+        return IdealBasis(list(generators), order, [one],
+                          stats={"pair_reductions": 0, "zero_reductions": 0,
+                                 "basis_size": 1})
     h = "h"
     while h in ring.vars:
         h += "_"
@@ -480,7 +490,6 @@ def mora_standard_basis(generators, budget: ComputationBudget = None) -> IdealBa
                                      {e + (d - sum(e),): c for e, c in g.terms.items()},
                                      ring.field, _clean=True))
     gb = buchberger(homogenized, _HomogenizedLocalOrder(), budget)
-    order = LocalOrder()
     keyf = _key_memo(order)
     # the h-exponent of a term of a homogeneous polynomial is fixed by
     # its other exponents, so setting h = 1 merges no terms

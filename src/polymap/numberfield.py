@@ -2,8 +2,15 @@
 
 A CycloNumber lives in one fixed field Q(zeta_N) and stores its
 coordinates in the power basis 1, z, ..., z^(phi(N)-1), where z is the
-principal N-th root of unity and phi is Euler's totient.  Coordinates
-are Fractions (plain ints where exact).  Values are immutable.
+principal N-th root of unity and phi is Euler's totient.  The
+coordinates are held as a vector of integers over one positive common
+denominator, in lowest terms (the gcd of the denominator and all the
+integers is one), so equal values have equal representations.  Sums
+and products are integer arithmetic with one gcd at the end, the usual
+representation of number-field elements (Cohen, A Course in
+Computational Algebraic Number Theory, 1993).  `coeffs` reads the
+coordinates back as ints, or Fractions where not integral.  Values are
+immutable.
 
 Mixed-conductor arithmetic is deliberately not supported: callers pick
 a common conductor up front and embed with `embed`.  Rationals coerce
@@ -14,13 +21,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 class ConductorMismatch(ValueError):
     """Operands live in cyclotomic fields neither of which was embedded into the other."""
 
 
+@lru_cache(maxsize=None)
 def totient(n: int) -> int:
     if n < 1:
         raise ValueError("totient needs n >= 1")
@@ -48,16 +56,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // d)
         d += 1
     return small + large[::-1]
-
-
-def _poly_mul_int(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
 
 
 def _poly_divexact_int(a, b):
@@ -97,11 +95,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_row(n: int) -> tuple[int, ...]:
-    # z^phi expressed over the power basis: z^phi = -(c_0 + c_1 z + ...)
-    phi = totient(n)
+def _fold_terms(n: int) -> tuple:
+    # z^phi over the power basis, z^phi = -(c_0 + c_1 z + ...), as the
+    # (i, -c_i) with c_i nonzero
     cyc = cyclotomic_polynomial(n)
-    return tuple(-c for c in cyc[:phi])
+    return tuple((i, -c) for i, c in enumerate(cyc[:totient(n)]) if c)
 
 
 def _shift_reduce(coeffs, n):
@@ -110,40 +108,54 @@ def _shift_reduce(coeffs, n):
     top = coeffs[phi - 1]
     out = [0] + list(coeffs[: phi - 1])
     if top:
-        row = _reduction_row(n)
-        for i, r in enumerate(row):
-            if r:
-                out[i] += top * r
+        for i, r in _fold_terms(n):
+            out[i] += top * r
     return out
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 class CycloNumber:
-    """An element of Q(zeta_N) in the power basis modulo the N-th cyclotomic polynomial."""
+    """An element of Q(zeta_N) in the power basis modulo the N-th cyclotomic polynomial.
 
-    __slots__ = ("conductor", "coeffs")
+    `_num` holds phi(N) integers and `_den` one positive integer; the
+    value is sum(_num[i] * z^i) / _den, with gcd(_den, *_num) == 1.
+    """
+
+    __slots__ = ("conductor", "_num", "_den")
 
     def __init__(self, conductor: int, coeffs):
         phi = totient(conductor)
-        coeffs = tuple(_norm_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        coeffs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c)
                        for c in coeffs)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coordinates for conductor {conductor}, got {len(coeffs)}")
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", coeffs)
+        den = 1
+        for c in coeffs:
+            if isinstance(c, Fraction):
+                den = lcm(den, c.denominator)
+        # the lcm of reduced denominators leaves no common factor to divide out
+        num = tuple(c.numerator * (den // c.denominator) if isinstance(c, Fraction)
+                    else int(c) * den for c in coeffs)
+        _set_fields(self, conductor, num, den)
 
     def __setattr__(self, *a):
         raise AttributeError("CycloNumber is immutable")
 
+    @property
+    def coeffs(self) -> tuple:
+        """Coordinates in the power basis: ints, or Fractions where not integral."""
+        den = self._den
+        if den == 1:
+            return self._num
+        return tuple(c // den if c % den == 0 else Fraction(c, den) for c in self._num)
+
     @classmethod
     def from_rational(cls, value, conductor: int) -> "CycloNumber":
-        phi = totient(conductor)
-        return cls(conductor, (value,) + (0,) * (phi - 1))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        pad = (0,) * (totient(conductor) - 1)
+        if isinstance(value, Fraction):
+            return _reduced(conductor, (value.numerator,) + pad, value.denominator)
+        return _reduced(conductor, (int(value),) + pad, 1)
 
     @classmethod
     def zero(cls, conductor: int) -> "CycloNumber":
@@ -167,8 +179,13 @@ class CycloNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNumber(self.conductor,
-                           tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        sd, od = self._den, other._den
+        if sd == od:
+            return _reduced(self.conductor,
+                            tuple(a + b for a, b in zip(self._num, other._num)), sd)
+        return _reduced(self.conductor,
+                        tuple(a * od + b * sd for a, b in zip(self._num, other._num)),
+                        sd * od)
 
     __radd__ = __add__
 
@@ -176,8 +193,13 @@ class CycloNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycloNumber(self.conductor,
-                           tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        sd, od = self._den, other._den
+        if sd == od:
+            return _reduced(self.conductor,
+                            tuple(a - b for a, b in zip(self._num, other._num)), sd)
+        return _reduced(self.conductor,
+                        tuple(a * od - b * sd for a, b in zip(self._num, other._num)),
+                        sd * od)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -186,36 +208,31 @@ class CycloNumber:
         return other - self
 
     def __neg__(self):
-        return CycloNumber(self.conductor, tuple(-a for a in self.coeffs))
+        return _reduced(self.conductor, tuple(-a for a in self._num), self._den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._num, other._num
+        den = self._den * other._den
         phi = len(a)
         conv = [0] * (2 * phi - 1)
+        b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        if phi == 1:
-            return CycloNumber(self.conductor, (conv[0],))
-        out = conv[:phi]
-        n = self.conductor
-        tail = conv[phi:]
-        if any(tail):
-            # fold z^(phi+j) back onto the basis, highest power first
-            for k in range(len(tail) - 1, -1, -1):
-                c = tail[k]
-                if not c:
-                    continue
-                row = _power_basis_row(n, phi + k)
-                for i, r in enumerate(row):
-                    if r:
-                        out[i] += c * r
-        return CycloNumber(self.conductor, out)
+                for j, bj in b_terms:
+                    conv[i + j] += ai * bj
+        # fold z^k (k >= phi) back onto the basis, highest power first:
+        # z^k = z^(k-phi) * z^phi lands on powers below k
+        fold = _fold_terms(self.conductor)
+        for k in range(2 * phi - 2, phi - 1, -1):
+            c = conv[k]
+            if c:
+                base = k - phi
+                for i, r in fold:
+                    conv[base + i] += c * r
+        return _reduced(self.conductor, tuple(conv[:phi]), den)
 
     __rmul__ = __mul__
 
@@ -254,21 +271,22 @@ class CycloNumber:
         if other.conductor != self.conductor:
             raise ConductorMismatch(
                 f"cannot compare conductors {self.conductor} and {other.conductor}; embed first")
-        return self.coeffs == other.coeffs
+        # lowest terms make the representation unique
+        return self._num == other._num and self._den == other._den
 
     def __hash__(self):
-        return hash((self.conductor, self.coeffs))
+        return hash((self.conductor, self._num, self._den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self._num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self._num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("value is not rational")
-        return Fraction(self.coeffs[0])
+        return Fraction(self._num[0], self._den)
 
     def inverse(self) -> "CycloNumber":
         """Multiplicative inverse via the extended Euclidean algorithm modulo Phi_N."""
@@ -286,6 +304,29 @@ class CycloNumber:
 
     def __repr__(self):
         return f"CycloNumber({self.conductor}, {self.coeffs})"
+
+
+_set_conductor = CycloNumber.conductor.__set__
+_set_num = CycloNumber._num.__set__
+_set_den = CycloNumber._den.__set__
+
+
+def _set_fields(x, conductor, num, den):
+    _set_conductor(x, conductor)
+    _set_num(x, num)
+    _set_den(x, den)
+
+
+def _reduced(conductor: int, num: tuple, den: int) -> CycloNumber:
+    # num / den brought to lowest terms with one gcd
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple(c // g for c in num)
+            den //= g
+    x = object.__new__(CycloNumber)
+    _set_fields(x, conductor, num, den)
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -376,13 +417,13 @@ def embed(a: CycloNumber, conductor: int) -> CycloNumber:
     step = conductor // n
     phi = totient(conductor)
     out = [0] * phi
-    for i, c in enumerate(a.coeffs):
+    for i, c in enumerate(a._num):
         if c:
             row = _power_basis_row(conductor, i * step)
             for j, r in enumerate(row):
                 if r:
                     out[j] += c * r
-    return CycloNumber(conductor, out)
+    return _reduced(conductor, tuple(out), a._den)
 
 
 def common_conductor(m: int, n: int) -> int:

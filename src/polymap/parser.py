@@ -240,9 +240,10 @@ def format_cyclo(c: CycloNumber) -> str:
     if c.is_rational():
         return _format_rational(c.rational_value())
     n = c.conductor
+    coeffs = c.coeffs
     parts = []
-    for k in range(len(c.coeffs) - 1, -1, -1):
-        q = c.coeffs[k]
+    for k in range(len(coeffs) - 1, -1, -1):
+        q = coeffs[k]
         if not q:
             continue
         if k == 0:

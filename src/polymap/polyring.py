@@ -548,22 +548,22 @@ def evaluate(p: MultiPoly, point: dict):
 # ---------------------------------------------------------------------------
 # normalization helpers
 
-def _coeff_fractions(p: MultiPoly):
+def _coeff_parts(p: MultiPoly):
+    # (content of the numerators, denominator) of each coefficient in
+    # lowest terms; the lcm of the denominators over the gcd of the
+    # contents is p's primitive scale
     for c in p.terms.values():
         if isinstance(c, CycloNumber):
-            for q in c.coeffs:
-                if q:
-                    yield Fraction(q)
+            yield gcd(*c._num), c._den
         else:
-            yield Fraction(c)
+            q = Fraction(c)
+            yield q.numerator, q.denominator
 
 
 def _first_signed(coeff):
+    # a value with the sign of the first nonzero coordinate
     if isinstance(coeff, CycloNumber):
-        for q in coeff.coeffs:
-            if q:
-                return q
-        return 0
+        return next((q for q in coeff._num if q), 0)
     return coeff
 
 
@@ -578,9 +578,9 @@ def primitive_normalize(p: MultiPoly, order: MonomialOrder = DEFAULT_ORDER) -> M
         return p
     num = 0
     den = 1
-    for q in _coeff_fractions(p):
-        num = gcd(num, q.numerator)
-        den = den * q.denominator // gcd(den, q.denominator)
+    for n, d in _coeff_parts(p):
+        num = gcd(num, n)
+        den = den * d // gcd(den, d)
     scale = Fraction(den, num)
     _, lead = p.leading(order)
     if _first_signed(lead) * scale < 0:

@@ -112,8 +112,9 @@ class Matrix2:
         return (self.a, self.b, self.c, self.d) == (one, zero, zero, one)
 
     def key(self):
-        return (self.conductor, self.a.coeffs, self.b.coeffs,
-                self.c.coeffs, self.d.coeffs)
+        # the conductor first: keys of different conductors then differ
+        # before entries, whose comparison would raise, are compared
+        return (self.conductor, self.a, self.b, self.c, self.d)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix2):
@@ -426,10 +427,17 @@ def fingerprint(els: GroupElements) -> dict:
     ids = sorted(els._ids)
     center = 0
     histogram = {}
+    # a finite-order matrix is diagonalizable, so its characteristic
+    # polynomial (trace, a*d - b*c) fixes its order
+    orders = {}
     for m in ids:
         if all(_mul_ids(ar, m, g) == _mul_ids(ar, g, m) for g in els._gen_ids):
             center += 1
-        k = els.element_order(m)
+        a, b, c, d = m
+        charpoly = (ar.add(a, d), ar.mul(a, d), ar.mul(b, c))
+        k = orders.get(charpoly)
+        if k is None:
+            k = orders[charpoly] = els.element_order(m)
         histogram[k] = histogram.get(k, 0) + 1
     return {"order": len(ids), "center_order": center,
             "order_histogram": dict(sorted(histogram.items()))}

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from polymap.curves import (CONIC_TWO_POINTS, LINE, classify_low_degree_curve,
                             distinguish_by_milnor, milnor_at_origin)
-from polymap.groebner import ResourceBudgetExceeded, elimination_ideal
+from polymap.groebner import elimination_ideal
 from polymap.maps import (PlaneAutomorphism, PolyMap, branch_ideal, compose,
                           critical_ideal, integral_relation_check, is_proper,
                           make_family, topological_degree, verify_branch)
@@ -67,18 +67,12 @@ def test_acceptance_02_topological_degree():
     for d in (3, 4, 5):
         ok = ok and topological_degree(make_family("pinch", d=d)) == d
     started = time.monotonic()
-    quotient = quotient_map(exceptional_group(4))
-    try:
-        got = topological_degree(quotient, budget=FULL_TIER_BUDGET)
-        ok = ok and got == 24
-        note = f"degree={got}"
-    except ResourceBudgetExceeded:
-        row = verify_table4_row(exceptional_group(4), tier="divisibility")
-        ok = ok and row["ok"]
-        note = "skipped-budget, divisibility tier passing"
+    got = topological_degree(quotient_map(exceptional_group(4)),
+                             budget=FULL_TIER_BUDGET)
+    ok = ok and got == 24
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 60.0
-    _report(2, f"topological-degree ({note})", ok)
+    _report(2, f"topological-degree (degree={got})", ok)
 
 
 def test_acceptance_03_branch_loci():

@@ -74,6 +74,17 @@ def test_parse_failure_exits_one(capsys):
     assert code == 1 and "polymap:" in err
 
 
+def test_milnor_at_smooth_point_needs_no_pair(capsys, monkeypatch):
+    # a unit among the partials settles mu = 0 before any pair reduction
+    monkeypatch.setenv("POLYMAP_BUDGET", "0")
+    curve = ("-5*x^5*y^5 - 1/2*x^3*y^5 - 4/3*x^2*y^6 + 1/3*x^2*y^3"
+             " + 5/3*x^4 + 5/2*y")
+    code, out, _ = run(capsys, "milnor", curve, "--json")
+    assert code == 0
+    check = json.loads(out)["checks"][0]
+    assert check["status"] == "pass" and check["details"]["milnor"] == 0
+
+
 def test_milnor_with_translation(capsys):
     code, out, _ = run(capsys, "milnor", "(y-1)^2 - (x-2)^3", "--at", "2,1")
     assert code == 0 and "milnor=2" in out

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,24 @@ def test_local_vs_global_dimension():
     assert local == 1
     # the global critical scheme also sees x = -2/3
     assert total == 2
+
+
+SMOOTH_ORIGIN = ("-5*x^5*y^5 - 1/2*x^3*y^5 - 4/3*x^2*y^6 + 1/3*x^2*y^3"
+                 " + 5/3*x^4 + 5/2*y")
+
+
+def test_local_unit_generator_gives_unit_ideal():
+    # dF/dy has constant term 5/2, a unit at the origin; homogenizing it
+    # instead took 133 pairs and a 71-element basis to reach the same (1)
+    gens = [derivative(parse_poly(SMOOTH_ORIGIN), v) for v in ("x", "y")]
+    started = time.monotonic()
+    basis = mora_standard_basis(gens, ComputationBudget(max_pair_reductions=0))
+    elapsed = time.monotonic() - started
+    assert [g.terms for g in basis.basis] == [{(0, 0): 1}]
+    assert basis.stats == {"pair_reductions": 0, "zero_reductions": 0,
+                           "basis_size": 1}
+    assert quotient_dimension(basis) == 0
+    assert elapsed < 0.1
 
 
 def test_mora_budget():

@@ -2,6 +2,7 @@
 
 import cmath
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -141,3 +142,87 @@ def test_inverse_roundtrip(a):
     if a == CycloNumber.zero(8):
         return
     assert a * a.inverse() == CycloNumber.one(8)
+
+
+# ---------------------------------------------------------------------------
+# differential test: integer vectors against Fraction coordinates
+
+CONDUCTORS = (1, 3, 4, 5, 8, 12, 24, 60)
+
+
+def ref_reduce(n, poly):
+    """Remainder of a Fraction polynomial modulo the n-th cyclotomic polynomial."""
+    mod = cyclotomic_polynomial(n)
+    phi = len(mod) - 1
+    poly = list(poly) + [Fraction(0)] * (phi - len(poly))
+    for k in range(len(poly) - 1, phi - 1, -1):
+        c = poly[k]
+        if c:
+            for i, m in enumerate(mod):
+                poly[k - phi + i] -= c * m
+    return tuple(poly[:phi])
+
+
+def ref_mul(n, a, b):
+    """Product of two coordinate vectors as a Fraction convolution."""
+    conv = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    return ref_reduce(n, conv)
+
+
+def ref_embed(a, n, m):
+    """Coordinates of a in Q(zeta_m), zeta_n -> zeta_m^(m/n)."""
+    step = m // n
+    poly = [Fraction(0)] * (step * (len(a) - 1) + 1)
+    for i, c in enumerate(a):
+        poly[i * step] += c
+    return ref_reduce(m, poly)
+
+
+def assert_matches(x, want):
+    """x has the coordinates `want`, in their old types and in lowest terms."""
+    assert x.coeffs == tuple(want)
+    assert all(type(c) is (int if Fraction(c).denominator == 1 else Fraction)
+               for c in x.coeffs)
+    assert x._den > 0 and gcd(x._den, *x._num) == 1
+    rebuilt = CycloNumber(x.conductor, want)
+    assert rebuilt == x and hash(rebuilt) == hash(x)
+
+
+rats = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def operands(draw):
+    n = draw(st.sampled_from(CONDUCTORS))
+    vec = st.tuples(*([rats] * totient(n)))
+    return n, draw(vec), draw(vec)
+
+
+@settings(max_examples=120, deadline=None)
+@given(operands(), st.integers(min_value=-2, max_value=4))
+def test_arithmetic_matches_fraction_oracle(ops, exponent):
+    n, ac, bc = ops
+    a, b = CycloNumber(n, ac), CycloNumber(n, bc)
+    assert_matches(a, ac)
+    assert_matches(a + b, [x + y for x, y in zip(ac, bc)])
+    assert_matches(a - b, [x - y for x, y in zip(ac, bc)])
+    assert_matches(-a, [-x for x in ac])
+    assert_matches(a * b, ref_mul(n, ac, bc))
+    assert_matches(a * bc[0], [x * bc[0] for x in ac])
+    if b:
+        assert_matches(a / b, ref_mul(n, ac, b.inverse().coeffs))
+        assert ref_mul(n, (a / b).coeffs, bc) == tuple(ac)
+    if a or exponent >= 0:
+        base = ac if exponent >= 0 else a.inverse().coeffs
+        want = (Fraction(1),) + (Fraction(0),) * (len(ac) - 1)
+        for _ in range(abs(exponent)):
+            want = ref_mul(n, want, base)
+        assert_matches(a ** exponent, want)
+    m = lcm(n, 24)
+    assert_matches(embed(a, m), ref_embed(ac, n, m))
+    # one value reached along two paths has one representation
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
