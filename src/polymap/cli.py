@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .curves import (MilnorResult, PreconditionError, classify_low_degree_curve,
+from .curves import (PreconditionError, classify_low_degree_curve,
                      distinguish_by_milnor, milnor_at_origin)
 from .groebner import ComputationBudget, ResourceBudgetExceeded
 from .maps import (PlaneAutomorphism, PolyMap, branch_ideal, compose,
@@ -102,6 +102,16 @@ def _budget_limit(text: str) -> int:
     return limit
 
 
+def _point(text: str) -> tuple:
+    """The point (a, b) of `milnor --at`: two comma-separated rationals."""
+    try:
+        a, b = (Fraction(p.strip()) for p in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expects two comma-separated rationals, got {text!r}") from None
+    return a, b
+
+
 def _budget(args) -> ComputationBudget | None:
     limit = getattr(args, "budget", None)
     if limit is None:
@@ -150,11 +160,8 @@ def _cmd_branch(args):
 
 def _cmd_milnor(args):
     F = parse_poly(args.poly)
-    if args.at:
-        parts = args.at.split(",")
-        if len(parts) != 2:
-            raise ValueError("--at expects two comma-separated rationals")
-        a, b = (Fraction(p.strip()) for p in parts)
+    if args.at is not None:
+        a, b = args.at
         x = MultiPoly.variable("x", F.vars, F.field)
         y = MultiPoly.variable("y", F.vars, F.field)
         F = substitute(F, {"x": x + a, "y": y + b})
@@ -380,9 +387,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("milnor", help="Milnor number of a curve at a point")
     p.add_argument("poly")
-    p.add_argument("--at", default=None, metavar="a,b",
+    p.add_argument("--at", type=_point, default=None, metavar="a,b",
                    help="evaluate at (a, b) instead of the origin")
-    common(p, budget=False)
+    common(p)
     p.set_defaults(handler=_cmd_milnor)
 
     p = sub.add_parser("distinguish",

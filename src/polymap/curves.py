@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import buchberger, mora_standard_basis, quotient_dimension
+from .groebner import buchberger, local_standard_basis, quotient_dimension
 from .maps import PolyMap, critical_ideal, is_proper
 from .polyring import (MultiPoly, derivative, evaluate, is_scalar_multiple,
-                       squarefree_part, substitute)
+                       squarefree_part)
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ def milnor_at_origin(F: MultiPoly, budget=None) -> MilnorResult:
     gens = [g for g in gens if g.terms]
     if not gens:
         return MilnorResult(math.inf, False)
-    basis = mora_standard_basis(gens, budget)
+    basis = local_standard_basis(gens, budget)
     dim = quotient_dimension(basis)
     if dim == math.inf:
         return MilnorResult(math.inf, False)
@@ -67,7 +67,7 @@ def singular_points_exist_outside_origin(F: MultiPoly, budget=None) -> bool:
         return True
     if total == 0:
         return False
-    local = quotient_dimension(mora_standard_basis(gens, budget))
+    local = quotient_dimension(local_standard_basis(gens, budget))
     return total > local
 
 

@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 
-from .numberfield import CycloNumber
 from .polyring import (LocalOrder, DegRevLex, MonomialOrder, MultiPoly,
-                       block_order, monic, primitive_normalize)
+                       block_order, field_inverse, monic, primitive_normalize)
 
 
 class ResourceBudgetExceeded(RuntimeError):
@@ -116,12 +114,6 @@ def _normalize(p: MultiPoly, order) -> MultiPoly:
     return primitive_normalize(p, order)
 
 
-def _coeff_quot(c, lc):
-    if isinstance(c, CycloNumber) or isinstance(lc, CycloNumber):
-        return c * lc.inverse()
-    return Fraction(c) / Fraction(lc)
-
-
 def _key_memo(order):
     cache = {}
     okey = order.key
@@ -161,7 +153,7 @@ def _reduce_terms(hterms, entries, keyf):
             out[e] = c
             continue
         shift = _exp_sub(e, red.lead_exp)
-        factor = _coeff_quot(c, red.lead_coeff)
+        factor = c * field_inverse(red.lead_coeff)
         for ge, gc in red.poly.terms.items():
             if ge == red.lead_exp:
                 continue
@@ -291,7 +283,7 @@ def buchberger(generators, order: MonomialOrder = None,
     if order is None:
         order = DegRevLex()
     if not order.is_global:
-        raise ValueError("buchberger needs a global order; use mora_standard_basis")
+        raise ValueError("buchberger needs a global order; use local_standard_basis")
     budget = budget or ComputationBudget()
     gens = [g for g in generators if g.terms]
     if not gens:
@@ -455,7 +447,7 @@ class _HomogenizedLocalOrder(MonomialOrder):
         return (sum(exps), exps[-1]) + tuple(-e for e in reversed(exps[:-1]))
 
 
-def mora_standard_basis(generators, budget: ComputationBudget = None) -> IdealBasis:
+def local_standard_basis(generators, budget: ComputationBudget = None) -> IdealBasis:
     """Standard basis of the generated ideal in the local ring at the origin.
 
     Lazard's method: homogenize each generator with one new variable h,

@@ -11,14 +11,14 @@ variables from the graph ideal over the critical locus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .groebner import (ResourceBudgetExceeded, _staircase_count, buchberger,
                        elimination_ideal)
 from .polyring import (ExactDivisionError, MultiPoly, QQ, RingMismatch,
-                       block_order, common_field, divides, exact_div, gcd_poly,
-                       is_scalar_multiple, jacobian_det, primitive_normalize,
-                       squarefree_part, substitute)
+                       block_order, common_field, divides, exact_div,
+                       field_inverse, gcd_poly, is_scalar_multiple,
+                       jacobian_det, primitive_normalize, squarefree_part,
+                       substitute)
 
 SOURCE_VARS = ("x", "y")
 TARGET_VARS = ("s", "t")
@@ -100,7 +100,7 @@ class PlaneAutomorphism:
         det = a * d - b * c
         if not det:
             raise ValueError("matrix is singular")
-        inv_det = det.inverse() if hasattr(det, "inverse") else Fraction(1, 1) / det
+        inv_det = field_inverse(det)
         x = MultiPoly.variable("x", SOURCE_VARS, field)
         y = MultiPoly.variable("y", SOURCE_VARS, field)
         fw = (x * a + y * b, x * c + y * d)

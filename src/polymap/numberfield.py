@@ -8,9 +8,11 @@ denominator, in lowest terms (the gcd of the denominator and all the
 integers is one), so equal values have equal representations.  Sums
 and products are integer arithmetic with one gcd at the end, the usual
 representation of number-field elements (Cohen, A Course in
-Computational Algebraic Number Theory, 1993).  `coeffs` reads the
-coordinates back as ints, or Fractions where not integral.  Values are
-immutable.
+Computational Algebraic Number Theory, 1993).  An inverse is the
+product of the other Galois conjugates z -> z^k over the rational norm
+(ibid., 4.3), so it too is integer arithmetic on the same vectors.
+`coeffs` reads the coordinates back as ints, or Fractions where not
+integral.  Values are immutable.
 
 Mixed-conductor arithmetic is deliberately not supported: callers pick
 a common conductor up front and embed with `embed`.  Rationals coerce
@@ -214,25 +216,8 @@ class CycloNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self._num, other._num
-        den = self._den * other._den
-        phi = len(a)
-        conv = [0] * (2 * phi - 1)
-        b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in b_terms:
-                    conv[i + j] += ai * bj
-        # fold z^k (k >= phi) back onto the basis, highest power first:
-        # z^k = z^(k-phi) * z^phi lands on powers below k
-        fold = _fold_terms(self.conductor)
-        for k in range(2 * phi - 2, phi - 1, -1):
-            c = conv[k]
-            if c:
-                base = k - phi
-                for i, r in fold:
-                    conv[base + i] += c * r
-        return _reduced(self.conductor, tuple(conv[:phi]), den)
+        return _reduced(self.conductor, _mul_num(self.conductor, self._num, other._num),
+                        self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -289,18 +274,25 @@ class CycloNumber:
         return Fraction(self._num[0], self._den)
 
     def inverse(self) -> "CycloNumber":
-        """Multiplicative inverse via the extended Euclidean algorithm modulo Phi_N."""
+        """Multiplicative inverse: the other Galois conjugates over the norm.
+
+        With a = num/den, num times the product P of its conjugates
+        sigma_k(num), k in (Z/N)* other than 1, is the norm of num, a
+        rational integer n0, so 1/a = den * P / n0.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero")
+        n, num = self.conductor, self._num
         if self.is_rational():
-            return CycloNumber.from_rational(Fraction(1, 1) / Fraction(self.coeffs[0]),
-                                             self.conductor)
-        modulus = [Fraction(c) for c in cyclotomic_polynomial(self.conductor)]
-        a = [Fraction(c) for c in self.coeffs]
-        u = _poly_invert_mod(a, modulus)
-        phi = totient(self.conductor)
-        u = u + [Fraction(0)] * (phi - len(u))
-        return CycloNumber(self.conductor, u[:phi])
+            return CycloNumber.from_rational(Fraction(self._den, num[0]), n)
+        prod = _power_basis_row(n, 0)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                prod = _mul_num(n, prod, _power_map(num, n, n, k))
+        # n0 > 0: an irrational value needs N >= 3, where Q(zeta_N) has no
+        # real embedding, so the conjugates pair off as complex conjugates
+        norm = _mul_num(n, num, prod)[0]
+        return _reduced(n, tuple(c * self._den for c in prod), norm)
 
     def __repr__(self):
         return f"CycloNumber({self.conductor}, {self.coeffs})"
@@ -341,58 +333,38 @@ def _power_basis_row(n: int, k: int) -> tuple:
     return tuple(_shift_reduce(prev, n))
 
 
-def _poly_deg(a):
-    d = len(a) - 1
-    while d >= 0 and not a[d]:
-        d -= 1
-    return d
-
-
-def _poly_divmod_frac(a, b):
-    a = list(a)
-    db = _poly_deg(b)
-    lead = b[db]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for i in range(_poly_deg(a), db - 1, -1):
-        if not a[i]:
-            continue
-        c = a[i] / lead
-        q[i - db] = c
-        for j in range(db + 1):
-            a[i - db + j] -= c * b[j]
-    return q, a
-
-
-def _poly_invert_mod(a, modulus):
-    # Bezout coefficients for gcd(a, modulus) = const; modulus irreducible
-    r0, r1 = list(modulus), list(a)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while _poly_deg(r1) > 0:
-        q, r = _poly_divmod_frac(r0, r1)
-        r0, r1 = r1, r
-        qs = _poly_mul_frac(q, s1)
-        s0, s1 = s1, [x - y for x, y in _pad(s0, qs)]
-        if _poly_deg(r1) < 0:
-            raise ZeroDivisionError("element shares a factor with the modulus")
-    c = r1[_poly_deg(r1)]
-    return [x / c for x in s1]
-
-
-def _poly_mul_frac(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _mul_num(n: int, a: tuple, b: tuple) -> tuple:
+    # product of two integer vectors: convolution, then fold z^k
+    # (k >= phi) back onto the basis, highest power first, since
+    # z^k = z^(k-phi) * z^phi lands on powers below k
+    phi = len(a)
+    conv = [0] * (2 * phi - 1)
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+            for j, bj in b_terms:
+                conv[i + j] += ai * bj
+    fold = _fold_terms(n)
+    for k in range(2 * phi - 2, phi - 1, -1):
+        c = conv[k]
+        if c:
+            base = k - phi
+            for i, r in fold:
+                conv[base + i] += c * r
+    return tuple(conv[:phi])
 
 
-def _pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
+def _power_map(num: tuple, n: int, m: int, step: int) -> tuple:
+    # image of an integer vector of Q(zeta_n) under z_n -> z_m^step:
+    # an embedding when step = m/n, a Galois automorphism when m = n;
+    # z_m^m = 1 keeps the cached rows below m
+    out = [0] * totient(m)
+    for i, c in enumerate(num):
+        if c:
+            for j, r in enumerate(_power_basis_row(m, i * step % m)):
+                if r:
+                    out[j] += c * r
+    return tuple(out)
 
 
 def zeta(n: int, power: int = 1) -> CycloNumber:
@@ -414,16 +386,7 @@ def embed(a: CycloNumber, conductor: int) -> CycloNumber:
         raise ConductorMismatch(f"{n} does not divide {conductor}")
     if conductor == n:
         return a
-    step = conductor // n
-    phi = totient(conductor)
-    out = [0] * phi
-    for i, c in enumerate(a._num):
-        if c:
-            row = _power_basis_row(conductor, i * step)
-            for j, r in enumerate(row):
-                if r:
-                    out[j] += c * r
-    return _reduced(conductor, tuple(out), a._den)
+    return _reduced(conductor, _power_map(a._num, n, conductor, conductor // n), a._den)
 
 
 def common_conductor(m: int, n: int) -> int:

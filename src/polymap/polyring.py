@@ -15,8 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .numberfield import (CycloNumber, ConductorMismatch, common_conductor,
-                          embed, totient)
+from .numberfield import CycloNumber, ConductorMismatch, common_conductor, embed
 
 
 class RingMismatch(ValueError):
@@ -117,6 +116,13 @@ def common_field(f1, f2):
     if not f2.is_cyclotomic:
         return f1
     return CyclotomicField(common_conductor(f1.conductor, f2.conductor))
+
+
+def field_inverse(c):
+    """1/c for a nonzero coefficient: a Fraction over Q, a CycloNumber over Q(zeta_N)."""
+    if isinstance(c, CycloNumber):
+        return c.inverse()
+    return Fraction(1) / c
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +600,7 @@ def primitive_normalize(p: MultiPoly, order: MonomialOrder = DEFAULT_ORDER) -> M
 def monic(p: MultiPoly, order: MonomialOrder = DEFAULT_ORDER) -> MultiPoly:
     if not p.terms:
         return p
-    _, lead = p.leading(order)
-    if isinstance(lead, CycloNumber):
-        inv = lead.inverse()
-    else:
-        inv = Fraction(1, 1) / Fraction(lead)
+    inv = field_inverse(p.leading(order)[1])
     return MultiPoly(p.vars, {e: c * inv for e, c in p.terms.items()}, p.field,
                      _clean=True)
 
@@ -630,7 +632,7 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     order = DEFAULT_ORDER
     keyf = order.key
     be, bc = b.leading(order)
-    binv = bc.inverse() if isinstance(bc, CycloNumber) else Fraction(1, 1) / Fraction(bc)
+    binv = field_inverse(bc)
     rem = dict(a.terms)
     quo = {}
     bterms = list(b.terms.items())

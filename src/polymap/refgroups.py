@@ -26,7 +26,7 @@ from .groebner import ComputationBudget
 from .maps import PlaneAutomorphism, PolyMap, verify_branch
 from .numberfield import CycloNumber, embed, zeta
 from .parser import parse_poly
-from .polyring import (CyclotomicField, MultiPoly, QQ, common_field,
+from .polyring import (CyclotomicField, MultiPoly, common_field, field_inverse,
                        is_scalar_multiple, jacobian_det, substitute)
 
 VARS = ("x", "y")
@@ -720,11 +720,7 @@ def _match_scalar(target: MultiPoly, source: MultiPoly):
         return None
     exps = next(iter(source.terms))
     fld = target.field
-    num = fld.coerce(target.coeff(exps))
-    den = fld.coerce(source.coeff(exps))
-    if hasattr(den, "inverse"):
-        return num * den.inverse()
-    return Fraction(num) / Fraction(den)
+    return fld.coerce(target.coeff(exps)) * field_inverse(fld.coerce(source.coeff(exps)))
 
 
 def _solve_two_term(target: MultiPoly, u: MultiPoly, v: MultiPoly):
@@ -742,7 +738,7 @@ def _solve_two_term(target: MultiPoly, u: MultiPoly, v: MultiPoly):
         d = _match_scalar(target, v)
         return None if d is None else (fld.coerce(0), d)
     a0, b0, t0 = pivot
-    inv0 = a0.inverse() if hasattr(a0, "inverse") else Fraction(1, 1) / Fraction(a0)
+    inv0 = field_inverse(a0)
     second = next((r for r in rows
                    if r[1] * a0 != r[0] * b0), None)
     if second is None:
@@ -752,9 +748,7 @@ def _solve_two_term(target: MultiPoly, u: MultiPoly, v: MultiPoly):
             return (c, fld.coerce(0))
         return None
     a1, b1, t1 = second
-    denom = b1 * a0 - a1 * b0
-    dinv = denom.inverse() if hasattr(denom, "inverse") else Fraction(1, 1) / Fraction(denom)
-    d = (t1 * a0 - a1 * t0) * dinv
+    d = (t1 * a0 - a1 * t0) * field_inverse(b1 * a0 - a1 * b0)
     c = (t0 - b0 * d) * inv0
     if all(r[2] == r[0] * c + r[1] * d for r in rows):
         return (c, d)
@@ -786,11 +780,7 @@ def basic_set_transition(phi, psi) -> PlaneAutomorphism:
         b = _match_scalar(p2, s2)
         if a is None or b is None or not a or not b:
             raise fail
-        x = MultiPoly.variable("x", VARS, fld)
-        y = MultiPoly.variable("y", VARS, fld)
-        ainv = a.inverse() if hasattr(a, "inverse") else Fraction(1, 1) / Fraction(a)
-        binv = b.inverse() if hasattr(b, "inverse") else Fraction(1, 1) / Fraction(b)
-        return PlaneAutomorphism((x * a, y * b), (x * ainv, y * binv))
+        return PlaneAutomorphism.linear(a, 0, 0, b, field=fld)
     if d1 != d2:
         if a is None or not a:
             raise fail
@@ -801,28 +791,18 @@ def basic_set_transition(phi, psi) -> PlaneAutomorphism:
         c, d = got
         if not d:
             raise fail
+        # (x, y) -> (x, y + (c/d) x^s), then (x, y) -> (a x, d y)
         x = MultiPoly.variable("x", VARS, fld)
-        y = MultiPoly.variable("y", VARS, fld)
-        ainv = a.inverse() if hasattr(a, "inverse") else Fraction(1, 1) / Fraction(a)
-        dinv = d.inverse() if hasattr(d, "inverse") else Fraction(1, 1) / Fraction(d)
-        fw = (x * a, x**s * c + y * d)
-        inv = (x * ainv, (y - (x * ainv)**s * c) * dinv)
-        return PlaneAutomorphism(fw, inv)
+        shear = PlaneAutomorphism.triangular(x**s * (c * field_inverse(d)), lower=True)
+        return shear.then(PlaneAutomorphism.linear(a, 0, 0, d, field=fld))
     ab = _solve_two_term(p1, s1, s2)
     cd = _solve_two_term(p2, s1, s2)
     if ab is None or cd is None:
         raise fail
-    a, b = ab
-    c, d = cd
-    det = a * d - b * c
-    if not det:
+    (a, b), (c, d) = ab, cd
+    if not a * d - b * c:
         raise fail
-    x = MultiPoly.variable("x", VARS, fld)
-    y = MultiPoly.variable("y", VARS, fld)
-    dinv = det.inverse() if hasattr(det, "inverse") else Fraction(1, 1) / Fraction(det)
-    fw = (x * a + y * b, x * c + y * d)
-    inv = ((x * d - y * b) * dinv, (x * (-c) + y * a) * dinv)
-    return PlaneAutomorphism(fw, inv)
+    return PlaneAutomorphism.linear(a, b, c, d, field=fld)
 
 
 def classes_of_degree(d: int):

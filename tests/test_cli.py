@@ -90,6 +90,14 @@ def test_milnor_with_translation(capsys):
     assert code == 0 and "milnor=2" in out
 
 
+@pytest.mark.parametrize("point", ["a,b", "1", "1,2,3"])
+def test_malformed_milnor_point_is_usage_error(capsys, point):
+    with pytest.raises(SystemExit) as exc:
+        main(["milnor", "y^2 - x^3", "--at", point])
+    assert exc.value.code == 2
+    assert "--at" in capsys.readouterr().err
+
+
 def test_milnor_non_isolated(capsys):
     code, out, _ = run(capsys, "milnor", "y^2")
     assert code == 0 and "infinite" in out
@@ -242,8 +250,8 @@ def test_budget_reaches_local_and_singular_engines(capsys, monkeypatch):
     code, out, _ = run(capsys, "distinguish", "(x, y^4 - 4*x^2*y)",
                        "(x, y^4 - 4*x^3*y)", "--budget", "0")
     assert code == 0 and "distinguish: skipped-budget" in out
-    # milnor has no --budget flag; the environment budget reaches the
-    # local basis, whose unlimited run reduces 3 pairs
+    # the environment budget reaches the local basis, whose unlimited
+    # run reduces 3 pairs
     monkeypatch.setenv("POLYMAP_BUDGET", "1")
     code, out, _ = run(capsys, "--json", "milnor", "x^4 + x^2*y + y^4")
     check = json.loads(out)["checks"][0]
@@ -254,6 +262,17 @@ def test_budget_reaches_local_and_singular_engines(capsys, monkeypatch):
     monkeypatch.delenv("POLYMAP_BUDGET")
     code, out, _ = run(capsys, "milnor", "x^4 + x^2*y + y^4")
     assert code == 0 and "milnor=5" in out
+
+
+def test_milnor_budget_flag_matches_environment(capsys, monkeypatch):
+    monkeypatch.setenv("POLYMAP_BUDGET", "1")
+    _, by_env, _ = run(capsys, "--json", "milnor", "x^4 + x^2*y + y^4")
+    monkeypatch.delenv("POLYMAP_BUDGET")
+    code, by_flag, _ = run(capsys, "--json", "milnor", "x^4 + x^2*y + y^4",
+                           "--budget", "1")
+    check = json.loads(by_flag)["checks"][0]
+    assert code == 0 and check["status"] == "skipped-budget"
+    assert check["details"] == json.loads(by_env)["checks"][0]["details"]
 
 
 def test_branch_with_claim(capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from polymap.groebner import (ComputationBudget, ResourceBudgetExceeded,
                               _grading, buchberger, elimination_ideal,
-                              mora_standard_basis, normal_form,
+                              local_standard_basis, normal_form,
                               quotient_dimension)
 from polymap.maps import (PlaneAutomorphism, compose, critical_ideal,
                           make_family)
@@ -93,15 +93,15 @@ def test_budget_interrupts():
 
 def test_local_quotient_dimension_cusp():
     # ordinary cusp: local algebra of the Jacobian ideal has length 2
-    basis = mora_standard_basis([X ** 2 * 3, Y * 2])
+    basis = local_standard_basis([X ** 2 * 3, Y * 2])
     assert quotient_dimension(basis) == 2
-    basis = mora_standard_basis([X * 2, Y * 2])
+    basis = local_standard_basis([X * 2, Y * 2])
     assert quotient_dimension(basis) == 1
 
 
 def test_local_unit_factors_are_invisible():
     # x - x^2 = x(1 - x): locally a coordinate, so the quotient is a point
-    basis = mora_standard_basis([X - X ** 2, Y])
+    basis = local_standard_basis([X - X ** 2, Y])
     assert quotient_dimension(basis) == 1
 
 
@@ -110,7 +110,7 @@ def test_local_vs_global_dimension():
     # y^2 - x^2(x + 1) has a node at the origin and nothing else on x = y
     F = parse_poly("y^2 - x^3 - x^2")
     gens = [parse_poly("-3*x^2 - 2*x"), Y * 2]
-    local = quotient_dimension(mora_standard_basis(gens))
+    local = quotient_dimension(local_standard_basis(gens))
     total = quotient_dimension(buchberger(gens))
     assert local == 1
     # the global critical scheme also sees x = -2/3
@@ -126,7 +126,7 @@ def test_local_unit_generator_gives_unit_ideal():
     # instead took 133 pairs and a 71-element basis to reach the same (1)
     gens = [derivative(parse_poly(SMOOTH_ORIGIN), v) for v in ("x", "y")]
     started = time.monotonic()
-    basis = mora_standard_basis(gens, ComputationBudget(max_pair_reductions=0))
+    basis = local_standard_basis(gens, ComputationBudget(max_pair_reductions=0))
     elapsed = time.monotonic() - started
     assert [g.terms for g in basis.basis] == [{(0, 0): 1}]
     assert basis.stats == {"pair_reductions": 0, "zero_reductions": 0,
@@ -138,8 +138,8 @@ def test_local_unit_generator_gives_unit_ideal():
 def test_mora_budget():
     gens = [parse_poly("x^2 - y^3"), parse_poly("x*y^2 + x^4")]
     with pytest.raises(ResourceBudgetExceeded):
-        mora_standard_basis(gens, ComputationBudget(max_pair_reductions=0))
-    mora_standard_basis(gens)
+        local_standard_basis(gens, ComputationBudget(max_pair_reductions=0))
+    local_standard_basis(gens)
 
 
 def test_budget_stop_reports_progress():
@@ -155,11 +155,11 @@ def test_budget_stop_reports_progress():
     # a local basis runs through the same engine on the homogenized
     # generators, so it stops and reports the same way
     local = [parse_poly("x^2 - y^3"), parse_poly("x*y^2 + x^4")]
-    assert mora_standard_basis(local).stats == {"pair_reductions": 3,
+    assert local_standard_basis(local).stats == {"pair_reductions": 3,
                                                 "zero_reductions": 1,
                                                 "basis_size": 4}
     with pytest.raises(ResourceBudgetExceeded) as exc:
-        mora_standard_basis(local, ComputationBudget(max_pair_reductions=1))
+        local_standard_basis(local, ComputationBudget(max_pair_reductions=1))
     assert exc.value.stats == {"pair_reductions": 1, "zero_reductions": 0,
                                "basis_size": 3}
 
@@ -336,7 +336,7 @@ def test_local_dimension_matches_truncation(terms):
     # two curves of degree <= d - 1 with no common component through the
     # origin meet there at most (d - 1)^2 times, so a finite mu is below n
     n = (F.total_degree() - 1) ** 2 + 1
-    mu = quotient_dimension(mora_standard_basis(gens))
+    mu = quotient_dimension(local_standard_basis(gens))
     truncated = truncated_dimension(gens, n)
     if mu == math.inf:
         assert truncated_dimension(gens, n + 1) > truncated
@@ -351,6 +351,6 @@ def test_local_dimension_matches_truncation(terms):
 def test_local_dimension_frozen_curves(curve, mu, stable):
     # both took Mora's tangent-cone algorithm past 5 s
     gens = jacobian(parse_poly(curve))
-    assert quotient_dimension(mora_standard_basis(gens)) == mu
+    assert quotient_dimension(local_standard_basis(gens)) == mu
     assert truncated_dimension(gens, stable) == mu
     assert truncated_dimension(gens, stable + 1) == mu

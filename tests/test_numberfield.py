@@ -147,7 +147,7 @@ def test_inverse_roundtrip(a):
 # ---------------------------------------------------------------------------
 # differential test: integer vectors against Fraction coordinates
 
-CONDUCTORS = (1, 3, 4, 5, 8, 12, 24, 60)
+CONDUCTORS = (1, 3, 4, 5, 6, 8, 9, 10, 12, 24, 60)
 
 
 def ref_reduce(n, poly):

@@ -7,8 +7,8 @@ import pytest
 from polymap.maps import is_proper, topological_degree, verify_branch
 from polymap.numberfield import zeta
 from polymap.parser import parse_poly
-from polymap.polyring import (MultiPoly, QQ, common_field, is_scalar_multiple,
-                              jacobian_det, substitute)
+from polymap.polyring import (CyclotomicField, MultiPoly, QQ, common_field,
+                              is_scalar_multiple, jacobian_det, substitute)
 from polymap.refgroups import (GroupRecord, Matrix2, basic_invariants,
                                basic_set_transition, build_group,
                                claimed_branch, classes_of_degree, cyclic_group,
@@ -263,6 +263,25 @@ def test_basic_set_transition_shear_case():
         assert got == want
     rebuilt = tuple(substitute(c, {"x": psi[0], "y": psi[1]})
                     for c in auto.forward)
+    assert rebuilt == phi
+
+
+def test_basic_set_transition_equal_degrees_over_zeta3():
+    # a full linear transition, b and c nonzero, with irrational entries
+    w = zeta(3)
+    fld = CyclotomicField(3)
+    psi = (parse_poly("x^2 + y^2").in_field(fld), parse_poly("x*y").in_field(fld))
+    a, b, c, d = 1, w, 2, w * w
+    phi = (psi[0] * a + psi[1] * b, psi[0] * c + psi[1] * d)
+    auto = basic_set_transition(phi, psi)
+    x = MultiPoly.variable("x", ("x", "y"), fld)
+    y = MultiPoly.variable("y", ("x", "y"), fld)
+    det = w * w - w * 2
+    assert auto.forward == (x * a + y * b, x * c + y * d)
+    assert auto.inverse == ((x * d - y * b) * det.inverse(),
+                            (y * a - x * c) * det.inverse())
+    rebuilt = tuple(substitute(q, {"x": psi[0], "y": psi[1]})
+                    for q in auto.forward)
     assert rebuilt == phi
 
 
