@@ -381,14 +381,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("branch", help="branch locus generators of a map")
     p.add_argument("map")
     p.add_argument("--claimed", default=None,
-                   help="verify this claimed branch curve instead")
+                   help="verify this claimed branch curve instead; attach a "
+                        "curve that starts with '-' as --claimed=-x+y")
     common(p)
     p.set_defaults(handler=_cmd_branch)
 
     p = sub.add_parser("milnor", help="Milnor number of a curve at a point")
     p.add_argument("poly")
     p.add_argument("--at", type=_point, default=None, metavar="a,b",
-                   help="evaluate at (a, b) instead of the origin")
+                   help="evaluate at (a, b) instead of the origin; attach a "
+                        "point that starts with '-' as --at=-1,2")
     common(p)
     p.set_defaults(handler=_cmd_milnor)
 

@@ -8,6 +8,12 @@ that w-degree is the pair's sugar (Giovini, Mora, Niesi, Robbiano,
 Traverso, "One sugar cube, please", ISSAC 1991).  Otherwise selection is
 the normal strategy: the smallest lcm in the active order.
 
+Reduction is one division loop for both coefficient fields.  Over Q it
+is fraction-free: every basis element is a primitive integer
+polynomial, so the partial remainder stays in integers over one
+denominator that is divided out once at the end (`_reduce_terms`).
+Over Q(zeta_N) each step multiplies by the inverse leading coefficient.
+
 Standard bases in the local ring at the origin come from the same
 engine by Lazard's method: homogenize the generators with one new
 variable, compute a global basis under a degree order that breaks ties
@@ -24,9 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from fractions import Fraction
 
 from .polyring import (LocalOrder, DegRevLex, MonomialOrder, MultiPoly,
-                       block_order, field_inverse, monic, primitive_normalize)
+                       block_order, common_field, field_inverse, monic,
+                       primitive_normalize)
 
 
 class ResourceBudgetExceeded(RuntimeError):
@@ -129,18 +137,65 @@ def _key_memo(order):
 
 
 class _Entry:
-    __slots__ = ("poly", "lead_exp", "lead_coeff", "index", "retired")
+    """A basis element with its leading term, in the form the division loop reads.
 
-    def __init__(self, poly, order, index):
+    Over Q, `terms` is the positive integer multiple of `poly` that
+    `_integral` gives, which is `poly` itself once normalized.
+    """
+
+    __slots__ = ("poly", "terms", "lead_exp", "lead_coeff", "index", "retired")
+
+    def __init__(self, poly, keyf, index):
+        terms = poly.terms if poly.field.is_cyclotomic else _integral(poly.terms)[0]
         self.poly = poly
-        self.lead_exp, self.lead_coeff = poly.leading(order)
+        self.terms = terms
+        self.lead_exp = max(terms, key=keyf)
+        self.lead_coeff = terms[self.lead_exp]
         self.index = index
         self.retired = False
 
 
-def _reduce_terms(hterms, entries, keyf):
-    """Full division of a raw term dict by the entry list; returns the remainder."""
+def _integral(terms):
+    """(int_terms, den): den > 0 is the least integer making den * terms integral."""
+    den = 1
+    ints = True
+    for c in terms.values():
+        if type(c) is not int:
+            ints = False
+            d = c.denominator
+            den = den * d // math.gcd(den, d)
+    if ints:
+        return terms, 1
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+# over Q the division loop strips the content of its partial remainder
+# after this many scaled steps
+_STRIP_EVERY = 8
+
+
+def _reduce_terms(hterms, entries, keyf, field):
+    """Full division of a raw term dict by the entry list.
+
+    Returns (terms, scale): the remainder is scale * terms.  Over Q the
+    division is fraction-free, as in `polyring._bareiss_det`: the
+    partial remainder is kept in integers; a step with leading
+    coefficient c against a reducer's lc multiplies it, and the terms
+    already moved to the remainder, by |lc|/gcd(c, lc) and subtracts an
+    integer multiple of the reducer, and the content is stripped every
+    few scaled steps.  `scale` collects those factors, so the exact
+    remainder costs one division per term; callers that normalize the
+    remainder anyway ignore it, since it is positive.  Over Q(zeta_N)
+    the same loop takes multiplier 1 and quotient c * field_inverse(lc),
+    and the scale is 1.
+    """
+    integral = not field.is_cyclotomic
+    scale = 1
+    if integral:
+        hterms, den = _integral(hterms)
+        scale = Fraction(1, den)
     out = {}
+    scaled = 0
     while hterms:
         e = max(hterms, key=keyf)
         c = hterms.pop(e)
@@ -152,9 +207,22 @@ def _reduce_terms(hterms, entries, keyf):
         if red is None:
             out[e] = c
             continue
+        lc = red.lead_coeff
+        if integral:
+            g = math.gcd(c, lc)
+            mult = abs(lc) // g
+            factor = c // g if lc > 0 else -c // g
+            if mult != 1:
+                for k in hterms:
+                    hterms[k] *= mult
+                for k in out:
+                    out[k] *= mult
+                scale /= mult
+                scaled += 1
+        else:
+            factor = c * field_inverse(lc)
         shift = _exp_sub(e, red.lead_exp)
-        factor = c * field_inverse(red.lead_coeff)
-        for ge, gc in red.poly.terms.items():
+        for ge, gc in red.terms.items():
             if ge == red.lead_exp:
                 continue
             ne = _exp_add(ge, shift)
@@ -168,7 +236,15 @@ def _reduce_terms(hterms, entries, keyf):
                     hterms[ne] = cur
                 else:
                     del hterms[ne]
-    return out
+        if integral and mult != 1 and scaled % _STRIP_EVERY == 0:
+            content = math.gcd(*hterms.values(), *out.values())
+            if content > 1:
+                for k in hterms:
+                    hterms[k] //= content
+                for k in out:
+                    out[k] //= content
+                scale *= content
+    return out, scale
 
 
 def _spoly_terms(f: _Entry, g: _Entry):
@@ -178,9 +254,12 @@ def _spoly_terms(f: _Entry, g: _Entry):
     sg = _exp_sub(lcm, g.lead_exp)
     cf, cg = f.lead_coeff, g.lead_coeff
     terms = {}
-    for e, c in f.poly.terms.items():
-        terms[_exp_add(e, sf)] = c * cg
-    for e, c in g.poly.terms.items():
+    for e, c in f.terms.items():
+        if e != f.lead_exp:
+            terms[_exp_add(e, sf)] = c * cg
+    for e, c in g.terms.items():
+        if e == g.lead_exp:
+            continue
         ne = _exp_add(e, sg)
         cur = terms.get(ne)
         delta = c * cf
@@ -300,7 +379,7 @@ def buchberger(generators, order: MonomialOrder = None,
     pairs: dict = {}
 
     def add(poly):
-        entry = _Entry(poly, order, len(entries))
+        entry = _Entry(poly, keyf, len(entries))
         entries.append(entry)
         stats["basis_size"] += 1
         # pairs are formed against the pre-retirement basis; only afterwards may
@@ -333,34 +412,35 @@ def buchberger(generators, order: MonomialOrder = None,
         sterms = _spoly_terms(entries[i], entries[j])
         active = sorted((e for e in entries if not e.retired),
                         key=lambda e: keyf(e.lead_exp))
-        rterms = _reduce_terms(sterms, active, keyf)
+        rterms, _ = _reduce_terms(sterms, active, keyf, ring.field)
         if not rterms:
             stats["zero_reductions"] += 1
             continue
         pairs = add(_normalize(MultiPoly(ring.vars, rterms, ring.field, _clean=True),
                                order))
 
-    basis = _interreduce([e.poly for e in entries if not e.retired], order, keyf)
+    basis = _interreduce([e for e in entries if not e.retired], order, keyf)
     stats["basis_size"] = len(basis)
     return IdealBasis(list(generators), order, basis, stats=stats)
 
 
-def _interreduce(basis, order, keyf):
-    basis = sorted(basis, key=lambda p: keyf(p.leading(order)[0]))
-    kept, leads = [], []
-    for p in basis:
-        le = p.leading(order)[0]
-        if any(_exp_divides(q, le) for q in leads):
-            continue
-        kept.append(p)
-        leads.append(le)
+def _interreduce(entries, order, keyf):
+    """Reduced basis from the live entries, sorted by leading monomial.
+
+    Each kept element is reduced by the others; its leading term is not
+    divisible by theirs, so it stays, and the output keeps the order.
+    """
+    kept = []
+    for entry in sorted(entries, key=lambda e: keyf(e.lead_exp)):
+        if not any(_exp_divides(k.lead_exp, entry.lead_exp) for k in kept):
+            kept.append(entry)
     out = []
-    for i, p in enumerate(kept):
-        others = [_Entry(q, order, k) for k, q in enumerate(kept) if k != i]
-        others.sort(key=lambda e: keyf(e.lead_exp))
-        terms = _reduce_terms(dict(p.terms), others, keyf)
+    for entry in kept:
+        others = [k for k in kept if k is not entry]
+        p = entry.poly
+        terms, _ = _reduce_terms(dict(entry.terms), others, keyf, p.field)
         out.append(_normalize(MultiPoly(p.vars, terms, p.field, _clean=True), order))
-    return sorted(out, key=lambda p: keyf(p.leading(order)[0]))
+    return out
 
 
 def normal_form(p: MultiPoly, basis: IdealBasis) -> MultiPoly:
@@ -369,12 +449,14 @@ def normal_form(p: MultiPoly, basis: IdealBasis) -> MultiPoly:
         raise ValueError("normal_form asks for a global basis")
     if not p.terms:
         return p
-    order = basis.order
-    keyf = _key_memo(order)
-    entries = [_Entry(g, order, i) for i, g in enumerate(basis.basis)]
+    field = common_field(p.field, basis.field)
+    keyf = _key_memo(basis.order)
+    entries = [_Entry(g, keyf, i) for i, g in enumerate(basis.basis)]
     entries.sort(key=lambda e: keyf(e.lead_exp))
-    terms = _reduce_terms(dict(p.terms), entries, keyf)
-    return MultiPoly(p.vars, terms, p.field, _clean=True)
+    terms, scale = _reduce_terms(dict(p.in_field(field).terms), entries, keyf, field)
+    if scale != 1:
+        terms = {e: c * scale for e, c in terms.items()}
+    return MultiPoly(p.vars, terms, field, _clean=True)
 
 
 def elimination_ideal(generators, eliminate, budget=None) -> list:

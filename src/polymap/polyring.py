@@ -510,6 +510,13 @@ def substitute(p: MultiPoly, images: dict) -> MultiPoly:
     Variables absent from `images` map to themselves; the target ring
     is taken from the images (they must agree) and must then contain
     any such untouched variable.
+
+    The pullback runs Horner's rule in the image X of the first variable
+    p uses.  Its terms are grouped by their exponent k of that variable;
+    each group p_k is summed as scalars times cached products of powers
+    of the other images, and the groups are folded as
+    (...(p_d*X^(d-k) + p_k)*X^(k-j) + p_j...)*X^i.  That takes about
+    deg_x(p) full products, not one per term.
     """
     target_vars = None
     target_field = p.field
@@ -523,25 +530,73 @@ def substitute(p: MultiPoly, images: dict) -> MultiPoly:
         target_field = common_field(target_field, img.field)
     if target_vars is None:
         target_vars = p.vars
-    full = {}
-    for v in p.vars:
+    used = []      # (position in p.vars, image) of each variable p uses
+    for i, v in enumerate(p.vars):
+        if not p.uses_variable(v):
+            continue
         if v in images:
-            full[v] = images[v].in_field(target_field)
-        elif p.uses_variable(v):
-            full[v] = MultiPoly.variable(v, target_vars, target_field)
-    one = MultiPoly.constant(1, target_vars, target_field)
-    powers = {v: [one] for v in full}
-    result = MultiPoly.zero(target_vars, target_field)
+            used.append((i, images[v].in_field(target_field)))
+        else:
+            used.append((i, MultiPoly.variable(v, target_vars, target_field)))
+    if not used:
+        return MultiPoly.constant(p.constant_value(), target_vars, target_field)
+
+    (xi, ximg), rest = used[0], used[1:]
+    powers = [[None, img] for _, img in rest]   # powers[j][e] = image_j^e
+
+    def power(plist, e):
+        while len(plist) <= e:
+            plist.append(plist[-1] * plist[1])
+        return plist[e]
+
+    monomials = {}      # exponents of the other variables -> their image
+
+    # iterative, not recursive: a closure that calls itself is a reference
+    # cycle, which would keep the cached powers alive after the return
+    def monomial(r):
+        m = monomials.get(r)
+        if m is None:
+            for j, e in enumerate(r):
+                if e:
+                    factor = power(powers[j], e)
+                    m = factor if m is None else m * factor
+            monomials[r] = m
+        return m
+
+    coerce = target_field.coerce
+    origin = (0,) * len(target_vars)
+    slices = {}
     for exps, coeff in p.terms.items():
-        term = MultiPoly.constant(coeff, target_vars, target_field)
-        for v, e in zip(p.vars, exps):
-            if not e:
-                continue
-            plist = powers[v]
-            while len(plist) <= e:
-                plist.append(plist[-1] * full[v])
-            term = term * plist[e]
-        result = result + term
+        slices.setdefault(exps[xi], []).append((tuple(exps[i] for i, _ in rest), coeff))
+
+    def sliced(k):
+        # p_k, the coefficient of x^k, as scalar multiples of monomial images
+        acc = {}
+        for r, coeff in slices[k]:
+            c = coerce(coeff)
+            if any(r):
+                scaled = [(e, c * mc) for e, mc in monomial(r).terms.items()]
+            else:
+                scaled = [(origin, c)]
+            for e, delta in scaled:
+                cur = acc.get(e)
+                if cur is None:
+                    acc[e] = delta
+                else:
+                    cur = cur + delta
+                    if cur:
+                        acc[e] = cur
+                    else:
+                        del acc[e]
+        return MultiPoly(target_vars, acc, target_field, _clean=True)
+
+    xpowers = [None, ximg]
+    degrees = sorted(slices, reverse=True)
+    result = sliced(degrees[0])
+    for high, low in zip(degrees, degrees[1:]):
+        result = result * power(xpowers, high - low) + sliced(low)
+    if degrees[-1]:
+        result = result * power(xpowers, degrees[-1])
     return result
 
 
@@ -578,7 +633,7 @@ def primitive_normalize(p: MultiPoly, order: MonomialOrder = DEFAULT_ORDER) -> M
 
     The sign is fixed so the leading coefficient's first nonzero
     coordinate is positive; the result is the canonical associate used
-    for frozen expected values.
+    for frozen expected values.  Over Q its coefficients are ints.
     """
     if not p.terms:
         return p
@@ -593,8 +648,13 @@ def primitive_normalize(p: MultiPoly, order: MonomialOrder = DEFAULT_ORDER) -> M
         scale = -scale
     if scale == 1:
         return p
-    return MultiPoly(p.vars, {e: c * scale for e, c in p.terms.items()}, p.field,
-                     _clean=True)
+    if p.field.is_cyclotomic:
+        terms = {e: c * scale for e, c in p.terms.items()}
+    else:
+        # exact integer quotients, not Fractions with denominator one
+        n, d = scale.numerator, scale.denominator
+        terms = {e: c.numerator * n // (c.denominator * d) for e, c in p.terms.items()}
+    return MultiPoly(p.vars, terms, p.field, _clean=True)
 
 
 def monic(p: MultiPoly, order: MonomialOrder = DEFAULT_ORDER) -> MultiPoly:

@@ -90,6 +90,15 @@ def test_milnor_with_translation(capsys):
     assert code == 0 and "milnor=2" in out
 
 
+def test_milnor_at_negative_coordinate(capsys):
+    # a value that starts with "-" must be attached with "=", or argparse
+    # reads it as an option
+    code, out, _ = run(capsys, "milnor", "(y-2)^2 - (x+1)^3", "--at=-1,2", "--json")
+    assert code == 0
+    check = json.loads(out)["checks"][0]
+    assert check["status"] == "pass" and check["details"]["milnor"] == 2
+
+
 @pytest.mark.parametrize("point", ["a,b", "1", "1,2,3"])
 def test_malformed_milnor_point_is_usage_error(capsys, point):
     with pytest.raises(SystemExit) as exc:

@@ -9,15 +9,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from polymap.groebner import (ComputationBudget, ResourceBudgetExceeded,
-                              _grading, buchberger, elimination_ideal,
-                              local_standard_basis, normal_form,
-                              quotient_dimension)
+from polymap.groebner import (ComputationBudget, IdealBasis,
+                              ResourceBudgetExceeded, _grading, buchberger,
+                              elimination_ideal, local_standard_basis,
+                              normal_form, quotient_dimension)
 from polymap.maps import (PlaneAutomorphism, compose, critical_ideal,
                           make_family)
-from polymap.parser import parse_poly
-from polymap.polyring import (DegRevLex, Lex, MultiPoly, QQ, block_order,
-                              derivative, divides, is_scalar_multiple, monic)
+from polymap.numberfield import CycloNumber
+from polymap.parser import format_poly, parse_poly
+from polymap.polyring import (CyclotomicField, DegRevLex, Lex, MultiPoly, QQ,
+                              block_order, derivative, divides,
+                              is_scalar_multiple, monic)
 from polymap.refgroups import exceptional_group, quotient_map
 
 X = MultiPoly.variable("x", ("x", "y"))
@@ -354,3 +356,146 @@ def test_local_dimension_frozen_curves(curve, mu, stable):
     assert quotient_dimension(local_standard_basis(gens)) == mu
     assert truncated_dimension(gens, stable) == mu
     assert truncated_dimension(gens, stable + 1) == mu
+
+
+# ---------------------------------------------------------------------------
+# exact division: normal_form against a division with one field quotient per step
+
+def _field_division(p, polys, order):
+    """Remainder of p under full division by polys, dividing by each lead coefficient."""
+    zero = p.field.zero
+    work, rem = dict(p.terms), {}
+    leads = [(g.leading(order), g) for g in polys]
+    while work:
+        e = max(work, key=order.key)
+        c = work.pop(e)
+        for (le, lc), g in leads:
+            if all(a <= b for a, b in zip(le, e)):
+                q = c / lc if p.field.is_cyclotomic else Fraction(c) / Fraction(lc)
+                shift = tuple(a - b for a, b in zip(e, le))
+                for ge, gc in g.terms.items():
+                    if ge != le:
+                        ne = tuple(a + b for a, b in zip(ge, shift))
+                        v = work.get(ne, zero) - q * gc
+                        if v:
+                            work[ne] = v
+                        else:
+                            work.pop(ne, None)
+                break
+        else:
+            rem[e] = c
+    return MultiPoly(p.vars, rem, p.field)
+
+
+def _assert_exact_normal_forms(basis, p, rescale):
+    # rescaling the basis by a non-integral constant changes every leading
+    # coefficient but not the ideal, so the remainder must not change
+    order = basis.order
+    scaled = IdealBasis(basis.generators, order, [g * rescale for g in basis.basis])
+    want = _field_division(p, basis.basis, order)
+    assert normal_form(p, basis) == want
+    assert normal_form(p, scaled) == want
+    assert _field_division(p, scaled.basis, order) == want
+
+
+fractional = st.fractions(min_value=-7, max_value=7, max_denominator=5).filter(
+    lambda q: q.denominator != 1)
+exact_orders = st.sampled_from((DegRevLex(), Lex(), block_order(("x", "y"), ("x",))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(polys(3), min_size=2, max_size=2),
+       st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)), fractional,
+                       min_size=1, max_size=6),
+       exact_orders, st.sampled_from((Fraction(3, 7), Fraction(-5, 2), 6)))
+def test_normal_form_is_exact_over_q(gens, terms, order, rescale):
+    gens = [g for g in gens if g.terms]
+    assume(gens)
+    basis = buchberger(gens, order)
+    _assert_exact_normal_forms(basis, MultiPoly(("x", "y"), terms, QQ), rescale)
+
+
+Q12 = CyclotomicField(12)
+q12_coeffs = st.tuples(*[st.integers(-3, 3)] * 4, st.integers(1, 3)).map(
+    lambda v: CycloNumber(12, tuple(Fraction(c, v[4]) for c in v[:4])))
+
+
+def q12_polys(max_terms, max_exp):
+    exps = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
+    return st.dictionaries(exps, q12_coeffs.filter(bool), min_size=1,
+                           max_size=max_terms).map(lambda d: MultiPoly(("x", "y"), d, Q12))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(q12_polys(3, 2), min_size=2, max_size=2), q12_polys(5, 4), exact_orders)
+def test_normal_form_is_exact_over_q12(gens, p, order):
+    try:
+        basis = buchberger(gens, order, ComputationBudget(max_pair_reductions=40))
+    except ResourceBudgetExceeded:
+        assume(False)
+    _assert_exact_normal_forms(basis, p, CycloNumber(12, (1, 2, 0, Fraction(-1, 3))))
+
+
+def _auto(a, b, c, d, shear):
+    lower = parse_poly(shear, ("x", "y"))
+    return PlaneAutomorphism.linear(a, b, c, d).then(
+        PlaneAutomorphism.triangular(lower, lower=True))
+
+
+# graph ideals <s - g1, t - g2> of composed maps under the block order that
+# eliminates (x, y); the stats and reduced bases were recorded with the
+# Fraction-division engine, and fraction-free division must reproduce them
+COMPOSED_GRAPH_BASES = [
+    (("product", {"m": 2, "n": 3}, (3, 1, 1, 1, "x"), (2, 3, -1, -2, "-x^2 + 2")),
+     {"pair_reductions": 4, "zero_reductions": 1, "basis_size": 3},
+     ["9*x^2 + 6*x*y + y^2 - 3*s^2 - 2*s - 3*t + 6",
+      "144*x*y^2 + 56*y^3 + 576*x*s^2 + 480*y*s^2 + 384*x*s + 320*y*s + 54*s^2"
+      " + 576*x*t + 480*y*t - 1152*x - 960*y + 27*s + 54*t - 108",
+      "8*y^4 - 4608*x*y*s^2 - 2112*y^2*s^2 - 3456*s^4 - 3072*x*y*s - 1408*y^2*s"
+      " - 972*x*s^2 - 270*y*s^2 - 4608*s^3 - 4608*x*y*t - 2112*y^2*t - 6912*s^2*t"
+      " + 9216*x*y + 4224*y^2 - 486*x*s - 135*y*s + 12288*s^2 - 972*x*t - 270*y*t"
+      " - 4608*s*t - 3456*t^2 + 1944*x + 540*y + 9216*s + 13824*t - 13824"]),
+    (("pinch", {"d": 4}, (1, -1, 2, 1, "x"), (1, 2, 0, 3, "x^2 - 1")),
+     {"pair_reductions": 6, "zero_reductions": 2, "basis_size": 4},
+     ["12*x*s^4 - 12*y*s^4 + 18*x*y*s^2 - 18*y^2*s^2 + 36*x*s^3 - 36*y*s^3 - 28*s^4"
+      " - 24*x*s^2*t + 24*y*s^2*t + 27*x*y*s - 27*y^2*s + 270*x*s^2 - 63*y*s^2"
+      " - 84*s^3 - 18*x*y*t + 18*y^2*t - 36*x*s*t + 36*y*s*t + 56*s^2*t + 12*x*t^2"
+      " - 12*y*t^2 - 234*x*y - 9*y^2 + 324*x*s - 54*y*s - 94*s^2 - 243*x*t + 36*y*t"
+      " + 84*s*t - 28*t^2 + 321*x - 96*y - 60*s + 31*t + 59",
+      "9*x^2 - 9*x*y - 2*s^2 + 12*x - 3*y - 3*s + 2*t + 2",
+      "-16*s^6 + 1644*x*s^4 - 1428*y*s^4 - 72*s^5 + 48*s^4*t - 1134*y^2*s^2"
+      " + 4932*x*s^3 - 4284*y*s^3 - 3420*s^4 - 3288*x*s^2*t + 2856*y*s^2*t"
+      " + 144*s^3*t - 48*s^2*t^2 + 1458*y^3 + 243*x*y*s - 1701*y^2*s + 31182*x*s^2"
+      " - 5559*y*s^2 - 9936*s^3 + 1134*y^2*t - 4932*x*s*t + 4284*y*s*t + 6732*s^2*t"
+      " + 1644*x*t^2 - 1428*y*t^2 - 72*s*t^2 + 16*t^3 - 33048*x*y + 891*y^2"
+      " + 36324*x*s - 3438*y*s - 9258*s^2 - 27483*x*t + 2346*y*t + 9882*s*t"
+      " - 3312*t^2 + 31353*x - 11346*y - 5166*s + 1887*t + 5215",
+      "-16*s^6 + 996*x*s^4 - 780*y*s^4 - 72*s^5 + 48*s^4*t - 1134*y^2*s^2"
+      " + 2988*x*s^3 - 2340*y*s^3 - 2124*s^4 - 1992*x*s^2*t + 1560*y*s^2*t"
+      " + 144*s^3*t - 48*s^2*t^2 + 1458*x*y^2 + 243*x*y*s - 1701*y^2*s + 19194*x*s^2"
+      " - 4101*y*s^2 - 6048*s^3 + 1134*y^2*t - 2988*x*s*t + 2340*y*s*t + 4140*s^2*t"
+      " + 996*x*t^2 - 780*y*t^2 - 72*s*t^2 + 16*t^3 - 17496*x*y - 81*y^2"
+      " + 22716*x*s - 3438*y*s - 6450*s^2 - 16953*x*t + 2346*y*t + 5994*s*t"
+      " - 2016*t^2 + 21795*x - 6810*y - 3870*s + 1995*t + 4027"]),
+    (("pinch", {"d": 3}, (2, 1, 1, 1, "0"), (3, 2, 1, 1, "x^2")),
+     {"pair_reductions": 4, "zero_reductions": 1, "basis_size": 3},
+     ["16*s^4 - 24*x*s^2 - 14*y*s^2 + 16*s^3 - 32*s^2*t + y^2 - 14*x*s - 9*y*s"
+      " + 31*s^2 + 24*x*t + 14*y*t - 16*s*t + 16*t^2 - 27*x - 18*y + 12*s - 27*t",
+      "-8*s^4 + 14*x*s^2 + 8*y*s^2 - 8*s^3 + 16*s^2*t + x*y + 8*x*s + 5*y*s - 17*s^2"
+      " - 14*x*t - 8*y*t + 8*s*t - 8*t^2 + 18*x + 12*y - 7*s + 15*t",
+      "4*s^4 - 9*x*s^2 - 5*y*s^2 + 4*s^3 - 8*s^2*t + x^2 - 5*x*s - 3*y*s + 9*s^2"
+      " + 9*x*t + 5*y*t - 4*s*t + 4*t^2 - 12*x - 8*y + 4*s - 8*t"]),
+]
+
+
+@pytest.mark.parametrize("spec, stats, basis", COMPOSED_GRAPH_BASES,
+                         ids=["product23", "pinch4", "pinch3"])
+def test_composed_graph_bases_are_pinned(spec, stats, basis):
+    name, params, pre, post = spec
+    g = compose(make_family(name, **params), pre=_auto(*pre), post=_auto(*post))
+    allv = ("x", "y", "s", "t")
+    gens = [MultiPoly.variable(v, allv) - c.extended(allv)
+            for v, c in zip(("s", "t"), (g.f1, g.f2))]
+    gb = buchberger(gens, block_order(allv, ("x", "y")))
+    assert gb.stats == stats
+    assert [format_poly(p) for p in gb.basis] == basis

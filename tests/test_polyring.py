@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymap.numberfield import zeta
+from polymap.numberfield import CycloNumber, totient, zeta
 from polymap.parser import parse_poly
 from polymap.polyring import (BlockOrder, CyclotomicField, DegRevLex,
                               ExactDivisionError, Lex, LocalOrder, MultiPoly,
@@ -231,3 +231,95 @@ def test_resultant_zero_for_shared_factor(a, b):
     h = Y - X
     r = resultant(a * h, b * h, "y")
     assert not r.terms
+
+
+# ---------------------------------------------------------------------------
+# substitute against a term-by-term oracle
+
+def _term_by_term(p, images):
+    """p at the images, one term and one factor at a time."""
+    target_vars = next(iter(images.values())).vars if images else p.vars
+    field = p.field
+    for img in images.values():
+        field = common_field(field, img.field)
+    total = MultiPoly.zero(target_vars, field)
+    for exps, coeff in p.terms.items():
+        term = MultiPoly.constant(coeff, target_vars, field)
+        for v, e in zip(p.vars, exps):
+            base = (images[v].in_field(field) if v in images
+                    else MultiPoly.variable(v, target_vars, field))
+            for _ in range(e):
+                term = term * base
+        total = total + term
+    return total
+
+
+SUB_FIELDS = (QQ, CyclotomicField(3), CyclotomicField(5), CyclotomicField(12))
+sub_rats = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _coefficients(field):
+    if not field.is_cyclotomic:
+        return sub_rats
+    n = field.conductor
+    return st.tuples(*[sub_rats] * totient(n)).map(lambda cs: CycloNumber(n, cs))
+
+
+def _polys_over(field, variables, max_terms, max_exp):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(variables))
+    return st.dictionaries(exps, _coefficients(field), max_size=max_terms).map(
+        lambda terms: MultiPoly(variables, terms, field))
+
+
+@st.composite
+def substitutions(draw):
+    """(p, images) with p and each image over Q or one Q(zeta_N), N in {3, 5, 12}.
+
+    p may be zero or constant; targets have two or three variables; a
+    variable of p is left out of `images` only when the target ring has
+    it; an image may be a constant, as `evaluate` passes them.
+    """
+    field = draw(st.sampled_from(SUB_FIELDS))
+    source = draw(st.sampled_from((("x", "y"), ("x", "y", "z"))))
+    target = draw(st.sampled_from((("x", "y"), ("x", "y", "z"), ("s", "t", "u"))))
+    p_field = draw(st.sampled_from((QQ, field)))
+    p = draw(st.one_of(_polys_over(p_field, source, 5, 3),
+                       _polys_over(p_field, source, 1, 0)))
+    images = {}
+    for v in source:
+        if v in target and draw(st.booleans()):
+            continue
+        image_field = draw(st.sampled_from((QQ, field)))
+        images[v] = draw(_polys_over(image_field, target, 3, draw(st.sampled_from((0, 2)))))
+    return p, images
+
+
+@settings(max_examples=120, deadline=None)
+@given(substitutions())
+def test_substitute_matches_term_by_term(case):
+    p, images = case
+    # equality covers the target variables and field as well as the terms
+    assert substitute(p, images) == _term_by_term(p, images)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SUB_FIELDS).flatmap(
+    lambda f: st.tuples(_polys_over(f, ("x", "y", "z"), 5, 3),
+                        st.lists(_coefficients(f), min_size=3, max_size=3))))
+def test_evaluate_matches_term_by_term(case):
+    p, values = case
+    point = dict(zip(p.vars, values))
+    images = {v: MultiPoly.constant(c, p.vars, p.field) for v, c in point.items()}
+    assert evaluate(p, point) == _term_by_term(p, images).constant_value()
+
+
+@pytest.mark.parametrize("field", SUB_FIELDS)
+def test_substitute_zero_and_constant(field):
+    target = ("s", "t", "u")
+    s = MultiPoly.variable("s", target, field)
+    images = {"x": s + 2, "y": s * s}
+    for p in (MultiPoly.zero(("x", "y")), MultiPoly.constant(Fraction(-3, 4), ("x", "y"))):
+        got = substitute(p, images)
+        assert got == _term_by_term(p, images)
+        assert got.vars == target and got.field == field
+    assert substitute(MultiPoly.zero(("x", "y")), {}) == MultiPoly.zero(("x", "y"))
