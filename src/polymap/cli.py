@@ -11,6 +11,7 @@ bytes; the human rendering appends elapsed time.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,14 +19,14 @@ import time
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .curves import (PreconditionError, classify_low_degree_curve,
-                     distinguish_by_milnor, milnor_at_origin)
+from .curves import (classify_low_degree_curve, distinguish_by_milnor,
+                     milnor_at_origin)
 from .groebner import ComputationBudget, ResourceBudgetExceeded
 from .maps import (PlaneAutomorphism, PolyMap, branch_ideal, compose,
                    critical_ideal, integral_relation_check, is_proper,
                    jacobian_power_factorization, make_family,
                    topological_degree, verify_branch)
-from .parser import PolyParseError, format_map, format_poly, parse_map, parse_poly
+from .parser import format_map, format_poly, parse_map, parse_poly
 from .polyring import MultiPoly, substitute
 from .refgroups import (basic_invariants, claimed_branch, classes_of_degree,
                         default_table4_rows, enumerate_group, fingerprint,
@@ -90,8 +91,8 @@ def _read_map(text: str) -> PolyMap:
     return PolyMap(f1, f2)
 
 
-def _budget_limit(text: str) -> int:
-    """A pair-reduction limit from --budget or POLYMAP_BUDGET."""
+def _pair_budget(text: str) -> ComputationBudget:
+    """The pair-reduction budget of --budget or POLYMAP_BUDGET."""
     try:
         limit = int(text)
     except ValueError:
@@ -99,7 +100,7 @@ def _budget_limit(text: str) -> int:
     if limit < 0:
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")
-    return limit
+    return ComputationBudget(max_pair_reductions=limit)
 
 
 def _point(text: str) -> tuple:
@@ -112,26 +113,12 @@ def _point(text: str) -> tuple:
     return a, b
 
 
-def _budget(args) -> ComputationBudget | None:
-    limit = getattr(args, "budget", None)
-    if limit is None:
-        env = os.environ.get("POLYMAP_BUDGET")
-        if env:
-            try:
-                limit = _budget_limit(env)
-            except argparse.ArgumentTypeError as exc:
-                raise argparse.ArgumentTypeError(f"POLYMAP_BUDGET {exc}") from None
-    if limit is None:
-        return None
-    return ComputationBudget(max_pair_reductions=limit)
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers; each returns (tier, [Check])
 
 def _cmd_proper(args):
     f = _read_map(args.map)
-    ok = is_proper(f, _budget(args))
+    ok = is_proper(f, args.budget)
     return None, [Check("proper", PASS,
                         {"map": _render_map(f),
                          "result": "proper" if ok else "not proper"})]
@@ -139,7 +126,7 @@ def _cmd_proper(args):
 
 def _cmd_degree(args):
     f = _read_map(args.map)
-    d = topological_degree(f, _budget(args))
+    d = topological_degree(f, args.budget)
     return None, [Check("degree", PASS,
                         {"map": _render_map(f), "degree": d})]
 
@@ -147,12 +134,12 @@ def _cmd_degree(args):
 def _cmd_branch(args):
     f = _read_map(args.map)
     if args.claimed is None:
-        gens = branch_ideal(f, _budget(args))
+        gens = branch_ideal(f, args.budget)
         return None, [Check("branch", PASS,
                             {"map": _render_map(f),
                              "generators": [_target_poly_text(g) for g in gens]})]
     claim = parse_poly(args.claimed)
-    check = verify_branch(f, claim, run_elimination=True, budget=_budget(args))
+    check = verify_branch(f, claim, run_elimination=True, budget=args.budget)
     return None, [Check("branch-claim", check.status,
                         {"map": _render_map(f), "claimed": format_poly(claim),
                          **check.tier_report()})]
@@ -165,7 +152,7 @@ def _cmd_milnor(args):
         x = MultiPoly.variable("x", F.vars, F.field)
         y = MultiPoly.variable("y", F.vars, F.field)
         F = substitute(F, {"x": x + a, "y": y + b})
-    result = milnor_at_origin(F, _budget(args))
+    result = milnor_at_origin(F, args.budget)
     value = result.value if result.isolated else "infinite"
     return None, [Check("milnor", PASS,
                         {"curve": format_poly(F), "milnor": value,
@@ -175,7 +162,7 @@ def _cmd_milnor(args):
 def _cmd_distinguish(args):
     f = _read_map(args.first)
     g = _read_map(args.second)
-    cert = distinguish_by_milnor(f, g, budget=_budget(args))
+    cert = distinguish_by_milnor(f, g, budget=args.budget)
     if cert is None:
         details = {"certificate": None, "result": "inconclusive"}
     else:
@@ -186,19 +173,15 @@ def _cmd_distinguish(args):
 
 
 def _cmd_family(args):
-    params = {}
-    for key in ("d", "n", "m"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    # make_family reports a parameter left at None as missing
+    params = {key: getattr(args, key) for key in ("d", "n", "m", "p", "q")}
     for key in ("p", "q"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = parse_poly(value)
+        if params[key] is not None:
+            params[key] = parse_poly(params[key])
     f = make_family(args.name, **params)
     details = {"map": _render_map(f),
                "jacobian": format_poly(critical_ideal(f)),
-               "proper": is_proper(f, _budget(args))}
+               "proper": is_proper(f, args.budget)}
     return None, [Check(f"family:{args.name}", PASS, details)]
 
 
@@ -260,10 +243,9 @@ def _row_identifier(record) -> str:
 
 
 def _cmd_verify_table4(args):
-    budget = _budget(args)
     checks = []
     for record in default_table4_rows():
-        report = verify_table4_row(record, tier=args.tier, budget=budget)
+        report = verify_table4_row(record, tier=args.tier, budget=args.budget)
         checks.append(Check(_row_identifier(record), report["status"],
                             {"group": record.label, **report["tiers"]}))
     return args.tier, checks
@@ -318,15 +300,12 @@ def _cmd_verify_theorem_a(args):
 
 
 def _cmd_verify_theorem_b(args):
-    budget = _budget(args)
     d = args.d
     checks = []
-    values = {}
     for n in range(1, args.n_max + 1):
         f = make_family("shifted_power", d=d, n=n)
         J = critical_ideal(f)
-        mu = milnor_at_origin(J, budget)
-        values[n] = mu.value
+        mu = milnor_at_origin(J, args.budget)
         expected = (d - 2) * (n - 1)
         checks.append(Check(f"milnor(d={d},n={n})",
                             PASS if mu.value == expected else FAIL,
@@ -335,7 +314,7 @@ def _cmd_verify_theorem_b(args):
         for m in range(n + 1, args.n_max + 1):
             f = make_family("shifted_power", d=d, n=n)
             g = make_family("shifted_power", d=d, n=m)
-            cert = distinguish_by_milnor(f, g, budget=budget)
+            cert = distinguish_by_milnor(f, g, budget=args.budget)
             checks.append(Check(f"distinguish(d={d},n={n},m={m})",
                                 PASS if cert is not None else FAIL,
                                 {} if cert is None else
@@ -347,7 +326,9 @@ def _cmd_verify_theorem_b(args):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args returns a fresh namespace per call
     top = argparse.ArgumentParser(
         prog="polymap",
         description="Proper polynomial self-maps of the plane: properness, "
@@ -356,17 +337,14 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = top.add_subparsers(dest="command", metavar="command")
 
-    def common(p, budget=True, seed=False):
+    def common(p, budget=True):
         # accepted after the subcommand too; SUPPRESS keeps a pre-subcommand
         # --json from being clobbered by the subparser default
         p.add_argument("--json", action="store_true",
                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         if budget:
-            p.add_argument("--budget", type=_budget_limit, default=None,
+            p.add_argument("--budget", type=_pair_budget, default=None,
                            help="bound on Groebner pair reductions")
-        if seed:
-            p.add_argument("--seed", type=int, default=0,
-                           help="accepted and ignored: the degree is exact")
 
     p = sub.add_parser("proper", help="decide properness of a map")
     p.add_argument("map")
@@ -375,7 +353,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degree", help="topological degree of a proper map")
     p.add_argument("map")
-    common(p, seed=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="accepted and ignored: the degree is exact")
+    common(p)
     p.set_defaults(handler=_cmd_degree)
 
     p = sub.add_parser("branch", help="branch locus generators of a map")
@@ -435,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-theorem-a",
                        help="pinch-family structure checks")
     p.add_argument("--d", type=int, default=None)
-    common(p)
+    common(p, budget=False)
     p.set_defaults(handler=_cmd_verify_theorem_a)
 
     p = sub.add_parser("verify-theorem-b",
@@ -455,17 +435,20 @@ def main(argv=None) -> int:
     if not getattr(args, "handler", None):
         parser.print_usage(sys.stderr)
         return 2
+    # read per call, never at parser build time, so a changed environment counts
+    env = os.environ.get("POLYMAP_BUDGET")
+    if env and "budget" in vars(args) and args.budget is None:
+        try:
+            args.budget = _pair_budget(env)
+        except argparse.ArgumentTypeError as exc:
+            print(f"polymap: POLYMAP_BUDGET {exc}", file=sys.stderr)
+            return 2
     started = time.time()
     try:
         tier, checks = args.handler(args)
     except ResourceBudgetExceeded as exc:
-        tier, checks = None, [Check(args.command, SKIPPED,
-                                    {"limit": str(exc), **exc.stats})]
-    except argparse.ArgumentTypeError as exc:  # a malformed POLYMAP_BUDGET
-        print(f"polymap: {exc}", file=sys.stderr)
-        return 2
-    except (PolyParseError, PreconditionError, ValueError, ArithmeticError,
-            RuntimeError) as exc:
+        tier, checks = None, [Check(args.command, SKIPPED, exc.details)]
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"polymap: {exc}", file=sys.stderr)
         return 1
     report = RunReport(command=["polymap"] + argv, checks=checks, tier=tier,

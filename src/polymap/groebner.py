@@ -48,6 +48,11 @@ class ResourceBudgetExceeded(RuntimeError):
         super().__init__(message)
         self.stats = stats or {}
 
+    @property
+    def details(self) -> dict:
+        """The report of a skip: the limit hit, then the engine's counters."""
+        return {"limit": str(self), **self.stats}
+
 
 @dataclass
 class ComputationBudget:

@@ -155,36 +155,45 @@ def make_family(name: str, **params) -> PolyMap:
     shifted_power d n  -> (x, y^d - d*x^n*y)              [d >= 3, n >= 1]
     semi_separate q    -> (x, q) for a polynomial q monic in y
     separate p q       -> (p(x), q(y))
+
+    A parameter the family needs that is missing or None raises ValueError.
     """
+    def param(key):
+        if params.get(key) is None:
+            raise ValueError(f"{name} family needs parameter {key}")
+        return params[key]
+
     x = MultiPoly.variable("x", SOURCE_VARS)
     y = MultiPoly.variable("y", SOURCE_VARS)
     if name == "whitney":
         return PolyMap(x, y**3 + x * y, name="whitney")
     if name == "power":
-        d = params["d"]
+        d = param("d")
         if d < 1:
             raise ValueError("power family needs d >= 1")
         return PolyMap(x, y**d, name=f"power(d={d})")
     if name == "product":
-        m, n = params["m"], params["n"]
+        m, n = param("m"), param("n")
         if m < 1 or n < 1:
             raise ValueError("product family needs m, n >= 1")
         return PolyMap(x**m, y**n, name=f"product(m={m},n={n})")
     if name == "pinch":
-        d = params["d"]
+        d = param("d")
         if d < 2:
             raise ValueError("pinch family needs d >= 2")
         return PolyMap(x + y + x * y, x**(d - 1) * y, name=f"pinch(d={d})")
     if name == "shifted_power":
-        d, n = params["d"], params["n"]
+        d, n = param("d"), param("n")
         if d < 3 or n < 1:
             raise ValueError("shifted_power family needs d >= 3, n >= 1")
         return PolyMap(x, y**d - d * x**n * y, name=f"shifted_power(d={d},n={n})")
     if name == "semi_separate":
-        q = params["q"]
+        q = param("q")
+        if not is_monic_in_y(q):
+            raise ValueError("semi_separate family needs q monic in y")
         return PolyMap(x.in_field(q.field), q, name="semi_separate")
     if name == "separate":
-        p, q = params["p"], params["q"]
+        p, q = param("p"), param("q")
         if p.uses_variable("y") or q.uses_variable("x"):
             raise ValueError("separate components must be univariate in x and y")
         return PolyMap(p, q, name="separate")
@@ -342,7 +351,7 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
                 elim_status = "fail"
         except ResourceBudgetExceeded as exc:
             elim_status = "skipped-budget"
-            elim_stop = {"limit": str(exc), **exc.stats}
+            elim_stop = exc.details
     return BranchCheck(claim, sub_ok, sf_ok, elim_status, elim_gens, elim_stop)
 
 

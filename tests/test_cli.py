@@ -1,9 +1,11 @@
 """Command-line surface: reports, exit codes, determinism."""
 
+import argparse
 import json
 
 import pytest
 
+from polymap import cli
 from polymap.cli import main
 
 
@@ -55,13 +57,65 @@ def test_malformed_budget_flag_is_usage_error(capsys, value):
     assert "--budget" in capsys.readouterr().err
 
 
+# one call of every subcommand that takes --budget
+BUDGETED = [("proper", "(x, y^2)"), ("degree", "(x, y^2)"),
+            ("branch", "(x, y^3+x*y)"), ("milnor", "y^2 - x^3"),
+            ("distinguish", "(x, y^3 - 3*x^2*y)", "(x, y^3 - 3*x^3*y)"),
+            ("family", "pinch", "--d", "3"), ("verify-table4",),
+            ("verify-theorem-b", "--n-max", "2")]
+
+
 @pytest.mark.parametrize("value", ["abc", "-1", "2.5"])
 def test_malformed_budget_env_is_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("POLYMAP_BUDGET", value)
-    for argv in (("degree", "(x, y^2)"), ("milnor", "y^2 - x^3")):
+    for argv in BUDGETED:
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert err.startswith("polymap: POLYMAP_BUDGET must be a non-negative")
+
+
+def test_budget_subcommands_cover_the_parser():
+    # BUDGETED names exactly the subcommands that declare --budget
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    takes = {name for name, p in sub.choices.items()
+             if "--budget" in p._option_string_actions}
+    assert takes == {argv[0] for argv in BUDGETED}
+
+
+def test_parser_is_built_once_and_reads_environment_per_call(capsys, monkeypatch):
+    cli._build_parser.cache_clear()
+    monkeypatch.setenv("POLYMAP_BUDGET", "1")
+    code, out, _ = run(capsys, "degree", "(x+y+x*y, x^3*y)")
+    assert code == 0 and "skipped-budget" in out
+    monkeypatch.delenv("POLYMAP_BUDGET")
+    code, out, _ = run(capsys, "degree", "(x+y+x*y, x^3*y)")
+    assert code == 0 and "degree: pass" in out and "degree=4" in out
+    monkeypatch.setenv("POLYMAP_BUDGET", "abc")
+    code, out, err = run(capsys, "degree", "(x+y+x*y, x^3*y)")
+    assert code == 2 and not out and err.startswith("polymap: POLYMAP_BUDGET")
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_verify_theorem_a_takes_no_budget(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-theorem-a", "--d", "3", "--budget", "1"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (("power",), "d"),
+    (("product", "--m", "2"), "n"),
+    (("pinch",), "d"),
+    (("shifted_power", "--d", "3"), "n"),
+    (("semi_separate",), "q"),
+    (("separate", "--p", "x^2"), "q"),
+])
+def test_family_missing_parameter_exits_one(capsys, argv, missing):
+    code, out, err = run(capsys, "family", *argv)
+    assert code == 1 and not out
+    assert err == f"polymap: {argv[0]} family needs parameter {missing}\n"
 
 
 def test_computation_failure_exits_one(capsys):

@@ -48,6 +48,14 @@ def test_families():
         make_family("pinch", d=1)
 
 
+def test_semi_separate_needs_q_monic_in_y():
+    # a unit leading coefficient counts as monic; an x-dependent one does not
+    q = parse_poly("2*y^2 + x")
+    assert make_family("semi_separate", q=q) == PolyMap(X, q)
+    with pytest.raises(ValueError, match="monic in y"):
+        make_family("semi_separate", q=parse_poly("x*y^2 + 1"))
+
+
 def test_monic_in_y():
     assert is_monic_in_y(parse_poly("y^3 - 2*x*y + x^2"))
     assert not is_monic_in_y(parse_poly("x*y^3 + y"))
