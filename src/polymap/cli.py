@@ -152,6 +152,8 @@ def _cmd_milnor(args):
         x = MultiPoly.variable("x", F.vars, F.field)
         y = MultiPoly.variable("y", F.vars, F.field)
         F = substitute(F, {"x": x + a, "y": y + b})
+        if (0, 0) in F.terms:
+            raise ValueError(f"curve does not pass through ({a}, {b})")
     result = milnor_at_origin(F, args.budget)
     value = result.value if result.isolated else "infinite"
     return None, [Check("milnor", PASS,

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .groebner import buchberger, local_standard_basis, quotient_dimension
 from .maps import PolyMap, critical_ideal, is_proper
-from .polyring import (MultiPoly, derivative, evaluate, is_scalar_multiple,
-                       squarefree_part)
+from .polyring import MultiPoly, derivative, is_scalar_multiple, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -36,8 +35,7 @@ def milnor_at_origin(F: MultiPoly, budget=None) -> MilnorResult:
     A smooth point gives 0; a non-isolated critical point comes back
     with value inf and isolated=False.
     """
-    origin = {v: Fraction(0) for v in F.vars}
-    if evaluate(F, origin):
+    if (0,) * len(F.vars) in F.terms:
         raise ValueError("curve does not pass through the origin")
     gens = [derivative(F, v) for v in F.vars]
     gens = [g for g in gens if g.terms]
@@ -149,8 +147,7 @@ def distinguish_by_milnor(f: PolyMap, g: PolyMap, budget=None):
             raise PreconditionError(f"{label} map has no critical curve")
         if not is_scalar_multiple(squarefree_part(J), J):
             raise PreconditionError(f"{label} critical curve is not reduced")
-        origin = {v: Fraction(0) for v in J.vars}
-        if evaluate(J, origin):
+        if (0,) * len(J.vars) in J.terms:
             raise PreconditionError(
                 f"{label} critical curve misses the origin")
         if singular_points_exist_outside_origin(J, budget):

@@ -145,6 +145,12 @@ class PlaneAutomorphism:
 # ---------------------------------------------------------------------------
 # families
 
+# the parameters each named family takes
+_FAMILY_PARAMS = {"whitney": (), "power": ("d",), "product": ("m", "n"),
+                  "pinch": ("d",), "shifted_power": ("d", "n"),
+                  "semi_separate": ("q",), "separate": ("p", "q")}
+
+
 def make_family(name: str, **params) -> PolyMap:
     """Named families of plane maps used throughout the test catalog.
 
@@ -156,48 +162,47 @@ def make_family(name: str, **params) -> PolyMap:
     semi_separate q    -> (x, q) for a polynomial q monic in y
     separate p q       -> (p(x), q(y))
 
-    A parameter the family needs that is missing or None raises ValueError.
+    A parameter the family takes that is missing or None raises
+    ValueError, and so does one it does not take that is not None.
     """
-    def param(key):
+    if name not in _FAMILY_PARAMS:
+        raise ValueError(f"unknown family {name!r}")
+    takes = _FAMILY_PARAMS[name]
+    for key, value in params.items():
+        if value is not None and key not in takes:
+            raise ValueError(f"{name} family takes no parameter {key}")
+    for key in takes:
         if params.get(key) is None:
             raise ValueError(f"{name} family needs parameter {key}")
-        return params[key]
+    d, n, m, p, q = (params.get(key) for key in "dnmpq")
 
     x = MultiPoly.variable("x", SOURCE_VARS)
     y = MultiPoly.variable("y", SOURCE_VARS)
     if name == "whitney":
         return PolyMap(x, y**3 + x * y, name="whitney")
     if name == "power":
-        d = param("d")
         if d < 1:
             raise ValueError("power family needs d >= 1")
         return PolyMap(x, y**d, name=f"power(d={d})")
     if name == "product":
-        m, n = param("m"), param("n")
         if m < 1 or n < 1:
             raise ValueError("product family needs m, n >= 1")
         return PolyMap(x**m, y**n, name=f"product(m={m},n={n})")
     if name == "pinch":
-        d = param("d")
         if d < 2:
             raise ValueError("pinch family needs d >= 2")
         return PolyMap(x + y + x * y, x**(d - 1) * y, name=f"pinch(d={d})")
     if name == "shifted_power":
-        d, n = param("d"), param("n")
         if d < 3 or n < 1:
             raise ValueError("shifted_power family needs d >= 3, n >= 1")
         return PolyMap(x, y**d - d * x**n * y, name=f"shifted_power(d={d},n={n})")
     if name == "semi_separate":
-        q = param("q")
         if not is_monic_in_y(q):
             raise ValueError("semi_separate family needs q monic in y")
         return PolyMap(x.in_field(q.field), q, name="semi_separate")
-    if name == "separate":
-        p, q = param("p"), param("q")
-        if p.uses_variable("y") or q.uses_variable("x"):
-            raise ValueError("separate components must be univariate in x and y")
-        return PolyMap(p, q, name="separate")
-    raise ValueError(f"unknown family {name!r}")
+    if p.uses_variable("y") or q.uses_variable("x"):
+        raise ValueError("separate components must be univariate in x and y")
+    return PolyMap(p, q, name="separate")
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +294,6 @@ class BranchCheck:
     substitution_divisible: bool
     claimed_squarefree: bool
     elimination_status: str  # "pass" | "fail" | "skipped-budget" | "not-run"
-    elimination_generators: list | None = None
     # for a skipped elimination: the limit hit and the engine's counters
     elimination_stop: dict | None = None
 
@@ -339,11 +343,10 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
     sub_ok = divides(squarefree_part(J), pullback)
     sf_ok = is_scalar_multiple(squarefree_part(claim), claim)
     elim_status = "not-run"
-    elim_gens = elim_stop = None
+    elim_stop = None
     if run_elimination:
         try:
             gens = branch_ideal(fl, budget)
-            elim_gens = gens
             if len(gens) == 1 and is_scalar_multiple(
                     gens[0], primitive_normalize(claim)):
                 elim_status = "pass"
@@ -352,7 +355,7 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
         except ResourceBudgetExceeded as exc:
             elim_status = "skipped-budget"
             elim_stop = exc.details
-    return BranchCheck(claim, sub_ok, sf_ok, elim_status, elim_gens, elim_stop)
+    return BranchCheck(claim, sub_ok, sf_ok, elim_status, elim_stop)
 
 
 # ---------------------------------------------------------------------------

@@ -120,20 +120,23 @@ class CycloNumber:
 
     `_num` holds phi(N) integers and `_den` one positive integer; the
     value is sum(_num[i] * z^i) / _den, with gcd(_den, *_num) == 1.
+    Coordinates and rationals come in as int or Fraction only: a float
+    raises TypeError rather than being stored as its binary value.
     """
 
     __slots__ = ("conductor", "_num", "_den")
 
     def __init__(self, conductor: int, coeffs):
         phi = totient(conductor)
-        coeffs = tuple(c if isinstance(c, (int, Fraction)) else Fraction(c)
-                       for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coordinates for conductor {conductor}, got {len(coeffs)}")
         den = 1
         for c in coeffs:
             if isinstance(c, Fraction):
                 den = lcm(den, c.denominator)
+            elif not isinstance(c, int):
+                raise TypeError(f"coordinates must be int or Fraction, got {c!r}")
         # the lcm of reduced denominators leaves no common factor to divide out
         num = tuple(c.numerator * (den // c.denominator) if isinstance(c, Fraction)
                     else int(c) * den for c in coeffs)
@@ -153,7 +156,7 @@ class CycloNumber:
     @classmethod
     def from_rational(cls, value, conductor: int) -> "CycloNumber":
         if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
+            raise TypeError(f"a rational must be int or Fraction, got {value!r}")
         pad = (0,) * (totient(conductor) - 1)
         if isinstance(value, Fraction):
             return _reduced(conductor, (value.numerator,) + pad, value.denominator)

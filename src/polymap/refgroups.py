@@ -534,10 +534,6 @@ _PAIRS = {
     22: ("e12", 1, "f20", 1),
 }
 
-_SEED_FAMILY = {"a4": "A4", "b6": "A4", "c8": "S4", "d12": "S4",
-                "e12": "A5", "f20": "A5", "g30": "A5"}
-
-
 @lru_cache(maxsize=None)
 def _base_seed_scalars(family: str, seed_name: str):
     """Multipliers the base generators S1, T1 apply to a seed polynomial.

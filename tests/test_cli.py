@@ -118,6 +118,21 @@ def test_family_missing_parameter_exits_one(capsys, argv, missing):
     assert err == f"polymap: {argv[0]} family needs parameter {missing}\n"
 
 
+@pytest.mark.parametrize("argv, extra", [
+    (("whitney", "--d", "7", "--q", "x"), "d"),
+    (("power", "--d", "2", "--n", "3"), "n"),
+    (("product", "--m", "2", "--n", "3", "--d", "4"), "d"),
+    (("pinch", "--d", "3", "--q", "y"), "q"),
+    (("shifted_power", "--d", "3", "--n", "2", "--m", "4"), "m"),
+    (("semi_separate", "--q", "y^2", "--p", "x"), "p"),
+    (("separate", "--p", "x^2", "--q", "y^3", "--d", "2"), "d"),
+])
+def test_family_rejects_a_parameter_it_does_not_take(capsys, argv, extra):
+    code, out, err = run(capsys, "family", *argv)
+    assert code == 1 and not out
+    assert err == f"polymap: {argv[0]} family takes no parameter {extra}\n"
+
+
 def test_computation_failure_exits_one(capsys):
     code, _, err = run(capsys, "milnor", "y^2 - x^3 + 1")
     assert code == 1 and err.strip()
@@ -142,6 +157,12 @@ def test_milnor_at_smooth_point_needs_no_pair(capsys, monkeypatch):
 def test_milnor_with_translation(capsys):
     code, out, _ = run(capsys, "milnor", "(y-1)^2 - (x-2)^3", "--at", "2,1")
     assert code == 0 and "milnor=2" in out
+
+
+def test_milnor_off_the_curve_names_the_point(capsys):
+    code, out, err = run(capsys, "milnor", "x^2+y^2", "--at=1,0")
+    assert code == 1 and not out
+    assert err == "polymap: curve does not pass through (1, 0)\n"
 
 
 def test_milnor_at_negative_coordinate(capsys):

@@ -1,4 +1,5 @@
-"""Source hygiene: every module uses each name it imports."""
+"""Source hygiene: every module uses each name it imports, and every
+module-level private name is read somewhere else in the package."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,47 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_privates(sources: dict) -> list:
+    """Module-level private names that no other top-level statement reads.
+
+    `sources` maps a module name to its text.  A name counts as read by
+    a statement that loads it, reads it as an attribute or imports it;
+    its own definition, recursion included, does not count.
+    """
+    defined = []           # (module, line, name, defining statement)
+    readers = {}           # name -> statements that read it
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                bound = [n.id for n in ast.walk(stmt)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                bound = []
+            for name in bound:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((module, stmt.lineno, name, stmt))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    readers.setdefault(node.id, []).append(stmt)
+                elif isinstance(node, ast.Attribute):
+                    readers.setdefault(node.attr, []).append(stmt)
+                elif isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        readers.setdefault(alias.name, []).append(stmt)
+    return sorted((module, line, name) for module, line, name, stmt in defined
+                  if all(r is stmt for r in readers.get(name, [])))
+
+
+def test_checker_sees_an_unreferenced_private():
+    sources = {"a": "_used = 1\n_unused = 2\n\ndef _rec(n):\n    return _rec(n - 1)\n",
+               "b": "from .a import _used\n"}
+    assert unreferenced_privates(sources) == [("a", 2, "_unused"), ("a", 4, "_rec")]
+
+
+def test_every_private_name_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_privates(sources) == []

@@ -86,6 +86,17 @@ def test_same_conductor_policy():
     assert embed(zeta(3), 12) + embed(zeta(4), 12) == zeta(12, 4) + zeta(12, 3)
 
 
+def test_only_int_and_fraction_coordinates():
+    # a float would be stored as its exact binary value, 0.1 as 3602879701896397/2^55
+    for bad in (0.1, 1.0, "1/2", complex(1)):
+        with pytest.raises(TypeError):
+            CycloNumber(4, [bad, 0])
+        with pytest.raises(TypeError):
+            CycloNumber.from_rational(bad, 3)
+    assert CycloNumber(4, [Fraction(1, 10), 2]).coeffs == (Fraction(1, 10), 2)
+    assert CycloNumber.from_rational(Fraction(1, 10), 3).rational_value() == Fraction(1, 10)
+
+
 def test_rational_detection():
     a = zeta(5) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4)
     assert a.is_rational() and a.rational_value() == -1

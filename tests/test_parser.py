@@ -107,6 +107,42 @@ def test_format_map_frozen():
 def test_infer_field():
     assert infer_field("x^2 + y") is QQ
     assert infer_field("zeta(12)*x").conductor == 12
+    assert infer_field("i*x + zeta(3)").conductor == 12
+    with pytest.raises(PolyParseError) as exc:
+        infer_field("x $ y")
+    assert exc.value.position == 2
+
+
+def test_map_error_positions_count_from_the_full_text():
+    with pytest.raises(PolyParseError) as exc:
+        parse_map("(x, y + $)")
+    assert exc.value.position == 8
+    with pytest.raises(PolyParseError) as exc:
+        parse_map("x^2, y + z")
+    assert exc.value.position == 9
+
+
+def test_map_with_a_stray_parenthesis_is_a_parse_error():
+    for text in (")", "3 ) x", "(x), y)", "((x, y))"):
+        with pytest.raises(PolyParseError):
+            parse_map(text)
+
+
+def test_map_leading_parenthesis_opens_the_first_component():
+    f1, f2 = parse_map("(x + y)*x, y")
+    assert (f1, f2) == (parse_poly("x^2 + x*y"), parse_poly("y"))
+
+
+def test_zeta_zero_is_a_parse_error():
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly("x + zeta(0)")
+    assert exc.value.position == 9
+
+
+def test_a_sign_may_prefix_any_factor():
+    assert parse_poly("+x") == parse_poly("x")
+    assert parse_poly("x*-y") == parse_poly("-x*y")
+    assert parse_poly("1 - +3") == parse_poly("-2")
 
 
 FROZEN_SAMPLES = [
@@ -131,6 +167,35 @@ expo = st.tuples(st.integers(0, 6), st.integers(0, 6))
 def test_round_trip_random_rational(terms):
     p = MultiPoly(("x", "y"), terms, QQ)
     assert parse_poly(format_poly(p)) == p
+
+
+@pytest.mark.parametrize("first, second", zip(FROZEN_SAMPLES, FROZEN_SAMPLES[1:]))
+def test_map_round_trip_frozen(first, second):
+    f1, f2 = parse_map(f"{first}, {second}")
+    assert parse_map(format_map(f1, f2)) == (f1, f2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(expo, coef, max_size=5), st.dictionaries(expo, coef, max_size=5))
+def test_map_round_trip_random_rational(terms1, terms2):
+    f1, f2 = (MultiPoly(("x", "y"), t, QQ) for t in (terms1, terms2))
+    assert parse_map(format_map(f1, f2)) == (f1, f2)
+
+
+# single-digit numbers keep every power small enough to expand quickly
+TOKENS = [*"0123456789", "x", "y", "z", "i", "zeta",
+          "+", "-", "*", "^", "(", ")", ",", "/", "$"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=16))
+def test_any_token_sequence_parses_or_raises_parse_error(tokens):
+    text = " ".join(tokens)
+    for parse in (parse_poly, parse_map):
+        try:
+            parse(text)
+        except PolyParseError:
+            pass
 
 
 @settings(max_examples=40, deadline=None)
