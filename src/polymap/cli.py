@@ -24,8 +24,7 @@ from .curves import (classify_low_degree_curve, distinguish_by_milnor,
 from .groebner import ComputationBudget, ResourceBudgetExceeded
 from .maps import (PlaneAutomorphism, PolyMap, branch_ideal, compose,
                    critical_ideal, integral_relation_check, is_proper,
-                   jacobian_power_factorization, make_family,
-                   topological_degree, verify_branch)
+                   make_family, topological_degree, verify_branch)
 from .parser import format_map, format_poly, parse_map, parse_poly
 from .polyring import MultiPoly, substitute
 from .refgroups import (basic_invariants, claimed_branch, classes_of_degree,
@@ -114,35 +113,35 @@ def _point(text: str) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (tier, [Check])
+# subcommand handlers; each returns [Check]
 
 def _cmd_proper(args):
     f = _read_map(args.map)
     ok = is_proper(f, args.budget)
-    return None, [Check("proper", PASS,
-                        {"map": _render_map(f),
-                         "result": "proper" if ok else "not proper"})]
+    return [Check("proper", PASS,
+                  {"map": _render_map(f),
+                   "result": "proper" if ok else "not proper"})]
 
 
 def _cmd_degree(args):
     f = _read_map(args.map)
     d = topological_degree(f, args.budget)
-    return None, [Check("degree", PASS,
-                        {"map": _render_map(f), "degree": d})]
+    return [Check("degree", PASS,
+                  {"map": _render_map(f), "degree": d})]
 
 
 def _cmd_branch(args):
     f = _read_map(args.map)
     if args.claimed is None:
         gens = branch_ideal(f, args.budget)
-        return None, [Check("branch", PASS,
-                            {"map": _render_map(f),
-                             "generators": [_target_poly_text(g) for g in gens]})]
+        return [Check("branch", PASS,
+                      {"map": _render_map(f),
+                       "generators": [_target_poly_text(g) for g in gens]})]
     claim = parse_poly(args.claimed)
     check = verify_branch(f, claim, run_elimination=True, budget=args.budget)
-    return None, [Check("branch-claim", check.status,
-                        {"map": _render_map(f), "claimed": format_poly(claim),
-                         **check.tier_report()})]
+    return [Check("branch-claim", check.status,
+                  {"map": _render_map(f), "claimed": format_poly(claim),
+                   **check.tier_report()})]
 
 
 def _cmd_milnor(args):
@@ -156,9 +155,9 @@ def _cmd_milnor(args):
             raise ValueError(f"curve does not pass through ({a}, {b})")
     result = milnor_at_origin(F, args.budget)
     value = result.value if result.isolated else "infinite"
-    return None, [Check("milnor", PASS,
-                        {"curve": format_poly(F), "milnor": value,
-                         "isolated": result.isolated})]
+    return [Check("milnor", PASS,
+                  {"curve": format_poly(F), "milnor": value,
+                   "isolated": result.isolated})]
 
 
 def _cmd_distinguish(args):
@@ -171,7 +170,7 @@ def _cmd_distinguish(args):
         details = {"certificate": {"milnor_first": cert.milnor_first,
                                    "milnor_second": cert.milnor_second},
                    "result": "not equivalent"}
-    return None, [Check("distinguish", PASS, details)]
+    return [Check("distinguish", PASS, details)]
 
 
 def _cmd_family(args):
@@ -184,7 +183,7 @@ def _cmd_family(args):
     details = {"map": _render_map(f),
                "jacobian": format_poly(critical_ideal(f)),
                "proper": is_proper(f, args.budget)}
-    return None, [Check(f"family:{args.name}", PASS, details)]
+    return [Check(f"family:{args.name}", PASS, details)]
 
 
 def _cmd_group(args):
@@ -222,15 +221,15 @@ def _cmd_group(args):
         checks.append(Check("verify", PASS if ok else FAIL, details))
     if not checks:
         checks.append(Check("group", PASS, base))
-    return None, checks
+    return checks
 
 
 def _cmd_classes(args):
     records = classes_of_degree(args.degree)
-    return None, [Check("classes", PASS,
-                        {"degree": args.degree,
-                         "count": len(records),
-                         "groups": [r.label for r in records]})]
+    return [Check("classes", PASS,
+                  {"degree": args.degree,
+                   "count": len(records),
+                   "groups": [r.label for r in records]})]
 
 
 def _row_identifier(record) -> str:
@@ -250,31 +249,29 @@ def _cmd_verify_table4(args):
         report = verify_table4_row(record, tier=args.tier, budget=args.budget)
         checks.append(Check(_row_identifier(record), report["status"],
                             {"group": record.label, **report["tiers"]}))
-    return args.tier, checks
+    return checks
 
 
 def _theorem_a_checks(d: int):
     checks = []
     f = make_family("pinch", d=d)
-    split = jacobian_power_factorization(f, d)
-    expect_h2 = parse_poly(f"(2 - {d})*x*y + x - ({d} - 1)*y")
+    J = critical_ideal(f)
     x = MultiPoly.variable("x", ("x", "y"))
-    ok = (split is not None and split[0] == x
-          and split[1] == expect_h2)
+    h2 = parse_poly(f"(2 - {d})*x*y + x - ({d} - 1)*y")
+    ok = J == x**(d - 2) * h2
     checks.append(Check(f"jacobian-split(d={d})", PASS if ok else FAIL,
-                        {} if split is None else
-                        {"h1": format_poly(split[0]), "h2": format_poly(split[1])}))
+                        {"h1": "x", "h2": format_poly(h2)} if ok else
+                        {"jacobian": format_poly(J)}))
     relx = parse_poly(f"u^{d} - s*u^{d-1} + t*u + t", variables=("u", "s", "t"))
     rely = parse_poly(f"u*(s - u)^{d-1} - t*(1 + u)^{d-1}",
                       variables=("u", "s", "t"))
-    xv = MultiPoly.variable("x", ("x", "y"))
-    yv = MultiPoly.variable("y", ("x", "y"))
-    ok_x = integral_relation_check(f, xv, relx)
-    ok_y = integral_relation_check(f, yv, rely)
+    y = MultiPoly.variable("y", ("x", "y"))
+    ok_x = integral_relation_check(f, x, relx)
+    ok_y = integral_relation_check(f, y, rely)
     checks.append(Check(f"integral-relations(d={d})",
                         PASS if ok_x and ok_y else FAIL,
                         {"x_relation": ok_x, "y_relation": ok_y}))
-    kind = classify_low_degree_curve(expect_h2)
+    kind = classify_low_degree_curve(h2)
     checks.append(Check(f"critical-components(d={d})",
                         PASS if kind == "conic-two-points-at-infinity" else FAIL,
                         {"h2_class": kind,
@@ -283,9 +280,10 @@ def _theorem_a_checks(d: int):
 
 
 def _cmd_verify_theorem_a(args):
+    if args.d is not None and args.d < 3:
+        raise ValueError("verify-theorem-a needs d >= 3")
     checks = []
-    ds = [args.d] if args.d else [3, 4, 5]
-    for d in ds:
+    for d in [3, 4, 5] if args.d is None else [args.d]:
         checks.extend(_theorem_a_checks(d))
     # the degree-2 remark: conjugating (x, y^2) into the family shape
     half = Fraction(1, 2)
@@ -298,10 +296,12 @@ def _cmd_verify_theorem_a(args):
     expect = PolyMap(parse_poly("x + y + x*y"), parse_poly("x*y"))
     checks.append(Check("degree-2-remark", PASS if composed == expect else FAIL,
                         {"composite": _render_map(composed)}))
-    return None, checks
+    return checks
 
 
 def _cmd_verify_theorem_b(args):
+    if args.n_max < 1:
+        raise ValueError("verify-theorem-b needs --n-max >= 1")
     d = args.d
     checks = []
     for n in range(1, args.n_max + 1):
@@ -322,7 +322,7 @@ def _cmd_verify_theorem_b(args):
                                 {} if cert is None else
                                 {"milnor_first": cert.milnor_first,
                                  "milnor_second": cert.milnor_second}))
-    return None, checks
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +447,14 @@ def main(argv=None) -> int:
             return 2
     started = time.time()
     try:
-        tier, checks = args.handler(args)
+        checks = args.handler(args)
     except ResourceBudgetExceeded as exc:
-        tier, checks = None, [Check(args.command, SKIPPED, exc.details)]
+        checks = [Check(args.command, SKIPPED, exc.details)]
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"polymap: {exc}", file=sys.stderr)
         return 1
-    report = RunReport(command=["polymap"] + argv, checks=checks, tier=tier,
+    report = RunReport(command=["polymap"] + argv, checks=checks,
+                       tier=getattr(args, "tier", None),
                        elapsed=time.time() - started)
     print(report.to_json() if args.json else report.to_text())
     return report.exit_code

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 from .groebner import (ResourceBudgetExceeded, _staircase_count, buchberger,
                        elimination_ideal)
-from .polyring import (ExactDivisionError, MultiPoly, QQ, RingMismatch,
-                       block_order, common_field, divides, exact_div,
-                       field_inverse, gcd_poly, is_scalar_multiple,
+from .polyring import (MultiPoly, QQ, RingMismatch, block_order, common_field,
+                       divides, field_inverse, is_scalar_multiple,
                        jacobian_det, primitive_normalize, squarefree_part,
                        substitute)
 
@@ -237,17 +236,19 @@ def is_proper(f: PolyMap, budget=None) -> bool:
                for i in range(len(SOURCE_VARS)))
 
 
-def is_monic_in_y(q: MultiPoly) -> bool:
-    """Whether q = y^d + (lower y-degree, coefficients in x) with unit lead."""
-    d = q.degree_in("y")
+def _is_monic_in(q: MultiPoly, var: str) -> bool:
+    """Whether q = c*var^d + (lower var-degree) with c a nonzero scalar, d >= 1."""
+    d = q.degree_in(var)
     if d < 1:
         return False
-    i = q.vars.index("y")
-    lead = [(e, c) for e, c in q.terms.items() if e[i] == d]
-    if len(lead) != 1:
-        return False
-    e, c = lead[0]
-    return not any(e[j] for j in range(len(e)) if j != i)
+    i = q.vars.index(var)
+    lead = [e for e in q.terms if e[i] == d]
+    return len(lead) == 1 and not any(lead[0][:i] + lead[0][i + 1:])
+
+
+def is_monic_in_y(q: MultiPoly) -> bool:
+    """Whether q = y^d + (lower y-degree, coefficients in x) with unit lead."""
+    return _is_monic_in(q, "y")
 
 
 def topological_degree(f: PolyMap, budget=None) -> int:
@@ -375,88 +376,6 @@ def compose(f: PolyMap, pre: PlaneAutomorphism = None,
     return PolyMap(g1, g2)
 
 
-def jacobian_power_factorization(f: PolyMap, d: int):
-    """Split J_f as H1^(d-2) * H2 with both factors nonconstant, if possible.
-
-    Repeated factors come out of gcd chains with the partial
-    derivatives; for the exponent-one case the only factor search tried
-    is the content with respect to each variable.  Returns (H1, H2) or
-    None.
-    """
-    if d < 3:
-        raise ValueError("factorization shape needs d >= 3")
-    J = critical_ideal(f)
-    if not J.terms or J.is_constant():
-        return None
-    e = d - 2
-
-    def split(h1):
-        if h1.is_constant():
-            return None
-        h1 = primitive_normalize(h1)
-        try:
-            h2 = exact_div(J, h1**e)
-        except ExactDivisionError:
-            return None
-        if h2.is_constant():
-            return None
-        return (h1, h2)
-
-    if e == 1:
-        from .polyring import _content_primitive
-        for v in ("y", "x"):
-            if J.degree_in(v) > 0:
-                cont, _ = _content_primitive(J, v)
-                got = split(cont)
-                if got:
-                    return got
-        return split(_repeated_part(J))
-    return split(_repeated_part(J, power=e))
-
-
-def _repeated_part(p: MultiPoly, power: int = 1):
-    """Product of factors of p whose multiplicity is at least power (>= 2 counts once more).
-
-    For power >= 2 this returns prod_i P_i^(m_i // power) over the
-    squarefree decomposition; for power == 1 it returns the part of p
-    with multiplicity at least two (each such factor once).
-    """
-    decomp = squarefree_decomposition(p)
-    one = MultiPoly.constant(1, p.vars, p.field)
-    out = one
-    for mult, q in decomp:
-        if power >= 2:
-            k = mult // power
-            if k:
-                out = out * q**k
-        elif mult >= 2:
-            out = out * q
-    return out
-
-
-def squarefree_decomposition(p: MultiPoly):
-    """[(multiplicity, factor)] with the factors squarefree and pairwise coprime."""
-    if not p.terms or p.is_constant():
-        raise ValueError("decomposition needs a nonconstant polynomial")
-    out = []
-    rest = p
-    mult = 1
-    while not rest.is_constant():
-        sf = squarefree_part(rest)
-        quot = exact_div(rest, sf)
-        if quot.is_constant():
-            out.append((mult, sf))
-            break
-        nxt = squarefree_part(quot)
-        # factors of multiplicity exactly `mult` divide sf but not nxt
-        exact = exact_div(sf, gcd_poly(sf, nxt)) if not sf.is_constant() else sf
-        if not exact.is_constant():
-            out.append((mult, primitive_normalize(exact)))
-        rest = quot
-        mult += 1
-    return out
-
-
 def integral_relation_check(f: PolyMap, element: MultiPoly,
                             relation: MultiPoly, main_var: str = "u") -> bool:
     """Whether a monic relation r(u, s, t) annihilates `element` over the image.
@@ -465,12 +384,9 @@ def integral_relation_check(f: PolyMap, element: MultiPoly,
     scalar (a unit does not affect integrality); s and t stand for the
     two components of f.
     """
-    d = relation.degree_in(main_var)
-    if d < 1:
+    if relation.degree_in(main_var) < 1:
         raise ValueError("relation is constant in its main variable")
-    i = relation.vars.index(main_var)
-    lead = [(e, c) for e, c in relation.terms.items() if e[i] == d]
-    if len(lead) != 1 or any(lead[0][0][j] for j in range(len(lead[0][0])) if j != i):
+    if not _is_monic_in(relation, main_var):
         raise ValueError("relation is not monic in its main variable")
     field = common_field(relation.field, f.field)
     elem = element.in_field(field)

@@ -23,11 +23,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .groebner import ComputationBudget
-from .maps import PlaneAutomorphism, PolyMap, verify_branch
+from .maps import PolyMap, verify_branch
 from .numberfield import CycloNumber, embed, zeta
 from .parser import parse_poly
-from .polyring import (CyclotomicField, MultiPoly, common_field, field_inverse,
-                       is_scalar_multiple, jacobian_det, substitute)
+from .polyring import (CyclotomicField, MultiPoly, common_field, jacobian_det,
+                       substitute)
 
 VARS = ("x", "y")
 
@@ -352,30 +352,28 @@ def _mul_ids(ar: _Arith, m, n):
 
 
 class GroupElements:
-    """Complete element list of a catalog group, closed under product."""
+    """Complete element list of a catalog group, closed under product.
 
-    __slots__ = ("record", "matrices", "_arith", "_ids", "_gen_ids", "_one")
+    Elements are held as tuples of interned entry ids; iteration builds
+    each Matrix2 on demand.
+    """
 
-    def __init__(self, record, matrices, arith, ids, gen_ids, one):
+    __slots__ = ("record", "_arith", "_ids", "_gen_ids", "_one")
+
+    def __init__(self, record, arith, ids, gen_ids, one):
         self.record = record
-        self.matrices = matrices
         self._arith = arith
         self._ids = ids
         self._gen_ids = gen_ids
         self._one = one
 
     def __len__(self):
-        return len(self.matrices)
+        return len(self._ids)
 
     def __iter__(self):
-        return iter(self.matrices)
-
-    def __contains__(self, m: Matrix2):
-        try:
-            key = _mat_ids(self._arith, m.embed(self.record.conductor))
-        except ValueError:
-            return False
-        return key in self._ids
+        values = self._arith.values
+        for ids in self._ids:
+            yield Matrix2(*(values[i] for i in ids))
 
     def element_order(self, m) -> int:
         ar = self._arith
@@ -385,7 +383,7 @@ class GroupElements:
         while cur != self._one:
             cur = _mul_ids(ar, cur, m)
             k += 1
-            if k > 2 * len(self.matrices):
+            if k > 2 * len(self._ids):
                 raise RuntimeError("element order exceeds group order")
         return k
 
@@ -417,8 +415,7 @@ def enumerate_group(record: GroupRecord) -> GroupElements:
                             f"closure of {record.label} exceeded twice the "
                             f"expected order {record.expected_order}")
         frontier = batch
-    matrices = tuple(Matrix2(*(ar.values[i] for i in ids)) for ids in elements)
-    return GroupElements(record, matrices, ar, frozenset(seen), gen_ids, one)
+    return GroupElements(record, ar, tuple(elements), gen_ids, one)
 
 
 def fingerprint(els: GroupElements) -> dict:
@@ -480,17 +477,6 @@ def is_invariant(group, p: MultiPoly) -> bool:
         if substitute(pl, _action_images(g, fld)) != pl:
             return False
     return True
-
-
-def reynolds(els: GroupElements, p: MultiPoly) -> MultiPoly:
-    """Group average of p; the projection onto the invariant subalgebra."""
-    record = els.record
-    fld = common_field(p.field, CyclotomicField(record.conductor))
-    pl = p.in_field(fld)
-    total = MultiPoly.zero(VARS, fld)
-    for g in els.matrices:
-        total = total + substitute(pl, _action_images(g, fld))
-    return total * Fraction(1, len(els.matrices))
 
 
 _SEEDS = {
@@ -708,98 +694,7 @@ def default_table4_rows():
 
 
 # ---------------------------------------------------------------------------
-# basic-set transitions and the degree census
-
-def _match_scalar(target: MultiPoly, source: MultiPoly):
-    """c with target = c*source, or None."""
-    if not is_scalar_multiple(target, source):
-        return None
-    exps = next(iter(source.terms))
-    fld = target.field
-    return fld.coerce(target.coeff(exps)) * field_inverse(fld.coerce(source.coeff(exps)))
-
-
-def _solve_two_term(target: MultiPoly, u: MultiPoly, v: MultiPoly):
-    """(c, d) with target = c*u + d*v, or None; exact linear algebra."""
-    fld = target.field
-    monomials = set(target.terms) | set(u.terms) | set(v.terms)
-    rows = []
-    for e in sorted(monomials):
-        rows.append((fld.coerce(u.coeff(e)), fld.coerce(v.coeff(e)),
-                     fld.coerce(target.coeff(e))))
-    # find a pivot row with nonzero u-coordinate
-    pivot = next((r for r in rows if r[0]), None)
-    if pivot is None:
-        # u contributes nothing: pure scaling of v
-        d = _match_scalar(target, v)
-        return None if d is None else (fld.coerce(0), d)
-    a0, b0, t0 = pivot
-    inv0 = field_inverse(a0)
-    second = next((r for r in rows
-                   if r[1] * a0 != r[0] * b0), None)
-    if second is None:
-        # v is proportional to u on the support; one free choice
-        c = t0 * inv0
-        if all(r[2] == r[0] * c for r in rows):
-            return (c, fld.coerce(0))
-        return None
-    a1, b1, t1 = second
-    d = (t1 * a0 - a1 * t0) * field_inverse(b1 * a0 - a1 * b0)
-    c = (t0 - b0 * d) * inv0
-    if all(r[2] == r[0] * c + r[1] * d for r in rows):
-        return (c, d)
-    return None
-
-
-def basic_set_transition(phi, psi) -> PlaneAutomorphism:
-    """The plane automorphism carrying one basic set onto another.
-
-    Solves phi = Phi o psi for Phi, whose shape is forced by the degree
-    pattern of the basic set: unequal non-dividing degrees give a
-    diagonal map, dividing degrees allow a monomial shear, and equal
-    degrees a full linear map.  Raises when no such automorphism exists.
-    """
-    p1, p2 = phi
-    s1, s2 = psi
-    fld = common_field(common_field(p1.field, p2.field),
-                       common_field(s1.field, s2.field))
-    p1, p2, s1, s2 = (q.in_field(fld) for q in (p1, p2, s1, s2))
-    d1, d2 = s1.total_degree(), s2.total_degree()
-    if (p1.total_degree(), p2.total_degree()) != (d1, d2):
-        raise ValueError("basic sets have different degree patterns")
-    if d1 > d2:
-        raise ValueError("expected the pair ordered by degree")
-    fail = ValueError("pairs are not related by a basic-set transition")
-
-    a = _match_scalar(p1, s1)
-    if d2 % d1:
-        b = _match_scalar(p2, s2)
-        if a is None or b is None or not a or not b:
-            raise fail
-        return PlaneAutomorphism.linear(a, 0, 0, b, field=fld)
-    if d1 != d2:
-        if a is None or not a:
-            raise fail
-        s = d2 // d1
-        got = _solve_two_term(p2, s1**s, s2)
-        if got is None:
-            raise fail
-        c, d = got
-        if not d:
-            raise fail
-        # (x, y) -> (x, y + (c/d) x^s), then (x, y) -> (a x, d y)
-        x = MultiPoly.variable("x", VARS, fld)
-        shear = PlaneAutomorphism.triangular(x**s * (c * field_inverse(d)), lower=True)
-        return shear.then(PlaneAutomorphism.linear(a, 0, 0, d, field=fld))
-    ab = _solve_two_term(p1, s1, s2)
-    cd = _solve_two_term(p2, s1, s2)
-    if ab is None or cd is None:
-        raise fail
-    (a, b), (c, d) = ab, cd
-    if not a * d - b * c:
-        raise fail
-    return PlaneAutomorphism.linear(a, b, c, d, field=fld)
-
+# the degree census
 
 def classes_of_degree(d: int):
     """Every catalog group of order d, one record per equivalence class."""

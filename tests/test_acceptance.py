@@ -5,7 +5,6 @@ print so pytest sees the same verdict.  Budgets and tolerances are pinned
 here and nowhere else.
 """
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -15,7 +14,7 @@ from polymap.curves import (CONIC_TWO_POINTS, LINE, classify_low_degree_curve,
 from polymap.groebner import elimination_ideal
 from polymap.maps import (PlaneAutomorphism, PolyMap, branch_ideal, compose,
                           critical_ideal, integral_relation_check, is_proper,
-                          make_family, topological_degree, verify_branch)
+                          make_family, topological_degree)
 from polymap.parser import format_poly, parse_map, parse_poly
 from polymap.polyring import (MultiPoly, QQ, divides, hessian_det,
                               is_scalar_multiple, jacobian_det, resultant,

@@ -7,6 +7,7 @@ import pytest
 
 from polymap import cli
 from polymap.cli import main
+from polymap.polyring import MultiPoly
 
 
 def run(capsys, *argv):
@@ -252,6 +253,51 @@ def test_verify_theorem_a(capsys):
     assert code == 0
     assert "jacobian-split(d=3): pass" in out
     assert "degree-2-remark: pass" in out
+
+
+def test_verify_theorem_a_json_pinned(capsys):
+    code, out, _ = run(capsys, "--json", "verify-theorem-a")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tier"] is None
+    expected = []
+    for d, h2 in ((3, "-x*y + x - 2*y"), (4, "-2*x*y + x - 3*y"),
+                  (5, "-3*x*y + x - 4*y")):
+        expected += [
+            (f"jacobian-split(d={d})", "pass", {"h1": "x", "h2": h2}),
+            (f"integral-relations(d={d})", "pass",
+             {"x_relation": True, "y_relation": True}),
+            (f"critical-components(d={d})", "pass",
+             {"h2_class": "conic-two-points-at-infinity", "h1_class": "line"}),
+        ]
+    expected.append(("degree-2-remark", "pass",
+                     {"composite": "(x*y + x + y, x*y)"}))
+    assert [(c["name"], c["status"], c["details"])
+            for c in doc["checks"]] == expected
+
+
+@pytest.mark.parametrize("d", ["0", "2"])
+def test_verify_theorem_a_rejects_d_below_three(capsys, d):
+    code, out, err = run(capsys, "verify-theorem-a", "--d", d)
+    assert code == 1 and not out
+    assert err == "polymap: verify-theorem-a needs d >= 3\n"
+
+
+def test_verify_theorem_a_names_the_jacobian_on_failure(capsys, monkeypatch):
+    # a Jacobian off the closed form x^(d-2) * H2 fails the split check
+    monkeypatch.setattr(cli, "critical_ideal",
+                        lambda f: MultiPoly.variable("y", ("x", "y")))
+    code, out, _ = run(capsys, "--json", "verify-theorem-a", "--d", "3")
+    assert code == 1
+    split = json.loads(out)["checks"][0]
+    assert split == {"name": "jacobian-split(d=3)", "status": "fail",
+                     "details": {"jacobian": "y"}}
+
+
+def test_verify_theorem_b_rejects_empty_range(capsys):
+    code, out, err = run(capsys, "verify-theorem-b", "--n-max", "0")
+    assert code == 1 and not out
+    assert err == "polymap: verify-theorem-b needs --n-max >= 1\n"
 
 
 def test_verify_theorem_b(capsys):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from polymap.curves import (CONIC_ONE_POINT, CONIC_TWO_POINTS,
                             DEGENERATE_CONIC, LINE, NOT_APPLICABLE,
-                            MilnorResult, NonEquivalenceCertificate,
-                            PreconditionError, classify_low_degree_curve,
-                            distinguish_by_milnor, milnor_at_origin,
+                            NonEquivalenceCertificate, PreconditionError,
+                            classify_low_degree_curve, distinguish_by_milnor,
+                            milnor_at_origin,
                             singular_points_exist_outside_origin)
 from polymap.maps import PolyMap, make_family
 from polymap.parser import parse_map, parse_poly

@@ -1,13 +1,16 @@
-"""Source hygiene: every module uses each name it imports, and every
-module-level private name is read somewhere else in the package."""
+"""Source hygiene: every module of the package and of the test suite uses
+each name it imports, and every module-level private name is read
+somewhere else in the package."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "polymap"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "polymap"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -32,7 +35,8 @@ def test_checker_sees_an_unused_import():
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+# test file names start with test_ or conftest, so no id repeats a module's
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 

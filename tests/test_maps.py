@@ -7,15 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymap.groebner import ComputationBudget, ResourceBudgetExceeded
-from polymap.maps import (BranchCheck, PlaneAutomorphism, PolyMap,
-                          branch_ideal, compose, critical_ideal,
+from polymap.maps import (PlaneAutomorphism, PolyMap, branch_ideal, compose,
                           integral_relation_check, is_monic_in_y, is_proper,
-                          jacobian_power_factorization, make_family,
-                          squarefree_decomposition, topological_degree,
-                          verify_branch)
+                          make_family, topological_degree, verify_branch)
 from polymap.parser import parse_map, parse_poly
-from polymap.polyring import (MultiPoly, QQ, divides, is_scalar_multiple,
-                              squarefree_part, substitute)
+from polymap.polyring import MultiPoly, QQ, is_scalar_multiple, substitute
 
 X = MultiPoly.variable("x", ("x", "y"))
 Y = MultiPoly.variable("y", ("x", "y"))
@@ -182,42 +178,6 @@ def test_triangular_and_translation():
     assert g.f1 == X + 2 and g.f2 == Y - 1
 
 
-def test_jacobian_power_factorization_pinch():
-    for d in (3, 4, 5):
-        f = make_family("pinch", d=d)
-        h1, h2 = jacobian_power_factorization(f, d)
-        assert h1 == X
-        assert h2 == parse_poly(f"(2 - {d})*x*y + x - ({d} - 1)*y")
-        assert is_scalar_multiple(critical_ideal(f), h1 ** (d - 2) * h2)
-
-
-def test_jacobian_power_factorization_rejections():
-    # constant cofactor: J = 2y = y^(3-2) * 2 has no nonconstant second factor
-    assert jacobian_power_factorization(pmap("(x, y^2)"), 3) is None
-    # automorphisms have constant Jacobians
-    assert jacobian_power_factorization(pmap("(x + y, y)"), 3) is None
-    with pytest.raises(ValueError):
-        jacobian_power_factorization(make_family("whitney"), 2)
-
-
-def test_jacobian_power_factorization_pure_power():
-    split = jacobian_power_factorization(pmap("(x, y^3)"), 3)
-    assert split is not None
-    h1, h2 = split
-    J = critical_ideal(pmap("(x, y^3)"))
-    assert is_scalar_multiple(J, h1 * h2)
-    assert not h1.is_constant() and not h2.is_constant()
-
-
-def test_squarefree_decomposition_frozen():
-    p = parse_poly("x^3*y^2*(x + y)")
-    assert squarefree_decomposition(p) == \
-        [(1, parse_poly("x + y")), (2, Y), (3, X)]
-    q = (X + Y) ** 4
-    [(mult, fac)] = squarefree_decomposition(q)
-    assert mult == 4 and is_scalar_multiple(fac, X + Y)
-
-
 def test_integral_relations_frozen():
     d = 3
     f = make_family("pinch", d=d)
@@ -235,6 +195,19 @@ def test_integral_relation_requires_constant_lead():
     bad = parse_poly("s*u^2 - t", variables=("u", "s", "t"))
     with pytest.raises(ValueError):
         integral_relation_check(f, X, bad)
+
+
+def test_monic_rule_is_shared():
+    # one top term in the main variable, free of the others, any scalar lead
+    assert is_monic_in_y(parse_poly("2*y^2 + x"))
+    assert not is_monic_in_y(parse_poly("y^2 + x*y^2"))
+    f = make_family("pinch", d=3)
+    uvars = ("u", "s", "t")
+    # twice the monic relation of x is still accepted
+    twice = parse_poly("2*u^3 - 2*s*u^2 + 2*t*u + 2*t", variables=uvars)
+    assert integral_relation_check(f, X, twice)
+    with pytest.raises(ValueError, match="not monic"):
+        integral_relation_check(f, X, parse_poly("u^2 + s*u^2", variables=uvars))
 
 
 def _random_linear_autos(rng):

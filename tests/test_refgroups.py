@@ -1,23 +1,18 @@
 """Reflection group catalog: enumeration, invariants, branch verification."""
 
-from fractions import Fraction
-
 import pytest
 
 from polymap.maps import is_proper, topological_degree, verify_branch
 from polymap.numberfield import zeta
 from polymap.parser import parse_poly
-from polymap.polyring import (CyclotomicField, MultiPoly, QQ, common_field,
-                              is_scalar_multiple, jacobian_det, substitute)
-from polymap.refgroups import (GroupRecord, Matrix2, basic_invariants,
-                               basic_set_transition, build_group,
+from polymap.polyring import MultiPoly, is_scalar_multiple, jacobian_det
+from polymap.refgroups import (Matrix2, basic_invariants, build_group,
                                claimed_branch, classes_of_degree, cyclic_group,
                                default_table4_rows, enumerate_group,
                                exceptional_group, fingerprint,
                                imprimitive_group, invariant_seed, is_invariant,
                                parse_group_spec, product_group, quotient_map,
-                               reynolds, verify_presentation,
-                               verify_table4_row)
+                               verify_presentation, verify_table4_row)
 
 X = MultiPoly.variable("x", ("x", "y"))
 Y = MultiPoly.variable("y", ("x", "y"))
@@ -150,18 +145,6 @@ def test_hessian_jacobian_reconstructions():
                               invariant_seed("g30"))
 
 
-def test_reynolds_projects_onto_invariants():
-    rec = exceptional_group(4)
-    els = enumerate_group(rec)
-    seed = invariant_seed("a4")
-    # averaging fixes invariants; the result lives in the group's field
-    fixed = reynolds(els, seed)
-    assert fixed == seed.in_field(fixed.field)
-    # averaging any quartic yields an invariant
-    image = reynolds(els, X ** 2 * Y ** 2)
-    assert not image.terms or is_invariant(rec, image)
-
-
 def test_basic_invariants_structure():
     assert basic_invariants(cyclic_group(4)) == (X, Y ** 4)
     assert basic_invariants(product_group(3, 4)) == (X ** 3, Y ** 4)
@@ -240,60 +223,6 @@ def test_default_slate_shape():
     assert kinds.count("product") == 6
     assert kinds.count("imprimitive") == 13
     assert kinds.count("exceptional") == 19
-
-
-def test_basic_set_transition_diagonal():
-    a4 = invariant_seed("a4")
-    b6 = invariant_seed("b6")
-    fld = common_field(a4.field, b6.field)
-    psi = (a4.in_field(fld), b6.in_field(fld))
-    phi = (psi[0] * 3, psi[1] * 5)
-    auto = basic_set_transition(phi, psi)
-    assert auto.forward[0] == MultiPoly.variable("x", ("x", "y"), fld) * 3
-    assert auto.forward[1] == MultiPoly.variable("y", ("x", "y"), fld) * 5
-
-
-def test_basic_set_transition_shear_case():
-    psi = (parse_poly("x^2 + y^2"), parse_poly("x^2*y^2"))
-    phi = (parse_poly("x^2 + y^2"), parse_poly("(x^2 + y^2)^2 - 4*x^2*y^2"))
-    auto = basic_set_transition(phi, psi)
-    assert auto.forward == (X, X ** 2 - Y * 4)
-    # transition composed with psi reproduces phi
-    for got, want in zip(auto.forward, (X, X ** 2 - Y * 4)):
-        assert got == want
-    rebuilt = tuple(substitute(c, {"x": psi[0], "y": psi[1]})
-                    for c in auto.forward)
-    assert rebuilt == phi
-
-
-def test_basic_set_transition_equal_degrees_over_zeta3():
-    # a full linear transition, b and c nonzero, with irrational entries
-    w = zeta(3)
-    fld = CyclotomicField(3)
-    psi = (parse_poly("x^2 + y^2").in_field(fld), parse_poly("x*y").in_field(fld))
-    a, b, c, d = 1, w, 2, w * w
-    phi = (psi[0] * a + psi[1] * b, psi[0] * c + psi[1] * d)
-    auto = basic_set_transition(phi, psi)
-    x = MultiPoly.variable("x", ("x", "y"), fld)
-    y = MultiPoly.variable("y", ("x", "y"), fld)
-    det = w * w - w * 2
-    assert auto.forward == (x * a + y * b, x * c + y * d)
-    assert auto.inverse == ((x * d - y * b) * det.inverse(),
-                            (y * a - x * c) * det.inverse())
-    rebuilt = tuple(substitute(q, {"x": psi[0], "y": psi[1]})
-                    for q in auto.forward)
-    assert rebuilt == phi
-
-
-def test_basic_set_transition_identity_and_errors():
-    psi = (parse_poly("x^2"), parse_poly("y^2"))
-    auto = basic_set_transition(psi, psi)
-    assert auto.forward == (X, Y)
-    with pytest.raises(ValueError):
-        basic_set_transition((X ** 2, Y ** 2), (X ** 3, Y ** 3))
-    with pytest.raises(ValueError):
-        basic_set_transition((parse_poly("x^2 + y"), parse_poly("y^2")),
-                             (parse_poly("x^2"), parse_poly("y^2")))
 
 
 def test_classes_of_degree_frozen():
