@@ -193,8 +193,11 @@ def _cmd_group(args):
             "degrees": list(record.degrees), "conductor": record.conductor}
     if record.gap_label:
         base["gap_label"] = record.gap_label
+    if args.fingerprint or args.verify:
+        # one closure serves both checks
+        els = enumerate_group(record)
     if args.fingerprint:
-        fp = fingerprint(enumerate_group(record))
+        fp = fingerprint(els)
         ok = fp["order"] == record.expected_order
         checks.append(Check("fingerprint", PASS if ok else FAIL,
                             {**base, **fp,
@@ -211,7 +214,6 @@ def _cmd_group(args):
                             {**base, "map": _render_map(f),
                              "claimed_branch": format_poly(claimed_branch(record))}))
     if args.verify:
-        els = enumerate_group(record)
         ok = len(els) == record.expected_order
         details = {**base, "enumerated": len(els)}
         if record.kind == "exceptional":

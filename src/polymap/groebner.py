@@ -14,6 +14,26 @@ polynomial, so the partial remainder stays in integers over one
 denominator that is divided out once at the end (`_reduce_terms`).
 Over Q(zeta_N) each step multiplies by the inverse leading coefficient.
 
+Inside the engine a monomial is one int, in the layout of Monagan &
+Pearce ("Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  Each exponent gets a field of 15 value
+bits under one guard bit, so a product is an int sum, a quotient an int
+difference, and divisibility, lcm and coprimality take a few int
+operations on all fields at once (`_Packing`).  Every order of
+`polyring` has a key linear in the exponents, so the key is one int
+too: a dot product with one column per variable, memoized per
+monomial.  The division loop keeps the partial remainder's monomials
+in a heap on their negated keys and skips the ones that cancelled
+when they come up, instead of scanning for the largest at each step
+(Monagan & Pearce, "Sparse polynomial division using a heap", JSC
+2011).  A sum of two valid monomials cannot carry past a guard bit, so
+an exponent that outgrows its field shows as a set guard bit when the
+new monomial first gets its key, and an input exponent that does not
+fit is caught when it is packed; either way the fields widen and the
+computation starts over (`_packed`), so no exponent ever wraps.
+Polynomials enter and leave the engine as MultiPolys with tuple
+exponents.
+
 Standard bases in the local ring at the origin come from the same
 engine by Lazard's method: homogenize the generators with one new
 variable, compute a global basis under a degree order that breaks ties
@@ -31,9 +51,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .polyring import (LocalOrder, DegRevLex, MonomialOrder, MultiPoly,
-                       block_order, common_field, field_inverse, monic,
+                       block_order, common_field, field_inverse,
                        primitive_normalize)
 
 
@@ -100,64 +121,129 @@ class IdealBasis:
         return [g.leading(self.order)[0] for g in self.basis]
 
 
-def _exp_lcm(a, b):
-    return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
 def _exp_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _exp_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+class _ExponentOverflow(ArithmeticError):
+    """An exponent outgrew its packed field; `_packed` widens and starts over."""
 
 
-def _exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+class _Packing:
+    """Exponent vectors packed into one int, and the order as an int key.
+
+    Variable i owns the `bits`-bit field at offset i * (bits + 1); the bit
+    just above it is the field's guard bit, clear in every valid
+    monomial.  Product and quotient are `+` and `-`, and a divides b
+    when subtracting a from b with every guard bit set borrows from no
+    guard.  The order key is linear in the exponents, so it is the dot
+    product of the exponents with one int column per variable, read off
+    `order.key` at the unit vectors: each key row becomes one
+    signed digit of the int, wide enough that comparing ints compares
+    the key tuples.  `negkey` memoizes the negated key of each monomial
+    it sees and refuses one with a guard bit set.
+    """
+
+    __slots__ = ("bits", "offsets", "mask", "guard", "negkey")
+
+    def __init__(self, nvars, order, bits):
+        self.bits = bits
+        self.offsets = offsets = tuple(range(0, nvars * (bits + 1), bits + 1))
+        self.mask = mask = (1 << bits) - 1
+        self.guard = guard = sum(1 << (o + bits) for o in offsets)
+        columns = [order.key(tuple(int(i == j) for j in range(nvars)))
+                   for i in range(nvars)]
+        rows = len(order.key((0,) * nvars))
+        norm = max((sum(abs(col[k]) for col in columns) for k in range(rows)), default=0)
+        # one digit holds a row's value on any valid monomial with room
+        # for the sign, and a difference of two such values
+        digit = bits + 1 + norm.bit_length()
+        negcols = tuple((o, -sum(v << (digit * (rows - 1 - k)) for k, v in enumerate(col)))
+                        for o, col in zip(offsets, columns))
+        memo = {}
+
+        def negkey(m):
+            k = memo.get(m)
+            if k is None:
+                if m & guard:
+                    raise _ExponentOverflow(m)
+                k = memo[m] = sum(c * ((m >> o) & mask) for o, c in negcols)
+            return k
+
+        self.negkey = negkey
+
+    def pack(self, exps):
+        if max(exps, default=0) > self.mask:
+            raise _ExponentOverflow(exps)
+        return sum(e << o for e, o in zip(exps, self.offsets))
+
+    def unpack(self, m):
+        mask = self.mask
+        return tuple((m >> o) & mask for o in self.offsets)
+
+    def divides(self, a, b):
+        guard = self.guard
+        return ((b | guard) - a) & guard == guard
+
+    def lcm(self, a, b):
+        # the guard bits where a's field is at least b's, spread to field masks
+        ge = ((a | self.guard) - b) & self.guard
+        fields = ge - (ge >> self.bits)
+        return b ^ ((a ^ b) & fields)
 
 
-def _exp_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _packed(run, nvars, order):
+    """run(packing) with fields wide enough for every exponent it meets.
 
-
-def _normalize(p: MultiPoly, order) -> MultiPoly:
-    # primitive integer coefficients over Q; monic over a cyclotomic field
-    if p.field.is_cyclotomic:
-        return monic(p, order)
-    return primitive_normalize(p, order)
-
-
-def _key_memo(order):
-    cache = {}
-    okey = order.key
-
-    def keyf(e):
-        k = cache.get(e)
-        if k is None:
-            k = okey(e)
-            cache[e] = k
-        return k
-
-    return keyf
+    Fields start at 15 bits.  An exponent that does not fit, at packing
+    time or as a new product, raises _ExponentOverflow; the width then
+    doubles (plus one) and `run` starts over, so nothing ever wraps.
+    """
+    bits = 15
+    while True:
+        try:
+            return run(_Packing(nvars, order, bits))
+        except _ExponentOverflow:
+            bits = 2 * bits + 1
 
 
 class _Entry:
-    """A basis element with its leading term, in the form the division loop reads.
+    """A basis element in the form the division loop reads: packed terms
+    and the leading term."""
 
-    Over Q, `terms` is the positive integer multiple of `poly` that
-    `_integral` gives, which is `poly` itself once normalized.
-    """
+    __slots__ = ("terms", "lead_exp", "lead_coeff", "index", "retired")
 
-    __slots__ = ("poly", "terms", "lead_exp", "lead_coeff", "index", "retired")
-
-    def __init__(self, poly, keyf, index):
-        terms = poly.terms if poly.field.is_cyclotomic else _integral(poly.terms)[0]
-        self.poly = poly
+    def __init__(self, terms, lead, index):
         self.terms = terms
-        self.lead_exp = max(terms, key=keyf)
-        self.lead_coeff = terms[self.lead_exp]
+        self.lead_exp = lead
+        self.lead_coeff = terms[lead]
         self.index = index
         self.retired = False
+
+
+def _pack_terms(p: MultiPoly, packing):
+    """(terms, lead): p's terms with packed monomials, over Q the least
+    integral multiple (`_integral`), and the leading monomial."""
+    terms = p.terms if p.field.is_cyclotomic else _integral(p.terms)[0]
+    pack = packing.pack
+    terms = {pack(e): c for e, c in terms.items()}
+    return terms, min(terms, key=packing.negkey)
+
+
+def _normalized(terms, lead, field):
+    """The canonical multiple of packed terms: over Q, where they are
+    integers, primitive with a positive leading coefficient, as
+    `primitive_normalize` gives; monic over Q(zeta_N)."""
+    c = terms[lead]
+    if field.is_cyclotomic:
+        inv = field_inverse(c)
+        return {m: v * inv for m, v in terms.items()}
+    content = math.gcd(*terms.values())
+    if c < 0:
+        content = -content
+    if content == 1:
+        return terms
+    return {m: v // content for m, v in terms.items()}
 
 
 def _integral(terms):
@@ -179,11 +265,14 @@ def _integral(terms):
 _STRIP_EVERY = 8
 
 
-def _reduce_terms(hterms, entries, keyf, field):
-    """Full division of a raw term dict by the entry list.
+def _reduce_terms(hterms, entries, packing, field):
+    """Full division of a raw term dict, packed, by the entry list.
 
-    Returns (terms, scale): the remainder is scale * terms.  Over Q the
-    division is fraction-free, as in `polyring._bareiss_det`: the
+    Returns (terms, scale): the remainder is scale * terms, and `terms`
+    runs from the leading term down.  The partial remainder's monomials
+    wait in a heap on their negated keys; a monomial that cancels stays
+    there and is skipped when it comes up.  Over Q the division is
+    fraction-free, as in `polyring._bareiss_det`: the
     partial remainder is kept in integers; a step with leading
     coefficient c against a reducer's lc multiplies it, and the terms
     already moved to the remainder, by |lc|/gcd(c, lc) and subtracts an
@@ -199,17 +288,23 @@ def _reduce_terms(hterms, entries, keyf, field):
     if integral:
         hterms, den = _integral(hterms)
         scale = Fraction(1, den)
+    negkey = packing.negkey
+    guard = packing.guard
+    leads = [(g.lead_exp, g) for g in entries]
+    heap = [(negkey(e), e) for e in hterms]
+    heapify(heap)
     out = {}
     scaled = 0
-    while hterms:
-        e = max(hterms, key=keyf)
-        c = hterms.pop(e)
-        red = None
-        for g in entries:
-            if _exp_divides(g.lead_exp, e):
-                red = g
+    while heap:
+        e = heappop(heap)[1]
+        c = hterms.pop(e, None)
+        if c is None:
+            continue
+        eg = e | guard
+        for lead, red in leads:
+            if (eg - lead) & guard == guard:
                 break
-        if red is None:
+        else:
             out[e] = c
             continue
         lc = red.lead_coeff
@@ -226,15 +321,16 @@ def _reduce_terms(hterms, entries, keyf, field):
                 scaled += 1
         else:
             factor = c * field_inverse(lc)
-        shift = _exp_sub(e, red.lead_exp)
+        shift = e - lead
         for ge, gc in red.terms.items():
-            if ge == red.lead_exp:
+            if ge == lead:
                 continue
-            ne = _exp_add(ge, shift)
+            ne = ge + shift
             cur = hterms.get(ne)
             delta = factor * gc
             if cur is None:
                 hterms[ne] = -delta
+                heappush(heap, (negkey(ne), ne))
             else:
                 cur = cur - delta
                 if cur:
@@ -252,20 +348,19 @@ def _reduce_terms(hterms, entries, keyf, field):
     return out, scale
 
 
-def _spoly_terms(f: _Entry, g: _Entry):
-    """S-polynomial as a raw term dict, cross-scaled to avoid inverses."""
-    lcm = _exp_lcm(f.lead_exp, g.lead_exp)
-    sf = _exp_sub(lcm, f.lead_exp)
-    sg = _exp_sub(lcm, g.lead_exp)
+def _spoly_terms(f: _Entry, g: _Entry, lcm):
+    """S-polynomial as a raw packed term dict, cross-scaled to avoid inverses."""
+    sf = lcm - f.lead_exp
+    sg = lcm - g.lead_exp
     cf, cg = f.lead_coeff, g.lead_coeff
     terms = {}
     for e, c in f.terms.items():
         if e != f.lead_exp:
-            terms[_exp_add(e, sf)] = c * cg
+            terms[e + sf] = c * cg
     for e, c in g.terms.items():
         if e == g.lead_exp:
             continue
-        ne = _exp_add(e, sg)
+        ne = e + sg
         cur = terms.get(ne)
         delta = c * cf
         if cur is None:
@@ -279,15 +374,17 @@ def _spoly_terms(f: _Entry, g: _Entry):
     return terms
 
 
-def _gm_update(pairs, entries, new: _Entry):
+def _gm_update(pairs, entries, new: _Entry, packing):
     """Gebauer-Moeller update of the pair set for a freshly added element."""
     t = new.index
-    lcm_with_new = {g.index: _exp_lcm(g.lead_exp, new.lead_exp)
+    lead = new.lead_exp
+    guard = packing.guard
+    lcm_with_new = {g.index: packing.lcm(g.lead_exp, lead)
                     for g in entries if g.index != t}
     # prune old pairs strictly dominated by the new element
     survivors = {}
     for (i, j), lcm in pairs.items():
-        if (_exp_divides(new.lead_exp, lcm)
+        if (((lcm | guard) - lead) & guard == guard
                 and lcm_with_new[i] != lcm and lcm_with_new[j] != lcm):
             continue
         survivors[(i, j)] = lcm
@@ -297,16 +394,18 @@ def _gm_update(pairs, entries, new: _Entry):
     # drop candidates whose lcm is a proper multiple of another candidate's lcm
     kept = {}
     for i, lcm in fresh.items():
-        dominated = any(other != lcm and _exp_divides(other, lcm)
+        lg = lcm | guard
+        dominated = any(other != lcm and (lg - other) & guard == guard
                         for other in fresh.values())
         if not dominated:
             kept[i] = lcm
-    # one representative per lcm class; a coprime member kills its whole class
+    # one representative per lcm class; a coprime member kills its whole
+    # class, and coprime leads are those whose lcm is their product
     classes = {}
     for i, lcm in sorted(kept.items()):
         classes.setdefault(lcm, []).append(i)
     for lcm, members in classes.items():
-        if any(_exp_coprime(entries[i].lead_exp, new.lead_exp) for i in members):
+        if any(lcm == entries[i].lead_exp + lead for i in members):
             continue
         survivors[(members[0], t)] = lcm
     return survivors
@@ -323,7 +422,7 @@ def _grading(gens):
     diffs = []
     for g in gens:
         first, *rest = g.terms
-        diffs.extend(_exp_sub(e, first) for e in rest)
+        diffs.extend(tuple(x - y for x, y in zip(e, first)) for e in rest)
     if all(sum(d) == 0 for d in diffs):
         return (1,) * n
     # integer row echelon form, built one row at a time: pivot column -> row
@@ -375,77 +474,99 @@ def buchberger(generators, order: MonomialOrder = None,
     ring = gens[0]
     for g in gens[1:]:
         ring._same_ring(g)
-    keyf = _key_memo(order)
+    weights = _grading(gens)
+    basis, stats = _packed(lambda packing: _buchberger(gens, budget, weights, packing),
+                           len(ring.vars), order)
+    return IdealBasis(list(generators), order, basis, stats=stats)
+
+
+def _buchberger(gens, budget, weights, packing):
+    """(reduced basis, stats) of the generators, under the packing's order."""
+    negkey = packing.negkey
+    divides = packing.divides
+    field = gens[0].field
     # basis_size counts the live (non-retired) entries throughout, so a
     # budget stop reports the basis as it stood
     stats = {"pair_reductions": 0, "zero_reductions": 0, "basis_size": 0}
 
     entries: list[_Entry] = []
+    active: list[_Entry] = []     # the live entries, smallest lead first
     pairs: dict = {}
 
-    def add(poly):
-        entry = _Entry(poly, keyf, len(entries))
+    def add(terms, lead):
+        nonlocal pairs, active
+        entry = _Entry(_normalized(terms, lead, field), lead, len(entries))
         entries.append(entry)
         stats["basis_size"] += 1
         # pairs are formed against the pre-retirement basis; only afterwards may
         # elements with now-redundant leading terms stop spawning future pairs
-        new_pairs = _gm_update(pairs, entries, entry)
-        for e in entries:
-            if e is not entry and not e.retired and _exp_divides(entry.lead_exp, e.lead_exp):
+        pairs = _gm_update(pairs, entries, entry, packing)
+        for e in active:
+            if divides(lead, e.lead_exp):
                 e.retired = True
                 stats["basis_size"] -= 1
-        return new_pairs
+        active = [e for e in active if not e.retired]
+        active.append(entry)
+        active.sort(key=lambda e: negkey(e.lead_exp), reverse=True)
 
-    for g in sorted((_normalize(g, order) for g in gens),
-                    key=lambda p: keyf(p.leading(order)[0])):
-        pairs = add(g)
+    for terms, lead in sorted((_pack_terms(g, packing) for g in gens),
+                              key=lambda tl: negkey(tl[1]), reverse=True):
+        add(terms, lead)
 
-    weights = _grading(gens)
-    if weights is None:
-        def pair_key(item):
-            return keyf(item[1]), item[0]
-    else:
-        def pair_key(item):
-            lcm = item[1]
-            return sum(w * e for w, e in zip(weights, lcm)), keyf(lcm), item[0]
+    # the smallest lcm comes first: by weighted degree when there is a
+    # grading, then by the order; ranks are memoized per lcm
+    rank = {}
+    unpack = packing.unpack
+
+    def pair_key(item):
+        lcm = item[1]
+        r = rank.get(lcm)
+        if r is None:
+            r = rank[lcm] = ((-negkey(lcm),) if weights is None else
+                             (sum(w * e for w, e in zip(weights, unpack(lcm))), -negkey(lcm)))
+        return r, item[0]
 
     while pairs:
         budget.check_pairs(stats)
-        (i, j), _lcm = min(pairs.items(), key=pair_key)
+        (i, j), lcm = min(pairs.items(), key=pair_key)
         del pairs[(i, j)]
         stats["pair_reductions"] += 1
-        sterms = _spoly_terms(entries[i], entries[j])
-        active = sorted((e for e in entries if not e.retired),
-                        key=lambda e: keyf(e.lead_exp))
-        rterms, _ = _reduce_terms(sterms, active, keyf, ring.field)
-        if not rterms:
+        rterms, _ = _reduce_terms(_spoly_terms(entries[i], entries[j], lcm),
+                                  active, packing, field)
+        if rterms:
+            add(rterms, next(iter(rterms)))
+        else:
             stats["zero_reductions"] += 1
-            continue
-        pairs = add(_normalize(MultiPoly(ring.vars, rterms, ring.field, _clean=True),
-                               order))
 
-    basis = _interreduce([e for e in entries if not e.retired], order, keyf)
+    basis = _interreduce(active, gens[0], packing)
     stats["basis_size"] = len(basis)
-    return IdealBasis(list(generators), order, basis, stats=stats)
+    return basis, stats
 
 
-def _interreduce(entries, order, keyf):
-    """Reduced basis from the live entries, sorted by leading monomial.
+def _interreduce(entries, ring, packing):
+    """Reduced basis, as MultiPolys of `ring`, from the live entries sorted
+    by leading monomial.
 
     Each kept element is reduced by the others; its leading term is not
     divisible by theirs, so it stays, and the output keeps the order.
     """
     kept = []
-    for entry in sorted(entries, key=lambda e: keyf(e.lead_exp)):
-        if not any(_exp_divides(k.lead_exp, entry.lead_exp) for k in kept):
+    for entry in entries:
+        if not any(packing.divides(k.lead_exp, entry.lead_exp) for k in kept):
             kept.append(entry)
     out = []
     for entry in kept:
         others = [k for k in kept if k is not entry]
-        p = entry.poly
-        terms, _ = _reduce_terms(dict(entry.terms), others, keyf, p.field)
-        out.append(_normalize(MultiPoly(p.vars, terms, p.field, _clean=True), order))
+        terms, _ = _reduce_terms(dict(entry.terms), others, packing, ring.field)
+        out.append(_unpacked(ring, _normalized(terms, entry.lead_exp, ring.field), packing))
     return out
+
+
+def _unpacked(ring, terms, packing, field=None):
+    """The MultiPoly of a packed term dict, in the ring of `ring`."""
+    unpack = packing.unpack
+    return MultiPoly(ring.vars, {unpack(m): c for m, c in terms.items()},
+                     field or ring.field, _clean=True)
 
 
 def normal_form(p: MultiPoly, basis: IdealBasis) -> MultiPoly:
@@ -455,13 +576,18 @@ def normal_form(p: MultiPoly, basis: IdealBasis) -> MultiPoly:
     if not p.terms:
         return p
     field = common_field(p.field, basis.field)
-    keyf = _key_memo(basis.order)
-    entries = [_Entry(g, keyf, i) for i, g in enumerate(basis.basis)]
-    entries.sort(key=lambda e: keyf(e.lead_exp))
-    terms, scale = _reduce_terms(dict(p.in_field(field).terms), entries, keyf, field)
-    if scale != 1:
-        terms = {e: c * scale for e, c in terms.items()}
-    return MultiPoly(p.vars, terms, field, _clean=True)
+
+    def divide(packing):
+        entries = [_Entry(*_pack_terms(g, packing), i) for i, g in enumerate(basis.basis)]
+        entries.sort(key=lambda e: packing.negkey(e.lead_exp), reverse=True)
+        pack = packing.pack
+        terms, scale = _reduce_terms({pack(e): c for e, c in p.in_field(field).terms.items()},
+                                     entries, packing, field)
+        if scale != 1:
+            terms = {m: c * scale for m, c in terms.items()}
+        return _unpacked(p, terms, packing, field)
+
+    return _packed(divide, len(p.vars), basis.order)
 
 
 def elimination_ideal(generators, eliminate, budget=None) -> list:
@@ -569,10 +695,9 @@ def local_standard_basis(generators, budget: ComputationBudget = None) -> IdealB
                                      {e + (d - sum(e),): c for e, c in g.terms.items()},
                                      ring.field, _clean=True))
     gb = buchberger(homogenized, _HomogenizedLocalOrder(), budget)
-    keyf = _key_memo(order)
     # the h-exponent of a term of a homogeneous polynomial is fixed by
     # its other exponents, so setting h = 1 merges no terms
     basis = [MultiPoly(ring.vars, {e[:-1]: c for e, c in g.terms.items()},
                        ring.field, _clean=True) for g in gb.basis]
-    basis.sort(key=lambda p: keyf(p.leading(order)[0]), reverse=True)
+    basis.sort(key=lambda p: order.key(p.leading(order)[0]), reverse=True)
     return IdealBasis(list(generators), order, basis, stats=gb.stats)

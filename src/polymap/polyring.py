@@ -129,6 +129,13 @@ def field_inverse(c):
 # monomial orders
 
 class MonomialOrder:
+    """A monomial order: a larger `key` ranks higher.
+
+    Each entry of the key must be an integer linear form in the
+    exponents, since the Groebner engine reads the order as the weight
+    matrix of those forms.
+    """
+
     is_global = True
     name = "order"
 

@@ -210,6 +210,20 @@ def test_group_verify(capsys):
     assert "enumerated=48" in out
 
 
+def test_group_closes_once_for_fingerprint_and_verify(capsys, monkeypatch):
+    closed = []
+
+    def counting(record, _real=cli.enumerate_group):
+        closed.append(record.label)
+        return _real(record)
+
+    monkeypatch.setattr(cli, "enumerate_group", counting)
+    code, out, _ = run(capsys, "--json", "group", "G12", "--fingerprint", "--verify")
+    assert code == 0 and len(closed) == 1
+    fp, verify = json.loads(out)["checks"]
+    assert fp["details"]["order"] == verify["details"]["enumerated"] == 48
+
+
 def test_group_invariants_and_quotient(capsys):
     code, out, _ = run(capsys, "group", "Z_3", "--invariants", "--quotient")
     assert code == 0 and "y^3" in out

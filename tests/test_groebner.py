@@ -10,15 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polymap.groebner import (ComputationBudget, IdealBasis,
-                              ResourceBudgetExceeded, _grading, buchberger,
-                              elimination_ideal, local_standard_basis,
-                              normal_form, quotient_dimension)
+                              ResourceBudgetExceeded, _ExponentOverflow,
+                              _grading, _HomogenizedLocalOrder, _Packing,
+                              buchberger, elimination_ideal,
+                              local_standard_basis, normal_form,
+                              quotient_dimension)
 from polymap.maps import (PlaneAutomorphism, compose, critical_ideal,
                           make_family)
 from polymap.numberfield import CycloNumber
 from polymap.parser import format_poly, parse_poly
-from polymap.polyring import (CyclotomicField, DegRevLex, Lex, MultiPoly, QQ,
-                              block_order, derivative, divides,
+from polymap.polyring import (CyclotomicField, DegRevLex, Lex, LocalOrder,
+                              MultiPoly, QQ, block_order, derivative, divides,
                               is_scalar_multiple, monic)
 from polymap.refgroups import exceptional_group, quotient_map
 
@@ -499,3 +501,106 @@ def test_composed_graph_bases_are_pinned(spec, stats, basis):
     gb = buchberger(gens, block_order(allv, ("x", "y")))
     assert gb.stats == stats
     assert [format_poly(p) for p in gb.basis] == basis
+
+
+# ---------------------------------------------------------------------------
+# the packed layer: monomials as ints with a guard bit above each field, and
+# the order as one linear int key
+
+
+def _engine_orders(n):
+    """The five monomial orders the engine runs, on n variables."""
+    names = tuple("xyzw"[:n])
+    return (Lex(), DegRevLex(), block_order(names, names[:n // 2]), LocalOrder(),
+            _HomogenizedLocalOrder())
+
+
+def _monomials(n, bits):
+    top = (1 << bits) - 1
+    exponent = st.one_of(st.sampled_from((0, 1, top - 1, top)), st.integers(0, top))
+    return st.tuples(*[exponent] * n)
+
+
+def _monomial_pairs(bits):
+    return st.integers(1, 4).flatmap(
+        lambda n: st.tuples(_monomials(n, bits), _monomials(n, bits)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_pairs(15))
+def test_packed_monomials_match_tuple_arithmetic(pair):
+    a, b = pair
+    packing = _Packing(len(a), DegRevLex(), 15)
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.unpack(pa) == a and packing.unpack(pb) == b
+    assert packing.divides(pa, pb) == all(x <= y for x, y in zip(a, b))
+    lcm = packing.lcm(pa, pb)
+    assert packing.unpack(lcm) == tuple(max(x, y) for x, y in zip(a, b))
+    # coprime leading monomials are those whose lcm is their product
+    assert (lcm == pa + pb) == all(x == 0 or y == 0 for x, y in zip(a, b))
+    product = tuple(x + y for x, y in zip(a, b))
+    if max(product) < 1 << 15:
+        assert packing.unpack(pa + pb) == product
+        packing.negkey(pa + pb)
+    else:
+        # the sum set a guard bit and carried no further; its key is refused
+        assert (pa + pb) & packing.guard
+        with pytest.raises(_ExponentOverflow):
+            packing.negkey(pa + pb)
+
+
+def test_ring_without_variables():
+    # a nonzero constant generates the unit ideal; there is nothing to pack
+    basis = buchberger([MultiPoly.constant(3, ())], Lex())
+    assert basis.basis == [MultiPoly.constant(1, ())]
+    assert not normal_form(MultiPoly.constant(5, ()), basis).terms
+
+
+@pytest.mark.parametrize("bits", [15, 31])
+def test_packing_refuses_an_exponent_past_its_fields(bits):
+    packing = _Packing(2, Lex(), bits)
+    packing.pack((0, (1 << bits) - 1))
+    with pytest.raises(_ExponentOverflow):
+        packing.pack((0, 1 << bits))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((15, 31)).flatmap(
+    lambda bits: st.tuples(st.just(bits), _monomial_pairs(bits), st.integers(0, 4))))
+def test_int_keys_order_like_the_order_keys(case):
+    # the int key is exact only if each order's key is linear in the exponents
+    bits, (a, b), which = case
+    order = _engine_orders(len(a))[which]
+    packing = _Packing(len(a), order, bits)
+    ka = -packing.negkey(packing.pack(a))
+    kb = -packing.negkey(packing.pack(b))
+    ta, tb = order.key(a), order.key(b)
+    assert (ka < kb, ka == kb) == (ta < tb, ta == tb)
+
+
+@pytest.mark.parametrize("gens, basis, stats, remainder", [
+    # the S-polynomial holds y^40000, past 15 bits; x^40000*y reduces to
+    # y^1600000001 = (y^60000)^26666 * y^40001 = y^40001
+    (("x^2 + y^20000", "x*y^20000 + 1"), ["y^60000 + 1", "-y^40000 + x"],
+     {"pair_reductions": 3, "zero_reductions": 1, "basis_size": 2}, "y^40001"),
+    # an input exponent past 15 bits; x^40000*y reduces to y^80001 = y^2
+    (("x^40000 - y", "y^2 - x"), ["y^80000 - y", "-y^2 + x"],
+     {"pair_reductions": 1, "zero_reductions": 0, "basis_size": 2}, "y^2"),
+])
+def test_large_exponents_widen_the_packing(gens, basis, stats, remainder):
+    gb = buchberger([parse_poly(g) for g in gens], Lex())
+    assert [format_poly(p) for p in gb.basis] == basis
+    assert gb.stats == stats
+    assert normal_form(parse_poly("x^40000*y"), gb) == parse_poly(remainder)
+
+
+@settings(max_examples=30, deadline=None)
+@given(weighted_ideals, st.sampled_from((DegRevLex(), Lex())))
+def test_weighted_and_normal_selection_agree(gens, order):
+    # a redundant generator that no positive weights make homogeneous
+    # switches selection from weighted degree to the normal strategy; the
+    # reduced basis of the ideal must not change
+    assume(_grading(gens) is not None)
+    redundant = gens[0] * (MultiPoly.variable("x", XYZ) + 1)
+    assert _grading(gens + [redundant]) is None
+    assert buchberger(gens + [redundant], order).basis == buchberger(gens, order).basis
