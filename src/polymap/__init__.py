@@ -1,7 +1,7 @@
 """Exact tools for proper polynomial self-maps of the affine plane.
 
 Properness and topological degree via Groebner bases, branch loci via
-elimination, Milnor numbers via local standard bases, and the catalog
+elimination, Milnor numbers via local dimensions, and the catalog
 of rank-2 complex reflection groups with their invariant quotient maps.
 """
 

@@ -1,7 +1,8 @@
 """Plane curve singularities: Milnor numbers and low-degree classification.
 
 The Milnor number at the origin is the local dimension of the Jacobian
-algebra, computed with a standard basis in the local order.  Together
+algebra, dim C{x,y}/(F_x, F_y), read off the leading exponents of a
+local standard basis (`groebner.local_dimension`).  Together
 with properness it separates maps whose critical curves have different
 singularities.
 """
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import buchberger, local_standard_basis, quotient_dimension
+from .groebner import buchberger, local_dimension, quotient_dimension
 from .maps import PolyMap, critical_ideal, is_proper
 from .polyring import MultiPoly, derivative, is_scalar_multiple, squarefree_part
 
@@ -41,8 +42,7 @@ def milnor_at_origin(F: MultiPoly, budget=None) -> MilnorResult:
     gens = [g for g in gens if g.terms]
     if not gens:
         return MilnorResult(math.inf, False)
-    basis = local_standard_basis(gens, budget)
-    dim = quotient_dimension(basis)
+    dim = local_dimension(gens, budget)
     if dim == math.inf:
         return MilnorResult(math.inf, False)
     return MilnorResult(dim, True)
@@ -65,7 +65,7 @@ def singular_points_exist_outside_origin(F: MultiPoly, budget=None) -> bool:
         return True
     if total == 0:
         return False
-    local = quotient_dimension(local_standard_basis(gens, budget))
+    local = local_dimension(gens, budget)
     return total > local
 
 

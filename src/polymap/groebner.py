@@ -1,4 +1,4 @@
-"""Groebner and local standard bases with an explicit computation budget.
+"""Groebner bases and local dimensions with an explicit computation budget.
 
 There is one engine: Buchberger's algorithm with the Gebauer-Moeller
 pair criteria.  When the generators are homogeneous for some positive
@@ -32,13 +32,15 @@ new monomial first gets its key, and an input exponent that does not
 fit is caught when it is packed; either way the fields widen and the
 computation starts over (`_packed`), so no exponent ever wraps.
 Polynomials enter and leave the engine as MultiPolys with tuple
-exponents.
+exponents, and the engine hands over each basis element's leading
+exponent with the basis (`IdealBasis.leads`), so nothing reads it again.
 
-Standard bases in the local ring at the origin come from the same
-engine by Lazard's method: homogenize the generators with one new
-variable, compute a global basis under a degree order that breaks ties
-by the local order, and set the new variable to 1 (Greuel & Pfister,
-A Singular Introduction to Commutative Algebra, 1.7).
+Dimensions of the local ring at the origin modulo an ideal come from
+the same engine by Lazard's method: homogenize the generators with one
+new variable, compute a global basis under a degree order that breaks
+ties by a local order, and set the new variable to 1 in its leading
+exponents (Greuel & Pfister, A Singular Introduction to Commutative
+Algebra, 1.7).
 
 The engine takes a ComputationBudget and checks it before each pair
 reduction.  Exceeding the limit raises ResourceBudgetExceeded, whose
@@ -53,9 +55,8 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .polyring import (LocalOrder, DegRevLex, MonomialOrder, MultiPoly,
-                       block_order, common_field, field_inverse,
-                       primitive_normalize)
+from .polyring import (DegRevLex, MonomialOrder, MultiPoly, block_order,
+                       common_field, field_inverse, primitive_normalize)
 
 
 class ResourceBudgetExceeded(RuntimeError):
@@ -96,16 +97,14 @@ class ComputationBudget:
 
 @dataclass
 class IdealBasis:
-    """Generators together with a computed (standard) basis and run statistics."""
+    """Generators together with a computed Groebner basis, the leading
+    exponent of each basis element in basis order, and run statistics."""
 
     generators: list
     order: MonomialOrder
     basis: list
+    leads: list
     stats: dict = dataclass_field(default_factory=dict)
-
-    @property
-    def is_local(self):
-        return not self.order.is_global
 
     @property
     def vars(self):
@@ -116,9 +115,6 @@ class IdealBasis:
     def field(self):
         src = self.basis if self.basis else self.generators
         return src[0].field
-
-    def leading_exponents(self):
-        return [g.leading(self.order)[0] for g in self.basis]
 
 
 def _exp_divides(a, b):
@@ -465,8 +461,6 @@ def buchberger(generators, order: MonomialOrder = None,
     """Reduced Groebner basis of the generated ideal under a global monomial order."""
     if order is None:
         order = DegRevLex()
-    if not order.is_global:
-        raise ValueError("buchberger needs a global order; use local_standard_basis")
     budget = budget or ComputationBudget()
     gens = [g for g in generators if g.terms]
     if not gens:
@@ -475,13 +469,14 @@ def buchberger(generators, order: MonomialOrder = None,
     for g in gens[1:]:
         ring._same_ring(g)
     weights = _grading(gens)
-    basis, stats = _packed(lambda packing: _buchberger(gens, budget, weights, packing),
-                           len(ring.vars), order)
-    return IdealBasis(list(generators), order, basis, stats=stats)
+    basis, leads, stats = _packed(
+        lambda packing: _buchberger(gens, budget, weights, packing), len(ring.vars), order)
+    return IdealBasis(list(generators), order, basis, leads, stats=stats)
 
 
 def _buchberger(gens, budget, weights, packing):
-    """(reduced basis, stats) of the generators, under the packing's order."""
+    """(reduced basis, leading exponents, stats) of the generators, under
+    the packing's order."""
     negkey = packing.negkey
     divides = packing.divides
     field = gens[0].field
@@ -538,14 +533,14 @@ def _buchberger(gens, budget, weights, packing):
         else:
             stats["zero_reductions"] += 1
 
-    basis = _interreduce(active, gens[0], packing)
+    basis, leads = _interreduce(active, gens[0], packing)
     stats["basis_size"] = len(basis)
-    return basis, stats
+    return basis, leads, stats
 
 
 def _interreduce(entries, ring, packing):
-    """Reduced basis, as MultiPolys of `ring`, from the live entries sorted
-    by leading monomial.
+    """(reduced basis as MultiPolys of `ring`, their leading exponents),
+    from the live entries sorted by leading monomial.
 
     Each kept element is reduced by the others; its leading term is not
     divisible by theirs, so it stays, and the output keeps the order.
@@ -559,7 +554,7 @@ def _interreduce(entries, ring, packing):
         others = [k for k in kept if k is not entry]
         terms, _ = _reduce_terms(dict(entry.terms), others, packing, ring.field)
         out.append(_unpacked(ring, _normalized(terms, entry.lead_exp, ring.field), packing))
-    return out
+    return out, [packing.unpack(k.lead_exp) for k in kept]
 
 
 def _unpacked(ring, terms, packing, field=None):
@@ -570,9 +565,7 @@ def _unpacked(ring, terms, packing, field=None):
 
 
 def normal_form(p: MultiPoly, basis: IdealBasis) -> MultiPoly:
-    """Remainder of p under full division by a computed global basis."""
-    if basis.is_local:
-        raise ValueError("normal_form asks for a global basis")
+    """Remainder of p under full division by a computed basis."""
     if not p.terms:
         return p
     field = common_field(p.field, basis.field)
@@ -599,25 +592,23 @@ def elimination_ideal(generators, eliminate, budget=None) -> list:
     for v in eliminate:
         if v not in variables:
             raise ValueError(f"unknown variable {v!r}")
-    order = block_order(variables, tuple(eliminate))
-    gb = buchberger(gens, order, budget)
+    gb = buchberger(gens, block_order(variables, tuple(eliminate)), budget)
     keep = tuple(v for v in variables if v not in eliminate)
     elim_idx = [variables.index(v) for v in eliminate]
-    out = []
-    for g in gb.basis:
-        if all(all(e[i] == 0 for i in elim_idx) for e in g.terms):
-            out.append(primitive_normalize(g.restricted(keep)))
-    return out
+    # the eliminated block comes first in the order, so an element whose
+    # lead is free of it is free of it in every term
+    return [primitive_normalize(g.restricted(keep))
+            for g, e in zip(gb.basis, gb.leads) if not any(e[i] for i in elim_idx)]
 
 
 def quotient_dimension(basis: IdealBasis):
-    """Dimension of the quotient ring, global or local at the origin as the
-    basis's order says; math.inf if not finite."""
-    return _staircase_count(basis.leading_exponents(), len(basis.vars))
+    """Dimension of the quotient ring by the basis's ideal; math.inf if not finite."""
+    return staircase_count(basis.leads, len(basis.vars))
 
 
-def _staircase_count(leads, nvars):
-    """Number of monomials outside the leading-term ideal."""
+def staircase_count(leads, nvars):
+    """Number of monomials in nvars variables outside the monomial ideal
+    that the exponent vectors `leads` generate; math.inf if not finite."""
     if any(not any(e) for e in leads):
         return 0  # the ideal contains a unit
     bounds = []
@@ -642,16 +633,17 @@ def _staircase_count(leads, nvars):
 
 
 # ---------------------------------------------------------------------------
-# local standard bases (Lazard's homogenization)
+# local dimensions (Lazard's homogenization)
 
 
 class _HomogenizedLocalOrder(MonomialOrder):
     """Global order on the ring with the homogenizing variable appended last.
 
     Within one total degree a higher power of that variable, i.e. a lower
-    degree in the original variables, ranks higher, with LocalOrder's
-    revlex breaking ties; so on homogeneous polynomials the leading term,
-    once the variable is set to 1, is the LocalOrder leading term.
+    degree in the original variables, ranks higher, with revlex breaking
+    ties.  So on a homogeneous polynomial, the leading exponent without
+    its last entry is the leading exponent of the dehomogenized
+    polynomial under the anti-graded revlex order, a local order.
     """
 
     name = "homogenized-local"
@@ -660,16 +652,19 @@ class _HomogenizedLocalOrder(MonomialOrder):
         return (sum(exps), exps[-1]) + tuple(-e for e in reversed(exps[:-1]))
 
 
-def local_standard_basis(generators, budget: ComputationBudget = None) -> IdealBasis:
-    """Standard basis of the generated ideal in the local ring at the origin.
+def local_dimension(generators, budget: ComputationBudget = None):
+    """Dimension of the local ring at the origin modulo the generated
+    ideal; math.inf if not finite.
 
     Lazard's method: homogenize each generator with one new variable h,
     compute the global basis of the homogeneous ideal with `buchberger`
-    under _HomogenizedLocalOrder, then set h = 1.  Every reduction stays
-    inside one degree of a homogeneous ideal, so the pair budget bounds
-    the work; the stats and budget stops are those of `buchberger`.
-    A generator with a nonzero constant term is a unit in the local
-    ring, so the basis is [1] at once, with zero pair reductions.
+    under _HomogenizedLocalOrder, and count the staircase of its leading
+    exponents with h set to 1, which are the leading exponents of a
+    local standard basis.  Every reduction stays inside one degree of a
+    homogeneous ideal, so the pair budget bounds the work, and budget
+    stops are those of `buchberger`.  A generator with a nonzero constant
+    term is a unit in the local ring, so the dimension is 0 at once,
+    with zero pair reductions.
     """
     gens = [g for g in generators if g.terms]
     if not gens:
@@ -677,14 +672,9 @@ def local_standard_basis(generators, budget: ComputationBudget = None) -> IdealB
     ring = gens[0]
     for g in gens[1:]:
         ring._same_ring(g)
-    order = LocalOrder()
-    origin = (0,) * len(ring.vars)
-    if any(origin in g.terms for g in gens):
-        # a generator is a unit in the local ring, so the ideal is (1)
-        one = MultiPoly.constant(1, ring.vars, ring.field)
-        return IdealBasis(list(generators), order, [one],
-                          stats={"pair_reductions": 0, "zero_reductions": 0,
-                                 "basis_size": 1})
+    n = len(ring.vars)
+    if any((0,) * n in g.terms for g in gens):
+        return 0
     h = "h"
     while h in ring.vars:
         h += "_"
@@ -695,9 +685,4 @@ def local_standard_basis(generators, budget: ComputationBudget = None) -> IdealB
                                      {e + (d - sum(e),): c for e, c in g.terms.items()},
                                      ring.field, _clean=True))
     gb = buchberger(homogenized, _HomogenizedLocalOrder(), budget)
-    # the h-exponent of a term of a homogeneous polynomial is fixed by
-    # its other exponents, so setting h = 1 merges no terms
-    basis = [MultiPoly(ring.vars, {e[:-1]: c for e, c in g.terms.items()},
-                       ring.field, _clean=True) for g in gb.basis]
-    basis.sort(key=lambda p: order.key(p.leading(order)[0]), reverse=True)
-    return IdealBasis(list(generators), order, basis, stats=gb.stats)
+    return staircase_count([e[:-1] for e in gb.leads], n)

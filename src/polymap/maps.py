@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import (ResourceBudgetExceeded, _staircase_count, buchberger,
-                       elimination_ideal)
+from .groebner import (ResourceBudgetExceeded, buchberger, elimination_ideal,
+                       staircase_count)
 from .polyring import (MultiPoly, QQ, RingMismatch, block_order, common_field,
                        divides, field_inverse, is_scalar_multiple,
                        jacobian_det, primitive_normalize, squarefree_part,
@@ -219,7 +219,7 @@ def _graph_basis_leads(f: PolyMap, budget=None) -> list:
     allv = SOURCE_VARS + TARGET_VARS
     gens = [MultiPoly.variable(v, allv, f.field) - c.extended(allv)
             for v, c in zip(TARGET_VARS, f.components())]
-    leads = buchberger(gens, block_order(allv, SOURCE_VARS), budget).leading_exponents()
+    leads = buchberger(gens, block_order(allv, SOURCE_VARS), budget).leads
     if any(not any(e[:len(SOURCE_VARS)]) for e in leads):
         raise ValueError("map is not dominant (algebraically dependent components)")
     return leads
@@ -259,7 +259,7 @@ def topological_degree(f: PolyMap, budget=None) -> int:
     degree.
     """
     leads = _graph_basis_leads(f, budget)
-    return _staircase_count([e[:len(SOURCE_VARS)] for e in leads], len(SOURCE_VARS))
+    return staircase_count([e[:len(SOURCE_VARS)] for e in leads], len(SOURCE_VARS))
 
 
 def critical_ideal(f: PolyMap) -> MultiPoly:

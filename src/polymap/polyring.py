@@ -6,8 +6,7 @@ a coefficient field; operations across different rings raise
 RingMismatch rather than guessing an embedding.
 
 Monomial orders are separate objects (lex, degrevlex, block
-elimination, local anti-graded) so the same polynomial can be read
-under several orders.
+elimination) so the same polynomial can be read under several orders.
 """
 
 from __future__ import annotations
@@ -136,7 +135,6 @@ class MonomialOrder:
     matrix of those forms.
     """
 
-    is_global = True
     name = "order"
 
     def key(self, exps):  # pragma: no cover - interface stub
@@ -178,16 +176,6 @@ class BlockOrder(MonomialOrder):
 
     def __repr__(self):
         return f"block(front={self.front})"
-
-
-class LocalOrder(MonomialOrder):
-    """Anti-graded revlex: lower total degree ranks higher (a local order)."""
-
-    name = "local"
-    is_global = False
-
-    def key(self, exps):
-        return (-sum(exps),) + tuple(-e for e in reversed(exps))
 
 
 def block_order(variables, front_vars) -> BlockOrder:
@@ -460,8 +448,9 @@ class MultiPoly:
         e = max(self.terms, key=order.key)
         return e, self.terms[e]
 
-    def sorted_terms(self, order: MonomialOrder = DEFAULT_ORDER, reverse=True):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
+    def sorted_terms(self, order: MonomialOrder = DEFAULT_ORDER):
+        """The (exponent, coefficient) pairs, leading term first."""
+        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def uses_variable(self, name: str) -> bool:
         i = self.vars.index(name)
@@ -489,21 +478,17 @@ def derivative(p: MultiPoly, name: str) -> MultiPoly:
     return MultiPoly(p.vars, {e: c for e, c in terms.items() if c}, p.field, _clean=True)
 
 
-def jacobian_det(f1: MultiPoly, f2: MultiPoly, variables=None) -> MultiPoly:
-    """Determinant of the Jacobian matrix of (f1, f2) in two variables."""
+def jacobian_det(f1: MultiPoly, f2: MultiPoly) -> MultiPoly:
+    """Determinant of the Jacobian matrix of (f1, f2) in the first two variables."""
     f1._same_ring(f2)
-    if variables is None:
-        variables = f1.vars[:2]
-    x, y = variables
+    x, y = f1.vars[:2]
     return (derivative(f1, x) * derivative(f2, y)
             - derivative(f1, y) * derivative(f2, x))
 
 
-def hessian_det(p: MultiPoly, variables=None) -> MultiPoly:
-    """Determinant of the Hessian matrix of p in two variables."""
-    if variables is None:
-        variables = p.vars[:2]
-    x, y = variables
+def hessian_det(p: MultiPoly) -> MultiPoly:
+    """Determinant of the Hessian matrix of p in the first two variables."""
+    x, y = p.vars[:2]
     px, py = derivative(p, x), derivative(p, y)
     return derivative(px, x) * derivative(py, y) - derivative(px, y) ** 2
 
@@ -635,10 +620,10 @@ def _first_signed(coeff):
     return coeff
 
 
-def primitive_normalize(p: MultiPoly, order: MonomialOrder = DEFAULT_ORDER) -> MultiPoly:
+def primitive_normalize(p: MultiPoly) -> MultiPoly:
     """Scale p so its coefficients are integral with content one.
 
-    The sign is fixed so the leading coefficient's first nonzero
+    The sign is fixed so the degrevlex leading coefficient's first nonzero
     coordinate is positive; the result is the canonical associate used
     for frozen expected values.  Over Q its coefficients are ints.
     """
@@ -650,7 +635,7 @@ def primitive_normalize(p: MultiPoly, order: MonomialOrder = DEFAULT_ORDER) -> M
         num = gcd(num, n)
         den = den * d // gcd(den, d)
     scale = Fraction(den, num)
-    _, lead = p.leading(order)
+    _, lead = p.leading()
     if _first_signed(lead) * scale < 0:
         scale = -scale
     if scale == 1:

@@ -1,4 +1,4 @@
-"""Buchberger bases, elimination, and local standard bases."""
+"""Buchberger bases, elimination, and local dimensions."""
 
 import itertools
 import math
@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 from polymap.groebner import (ComputationBudget, IdealBasis,
                               ResourceBudgetExceeded, _ExponentOverflow,
                               _grading, _HomogenizedLocalOrder, _Packing,
-                              buchberger, elimination_ideal,
-                              local_standard_basis, normal_form,
-                              quotient_dimension)
+                              buchberger, elimination_ideal, local_dimension,
+                              normal_form, quotient_dimension)
 from polymap.maps import (PlaneAutomorphism, compose, critical_ideal,
                           make_family)
 from polymap.numberfield import CycloNumber
 from polymap.parser import format_poly, parse_poly
-from polymap.polyring import (CyclotomicField, DegRevLex, Lex, LocalOrder,
-                              MultiPoly, QQ, block_order, derivative, divides,
+from polymap.polyring import (CyclotomicField, DegRevLex, Lex, MultiPoly, QQ,
+                              block_order, derivative, divides,
                               is_scalar_multiple, monic)
 from polymap.refgroups import exceptional_group, quotient_map
 
@@ -97,16 +96,13 @@ def test_budget_interrupts():
 
 def test_local_quotient_dimension_cusp():
     # ordinary cusp: local algebra of the Jacobian ideal has length 2
-    basis = local_standard_basis([X ** 2 * 3, Y * 2])
-    assert quotient_dimension(basis) == 2
-    basis = local_standard_basis([X * 2, Y * 2])
-    assert quotient_dimension(basis) == 1
+    assert local_dimension([X ** 2 * 3, Y * 2]) == 2
+    assert local_dimension([X * 2, Y * 2]) == 1
 
 
 def test_local_unit_factors_are_invisible():
     # x - x^2 = x(1 - x): locally a coordinate, so the quotient is a point
-    basis = local_standard_basis([X - X ** 2, Y])
-    assert quotient_dimension(basis) == 1
+    assert local_dimension([X - X ** 2, Y]) == 1
 
 
 def test_local_vs_global_dimension():
@@ -114,7 +110,7 @@ def test_local_vs_global_dimension():
     # y^2 - x^2(x + 1) has a node at the origin and nothing else on x = y
     F = parse_poly("y^2 - x^3 - x^2")
     gens = [parse_poly("-3*x^2 - 2*x"), Y * 2]
-    local = quotient_dimension(local_standard_basis(gens))
+    local = local_dimension(gens)
     total = quotient_dimension(buchberger(gens))
     assert local == 1
     # the global critical scheme also sees x = -2/3
@@ -130,20 +126,16 @@ def test_local_unit_generator_gives_unit_ideal():
     # instead took 133 pairs and a 71-element basis to reach the same (1)
     gens = [derivative(parse_poly(SMOOTH_ORIGIN), v) for v in ("x", "y")]
     started = time.monotonic()
-    basis = local_standard_basis(gens, ComputationBudget(max_pair_reductions=0))
-    elapsed = time.monotonic() - started
-    assert [g.terms for g in basis.basis] == [{(0, 0): 1}]
-    assert basis.stats == {"pair_reductions": 0, "zero_reductions": 0,
-                           "basis_size": 1}
-    assert quotient_dimension(basis) == 0
-    assert elapsed < 0.1
+    # a budget of zero pairs proves that none is reduced
+    assert local_dimension(gens, ComputationBudget(max_pair_reductions=0)) == 0
+    assert time.monotonic() - started < 0.1
 
 
 def test_mora_budget():
     gens = [parse_poly("x^2 - y^3"), parse_poly("x*y^2 + x^4")]
     with pytest.raises(ResourceBudgetExceeded):
-        local_standard_basis(gens, ComputationBudget(max_pair_reductions=0))
-    local_standard_basis(gens)
+        local_dimension(gens, ComputationBudget(max_pair_reductions=0))
+    local_dimension(gens)
 
 
 def test_budget_stop_reports_progress():
@@ -156,16 +148,15 @@ def test_budget_stop_reports_progress():
             buchberger(gens, budget=ComputationBudget(max_pair_reductions=limit))
         assert exc.value.stats == {"pair_reductions": limit,
                                    "zero_reductions": 0, "basis_size": live}
-    # a local basis runs through the same engine on the homogenized
-    # generators, so it stops and reports the same way
+    # a local dimension runs through the same engine on the homogenized
+    # generators, so it stops and reports the same way; it needs 3 pairs
     local = [parse_poly("x^2 - y^3"), parse_poly("x*y^2 + x^4")]
-    assert local_standard_basis(local).stats == {"pair_reductions": 3,
-                                                "zero_reductions": 1,
-                                                "basis_size": 4}
-    with pytest.raises(ResourceBudgetExceeded) as exc:
-        local_standard_basis(local, ComputationBudget(max_pair_reductions=1))
-    assert exc.value.stats == {"pair_reductions": 1, "zero_reductions": 0,
-                               "basis_size": 3}
+    assert local_dimension(local, ComputationBudget(max_pair_reductions=3)) == 7
+    for limit, live in ((1, 3), (2, 4)):
+        with pytest.raises(ResourceBudgetExceeded) as exc:
+            local_dimension(local, ComputationBudget(max_pair_reductions=limit))
+        assert exc.value.stats == {"pair_reductions": limit,
+                                   "zero_reductions": 0, "basis_size": live}
 
 
 small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
@@ -340,12 +331,16 @@ def test_local_dimension_matches_truncation(terms):
     # two curves of degree <= d - 1 with no common component through the
     # origin meet there at most (d - 1)^2 times, so a finite mu is below n
     n = (F.total_degree() - 1) ** 2 + 1
-    mu = quotient_dimension(local_standard_basis(gens))
-    truncated = truncated_dimension(gens, n)
-    if mu == math.inf:
-        assert truncated_dimension(gens, n + 1) > truncated
-    else:
-        assert mu == truncated
+    # the Jacobian ideal gives mu; adding F, as
+    # `singular_points_exist_outside_origin` does, gives the Tjurina
+    # number, at most mu and finite with it, so the same n bounds it
+    for ideal in (gens, [F] + gens):
+        dim = local_dimension(ideal)
+        truncated = truncated_dimension(ideal, n)
+        if dim == math.inf:
+            assert truncated_dimension(ideal, n + 1) > truncated
+        else:
+            assert dim == truncated
 
 
 @pytest.mark.parametrize("curve, mu, stable", [
@@ -355,7 +350,7 @@ def test_local_dimension_matches_truncation(terms):
 def test_local_dimension_frozen_curves(curve, mu, stable):
     # both took Mora's tangent-cone algorithm past 5 s
     gens = jacobian(parse_poly(curve))
-    assert quotient_dimension(local_standard_basis(gens)) == mu
+    assert local_dimension(gens) == mu
     assert truncated_dimension(gens, stable) == mu
     assert truncated_dimension(gens, stable + 1) == mu
 
@@ -393,7 +388,8 @@ def _assert_exact_normal_forms(basis, p, rescale):
     # rescaling the basis by a non-integral constant changes every leading
     # coefficient but not the ideal, so the remainder must not change
     order = basis.order
-    scaled = IdealBasis(basis.generators, order, [g * rescale for g in basis.basis])
+    scaled = IdealBasis(basis.generators, order, [g * rescale for g in basis.basis],
+                        basis.leads)
     want = _field_division(p, basis.basis, order)
     assert normal_form(p, basis) == want
     assert normal_form(p, scaled) == want
@@ -509,9 +505,9 @@ def test_composed_graph_bases_are_pinned(spec, stats, basis):
 
 
 def _engine_orders(n):
-    """The five monomial orders the engine runs, on n variables."""
+    """The four monomial orders the engine runs, on n variables."""
     names = tuple("xyzw"[:n])
-    return (Lex(), DegRevLex(), block_order(names, names[:n // 2]), LocalOrder(),
+    return (Lex(), DegRevLex(), block_order(names, names[:n // 2]),
             _HomogenizedLocalOrder())
 
 
@@ -566,7 +562,7 @@ def test_packing_refuses_an_exponent_past_its_fields(bits):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((15, 31)).flatmap(
-    lambda bits: st.tuples(st.just(bits), _monomial_pairs(bits), st.integers(0, 4))))
+    lambda bits: st.tuples(st.just(bits), _monomial_pairs(bits), st.integers(0, 3))))
 def test_int_keys_order_like_the_order_keys(case):
     # the int key is exact only if each order's key is linear in the exponents
     bits, (a, b), which = case
@@ -604,3 +600,20 @@ def test_weighted_and_normal_selection_agree(gens, order):
     redundant = gens[0] * (MultiPoly.variable("x", XYZ) + 1)
     assert _grading(gens + [redundant]) is None
     assert buchberger(gens + [redundant], order).basis == buchberger(gens, order).basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.lists(polys(3), min_size=1, max_size=3),
+                 st.lists(q12_polys(3, 2), min_size=2, max_size=2)),
+       st.integers(0, 3))
+def test_engine_leads_are_the_leading_exponents(gens, which):
+    # the engine hands over the leads it knew packed; reading them again
+    # off the basis under the order's tuple key must give the same list
+    gens = [g for g in gens if g.terms]
+    assume(gens)
+    order = _engine_orders(2)[which]
+    try:
+        gb = buchberger(gens, order, ComputationBudget(max_pair_reductions=40))
+    except ResourceBudgetExceeded:
+        assume(False)
+    assert gb.leads == [g.leading(order)[0] for g in gb.basis]

@@ -1,6 +1,7 @@
 """Source hygiene: every module of the package and of the test suite uses
-each name it imports, and every module-level private name is read
-somewhere else in the package."""
+each name it imports, every module-level private name is read somewhere
+else in the package, and no package module imports another's private
+name."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,21 @@ def test_checker_sees_an_unreferenced_private():
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def private_imports(source: str) -> list:
+    """(line, name) of each private name a `from ... import` statement binds."""
+    return sorted((node.lineno, alias.name) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.startswith("__"))
+
+
+def test_checker_sees_a_private_import():
+    assert private_imports("from __future__ import annotations\n"
+                           "from .a import _hidden, shown, __version__\n") == [
+        (2, "_hidden")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    assert private_imports(path.read_text()) == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from polymap.numberfield import CycloNumber, totient, zeta
 from polymap.parser import parse_poly
 from polymap.polyring import (BlockOrder, CyclotomicField, DegRevLex,
-                              ExactDivisionError, Lex, LocalOrder, MultiPoly,
+                              ExactDivisionError, Lex, MultiPoly,
                               QQ, RingMismatch, block_order, common_field,
                               derivative, divides, evaluate, exact_div,
                               gcd_poly, hessian_det, is_scalar_multiple,
@@ -50,11 +50,6 @@ def test_block_order_eliminates_front_vars():
     assert isinstance(order, BlockOrder)
     p = parse_poly("x + s^5", variables=("x", "y", "s", "t"))
     assert p.leading(order)[0] == (1, 0, 0, 0)
-
-
-def test_local_order_prefers_low_degree():
-    p = parse_poly("x + x^3 + y^2")
-    assert p.leading(LocalOrder())[0] == (1, 0)
 
 
 def test_derivative_product_rule():
