@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
 from .numberfield import CycloNumber, common_conductor, zeta
 from .polyring import CyclotomicField, MultiPoly, QQ, DegRevLex
@@ -135,7 +136,14 @@ class _Parser:
         p = self.factor()
         while self.peek()[0] == "*":
             self.next()
-            p = p * self.factor()
+            q = self.factor()
+            if len(p.terms) == 1 and len(q.terms) == 1:
+                # every printed term is such a product: skip the general product
+                (ep, cp), = p.terms.items()
+                (eq, cq), = q.terms.items()
+                p = MultiPoly(self.vars, {tuple(map(add, ep, eq)): cp * cq}, self.field)
+            else:
+                p = p * q
         return p
 
     def factor(self) -> MultiPoly:
@@ -153,7 +161,11 @@ class _Parser:
             tok = self.expect("number")
             if "/" in tok[1]:
                 raise PolyParseError("exponent must be a nonnegative integer", tok[2])
-            return base ** int(tok[1])
+            n = int(tok[1])
+            if len(base.terms) == 1:
+                (exps, c), = base.terms.items()
+                return MultiPoly(self.vars, {tuple(e * n for e in exps): c ** n}, self.field)
+            return base ** n
         return base
 
     def atom(self) -> MultiPoly:

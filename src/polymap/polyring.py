@@ -12,7 +12,9 @@ elimination) so the same polynomial can be read under several orders.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import gcd, lcm, prod
+from operator import mul
 
 from .numberfield import CycloNumber, ConductorMismatch, common_conductor, embed
 
@@ -191,6 +193,90 @@ DEFAULT_ORDER = DegRevLex()
 
 
 # ---------------------------------------------------------------------------
+# products
+
+def _product(a: dict, b: dict, nvars: int, field) -> dict:
+    """Terms of the product of two nonzero term dicts.
+
+    A dense product over Q is one big-integer product (Kronecker
+    substitution; Harvey, JSC 2009).  Each operand, scaled to integers,
+    becomes one int whose fixed-width fields hold its coefficients at the
+    mixed-radix positions of the product's exponent box.  A field holds
+    min(|a|, |b|) * max|A| * max|B| and a sign, so no carry crosses it.
+    Products that are not dense, over Q(zeta_N) or by a single term run
+    the schoolbook loop.  Coefficients over Q come back as ints when
+    integral.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    rational = not field.is_cyclotomic
+    if rational and nvars and len(b) > 1:
+        dims = [max(ea) + max(eb) + 1 for ea, eb in zip(zip(*a), zip(*b))]
+        if prod(dims) <= len(a) * len(b):
+            return _kronecker(a, b, dims)
+    out = {}
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            c = ca * cb
+            prior = out.get(exps)
+            if prior is None:
+                out[exps] = c
+            else:
+                c = prior + c
+                if c:
+                    out[exps] = c
+                else:
+                    del out[exps]
+    if rational:
+        for e, c in out.items():
+            if c.__class__ is Fraction and c.denominator == 1:
+                out[e] = c.numerator
+    return out
+
+
+def _kronecker(a: dict, b: dict, dims: list) -> dict:
+    """_product over Q when the product fills the exponent box `dims`; |a| >= |b|."""
+    strides = [1] * len(dims)
+    for i in range(len(dims) - 1, 0, -1):
+        strides[i - 1] = strides[i] * dims[i]
+    scaled = []         # (integer coefficients, their denominator) of a and of b
+    for terms in (a, b):
+        den = lcm(*[c.denominator for c in terms.values()])
+        scaled.append(([c.numerator * (den // c.denominator) for c in terms.values()], den))
+    (ints_a, den_a), (ints_b, den_b) = scaled
+    # whole bytes for the bound on a product coefficient and a sign bit
+    width = (len(b) * max(map(abs, ints_a)) * max(map(abs, ints_b))).bit_length() // 8 + 1
+    packed = 1
+    for terms, ints in ((a, ints_a), (b, ints_b)):
+        # two's-complement fields; a negative field borrows one from the next
+        top = width * sum(map(mul, map(max, zip(*terms)), strides))
+        buf, borrow = bytearray(top + width), bytearray(top + width + 1)
+        for exps, c in zip(terms, ints):
+            o = width * sum(map(mul, exps, strides))
+            buf[o:o + width] = c.to_bytes(width, "little", signed=True)
+            if c < 0:
+                borrow[o + width] = 1
+        packed *= int.from_bytes(buf, "little") - int.from_bytes(borrow, "little")
+    # a half-field bias in every field makes each one nonnegative
+    half = 1 << (8 * width - 1)
+    size = width * prod(dims)
+    packed += int.from_bytes(half.to_bytes(width, "little") * prod(dims), "little")
+    data = packed.to_bytes(size, "little")
+    den = den_a * den_b
+    out = {}
+    for exps, o in zip(product(*map(range, dims)), range(0, size, width)):
+        c = int.from_bytes(data[o:o + width], "little") - half
+        if c:
+            if den != 1:
+                c = Fraction(c, den)
+                if c.denominator == 1:
+                    c = c.numerator
+            out[exps] = c
+    return out
+
+
+# ---------------------------------------------------------------------------
 # polynomials
 
 class MultiPoly:
@@ -325,6 +411,8 @@ class MultiPoly:
             else:
                 c = c + coeff
                 if c:
+                    if c.__class__ is Fraction and c.denominator == 1:
+                        c = c.numerator
                     terms[exps] = c
                 else:
                     del terms[exps]
@@ -344,6 +432,8 @@ class MultiPoly:
             else:
                 c = c - coeff
                 if c:
+                    if c.__class__ is Fraction and c.denominator == 1:
+                        c = c.numerator
                     terms[exps] = c
                 else:
                     del terms[exps]
@@ -365,24 +455,8 @@ class MultiPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return MultiPoly.zero(self.vars, self.field)
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        out = {}
-        for eb, cb in b.items():
-            for ea, ca in a.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                prior = out.get(exps)
-                if prior is None:
-                    out[exps] = c
-                else:
-                    c = prior + c
-                    if c:
-                        out[exps] = c
-                    else:
-                        del out[exps]
-        return MultiPoly(self.vars, out, self.field, _clean=True)
+        return MultiPoly(self.vars, _product(self.terms, other.terms, len(self.vars), self.field),
+                         self.field, _clean=True)
 
     __rmul__ = __mul__
 

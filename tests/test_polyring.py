@@ -1,16 +1,18 @@
 """Sparse polynomial arithmetic over the rationals and cyclotomic fields."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polymap import polyring
 from polymap.numberfield import CycloNumber, totient, zeta
 from polymap.parser import parse_poly
 from polymap.polyring import (BlockOrder, CyclotomicField, DegRevLex,
                               ExactDivisionError, Lex, MultiPoly,
-                              QQ, RingMismatch, block_order, common_field,
+                              QQ, RingMismatch, _product, block_order, common_field,
                               derivative, divides, evaluate, exact_div,
                               gcd_poly, hessian_det, is_scalar_multiple,
                               jacobian_det, monic, primitive_normalize,
@@ -318,3 +320,127 @@ def test_substitute_zero_and_constant(field):
         assert got == _term_by_term(p, images)
         assert got.vars == target and got.field == field
     assert substitute(MultiPoly.zero(("x", "y")), {}) == MultiPoly.zero(("x", "y"))
+
+
+# ---------------------------------------------------------------------------
+# the product kernel against a schoolbook reference
+
+def _schoolbook(a, b, field):
+    """Terms of the product of two term dicts, one pair of terms at a time."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, field.zero) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _box(dims):
+    return list(itertools.product(*map(range, dims)))
+
+
+@st.composite
+def _dims(draw, nvars, size=40):
+    """Exponent box sides, one per variable, with at most `size` points."""
+    dims = []
+    for _ in range(nvars):
+        dims.append(draw(st.integers(1, max(1, min(8, size)))))
+        size //= dims[-1]
+    return dims
+
+
+kernel_rats = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200),
+                        st.fractions(max_denominator=10 ** 6))
+
+
+@st.composite
+def _dense(draw, nvars, coefficients=kernel_rats, size=40):
+    """A term dict filling most of a box, so that products with it are dense."""
+    terms = {e: draw(st.one_of(coefficients, st.just(0)))
+             for e in _box(draw(_dims(nvars, size)))}
+    terms = {e: c for e, c in terms.items() if c}
+    return terms or {(0,) * nvars: 1}
+
+
+def _sparse(nvars):
+    exps = st.tuples(*[st.integers(0, 8)] * nvars)
+    return st.dictionaries(exps, kernel_rats.filter(bool), min_size=1, max_size=5)
+
+
+@st.composite
+def _at_the_bound(draw, nvars):
+    """Full boxes whose coefficients are all ±M: a field's bound is reached."""
+    dims_a = draw(_dims(nvars))
+    dims_b = [draw(st.integers(1, d)) for d in dims_a]
+    a, b = (dict.fromkeys(_box(dims), draw(st.sampled_from((1, -1)))
+                          * draw(st.integers(1, 2 ** 200))) for dims in (dims_a, dims_b))
+    return a, b
+
+
+@st.composite
+def kernel_products(draw):
+    """(a, b) over Q in one to four variables, most of them dense."""
+    nvars = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("dense", "sparse", "bound", "cancel", "single")))
+    if kind == "bound":
+        return draw(_at_the_bound(nvars))
+    a = draw(_dense(nvars))
+    if kind == "cancel":
+        # a(x) * a(-x) is even in x, so every odd-x slot cancels to zero
+        return a, {e: -c if e[0] % 2 else c for e, c in a.items()}
+    if kind == "single":
+        exps = draw(st.tuples(*[st.integers(0, 3)] * nvars))
+        return a, {exps: draw(kernel_rats.filter(bool))}
+    return a, draw(_dense(nvars) if kind == "dense" else _sparse(nvars))
+
+
+def _assert_product_matches(a, b, nvars, field):
+    got = _product(a, b, nvars, field)
+    assert got == _schoolbook(a, b, field)
+    assert got == _product(b, a, nvars, field)
+    if not field.is_cyclotomic:
+        assert all(type(c) is int or c.denominator != 1 for c in got.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_products())
+def test_product_matches_schoolbook(case):
+    a, b = case
+    _assert_product_matches(a, b, len(next(iter(a))), QQ)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    *[_dense(n, _coefficients(CyclotomicField(12)), size=12)] * 2)))
+def test_product_matches_schoolbook_over_cyclotomics(case):
+    field = CyclotomicField(12)
+    a, b = ({e: field.coerce(c) for e, c in t.items()} for t in case)
+    _assert_product_matches(a, b, len(next(iter(a))), field)
+
+
+def test_product_edge_cases(monkeypatch):
+    dense = parse_poly("(3*x - 1/2*y + 5)^3")
+    boxes = []     # the exponent box of each product on the Kronecker path
+    kronecker = polyring._kronecker
+    monkeypatch.setattr(polyring, "_kronecker",
+                        lambda a, b, dims: boxes.append(dims) or kronecker(a, b, dims))
+    _assert_product_matches(dense.terms, dense.terms, 2, QQ)
+    assert boxes == [[7, 7]] * 2
+    # sparse and of high degree, so it takes the schoolbook loop
+    _assert_product_matches({(5000, 1): 1, (0, 0): 1}, dense.terms, 2, QQ)
+    # the ring with no variables
+    _assert_product_matches({(): Fraction(2, 3)}, {(): Fraction(3, 2)}, 0, QQ)
+    assert _product({(): Fraction(2, 3)}, {(): Fraction(3, 2)}, 0, QQ) == {(): 1}
+    # over Q(zeta_12) every product is schoolbook
+    lifted = dense.in_field(CyclotomicField(12)).terms
+    _assert_product_matches(lifted, lifted, 2, CyclotomicField(12))
+    assert boxes == [[7, 7]] * 2
+
+
+def test_rational_coefficients_are_canonical():
+    p = parse_poly("1/2*x + 1/3") * parse_poly("2*y + 3")
+    assert type(p.terms[(1, 1)]) is int and type(p.terms[(0, 0)]) is int
+    q = parse_poly("1/2*x") + parse_poly("1/2*x")
+    assert q.terms == {(1, 0): 1} and type(q.terms[(1, 0)]) is int
+    r = parse_poly("1/2*x") - parse_poly("-1/2*x")
+    assert type(r.terms[(1, 0)]) is int
