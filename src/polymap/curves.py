@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .groebner import buchberger, local_dimension, quotient_dimension
 from .maps import PolyMap, critical_ideal, is_proper
-from .polyring import MultiPoly, derivative, is_scalar_multiple, squarefree_part
+from .polyring import MultiPoly, derivative, is_squarefree
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def singular_points_exist_outside_origin(F: MultiPoly, budget=None) -> bool:
     Compares the total count of singular points (with multiplicity)
     against the count concentrated at the origin.
     """
-    if not is_scalar_multiple(squarefree_part(F), F):
+    if not is_squarefree(F):
         raise ValueError("curve must be squarefree")
     gens = [F] + [derivative(F, v) for v in F.vars]
     gens = [g for g in gens if g.terms]
@@ -145,7 +145,7 @@ def distinguish_by_milnor(f: PolyMap, g: PolyMap, budget=None):
         J = critical_ideal(h)
         if not J.terms or J.is_constant():
             raise PreconditionError(f"{label} map has no critical curve")
-        if not is_scalar_multiple(squarefree_part(J), J):
+        if not is_squarefree(J):
             raise PreconditionError(f"{label} critical curve is not reduced")
         if (0,) * len(J.vars) in J.terms:
             raise PreconditionError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .groebner import (ResourceBudgetExceeded, buchberger, elimination_ideal,
                        staircase_count)
 from .polyring import (MultiPoly, QQ, RingMismatch, block_order, common_field,
-                       divides, field_inverse, is_scalar_multiple,
+                       divides, field_inverse, is_scalar_multiple, is_squarefree,
                        jacobian_det, primitive_normalize, squarefree_part,
                        substitute)
 
@@ -342,7 +342,7 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
         raise ValueError("map is not dominant (identically zero Jacobian)")
     pullback = substitute(claim, {"x": fl.f1, "y": fl.f2})
     sub_ok = divides(squarefree_part(J), pullback)
-    sf_ok = is_scalar_multiple(squarefree_part(claim), claim)
+    sf_ok = is_squarefree(claim)
     elim_status = "not-run"
     elim_stop = None
     if run_elimination:

@@ -12,6 +12,8 @@ elimination) so the same polynomial can be read under several orders.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
@@ -203,14 +205,14 @@ def _product(a: dict, b: dict, nvars: int, field) -> dict:
     becomes one int whose fixed-width fields hold its coefficients at the
     mixed-radix positions of the product's exponent box.  A field holds
     min(|a|, |b|) * max|A| * max|B| and a sign, so no carry crosses it.
-    Products that are not dense, over Q(zeta_N) or by a single term run
-    the schoolbook loop.  Coefficients over Q come back as ints when
-    integral.
+    Products that are not dense, over Q(zeta_N), by a single term or of
+    fewer than 16 term pairs run the schoolbook loop.  Coefficients over
+    Q come back as ints when integral.
     """
     if len(a) < len(b):
         a, b = b, a
     rational = not field.is_cyclotomic
-    if rational and nvars and len(b) > 1:
+    if rational and nvars and len(b) > 1 and len(a) * len(b) >= 16:
         dims = [max(ea) + max(eb) + 1 for ea, eb in zip(zip(*a), zip(*b))]
         if prod(dims) <= len(a) * len(b):
             return _kronecker(a, b, dims)
@@ -228,11 +230,21 @@ def _product(a: dict, b: dict, nvars: int, field) -> dict:
                     out[exps] = c
                 else:
                     del out[exps]
-    if rational:
-        for e, c in out.items():
-            if c.__class__ is Fraction and c.denominator == 1:
-                out[e] = c.numerator
-    return out
+    return _canonical(out) if rational else out
+
+
+def _canonical(terms: dict) -> dict:
+    """Q terms with every integral coefficient an int, changed in place."""
+    for e, c in terms.items():
+        if c.__class__ is Fraction and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
+
+
+def _integral(terms: dict):
+    """(integer coefficients in term order, their common denominator) of Q terms."""
+    den = lcm(*[c.denominator for c in terms.values()])
+    return [c.numerator * (den // c.denominator) for c in terms.values()], den
 
 
 def _kronecker(a: dict, b: dict, dims: list) -> dict:
@@ -240,11 +252,7 @@ def _kronecker(a: dict, b: dict, dims: list) -> dict:
     strides = [1] * len(dims)
     for i in range(len(dims) - 1, 0, -1):
         strides[i - 1] = strides[i] * dims[i]
-    scaled = []         # (integer coefficients, their denominator) of a and of b
-    for terms in (a, b):
-        den = lcm(*[c.denominator for c in terms.values()])
-        scaled.append(([c.numerator * (den // c.denominator) for c in terms.values()], den))
-    (ints_a, den_a), (ints_b, den_b) = scaled
+    (ints_a, den_a), (ints_b, den_b) = _integral(a), _integral(b)
     # whole bytes for the bound on a product coefficient and a sign bit
     width = (len(b) * max(map(abs, ints_a)) * max(map(abs, ints_b))).bit_length() // 8 + 1
     packed = 1
@@ -654,6 +662,8 @@ def substitute(p: MultiPoly, images: dict) -> MultiPoly:
                         acc[e] = cur
                     else:
                         del acc[e]
+        if not target_field.is_cyclotomic:
+            _canonical(acc)
         return MultiPoly(target_vars, acc, target_field, _clean=True)
 
     xpowers = [None, ximg]
@@ -712,7 +722,8 @@ def primitive_normalize(p: MultiPoly) -> MultiPoly:
     _, lead = p.leading()
     if _first_signed(lead) * scale < 0:
         scale = -scale
-    if scale == 1:
+    if scale == 1 and (p.field.is_cyclotomic
+                       or all(c.__class__ is int for c in p.terms.values())):
         return p
     if p.field.is_cyclotomic:
         terms = {e: c * scale for e, c in p.terms.items()}
@@ -727,8 +738,9 @@ def monic(p: MultiPoly, order: MonomialOrder = DEFAULT_ORDER) -> MultiPoly:
     if not p.terms:
         return p
     inv = field_inverse(p.leading(order)[1])
-    return MultiPoly(p.vars, {e: c * inv for e, c in p.terms.items()}, p.field,
-                     _clean=True)
+    terms = {e: c * inv for e, c in p.terms.items()}
+    return MultiPoly(p.vars, terms if p.field.is_cyclotomic else _canonical(terms),
+                     p.field, _clean=True)
 
 
 def is_scalar_multiple(p: MultiPoly, q: MultiPoly) -> bool:
@@ -749,39 +761,67 @@ def is_scalar_multiple(p: MultiPoly, q: MultiPoly) -> bool:
 # exact division
 
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Quotient a/b when b divides a exactly; ExactDivisionError otherwise."""
+    """Quotient a/b when b divides a exactly; ExactDivisionError otherwise.
+
+    Leading terms come off a heap.  Over Q the loop is fraction-free: a
+    is scaled to integers and b to a primitive integer polynomial, so by
+    Gauss's lemma an exact quotient has integer coefficients and the
+    first one that is not proves that b does not divide a.
+    """
     a._same_ring(b)
     if not b.terms:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a.terms:
         return MultiPoly.zero(a.vars, a.field)
-    order = DEFAULT_ORDER
-    keyf = order.key
-    be, bc = b.leading(order)
-    binv = field_inverse(bc)
-    rem = dict(a.terms)
+    rational = not a.field.is_cyclotomic
+    if rational:
+        (ints_a, den_a), (ints_b, den_b) = _integral(a.terms), _integral(b.terms)
+        content = gcd(*ints_b)
+        rem = dict(zip(a.terms, ints_a))
+        bterms = dict(zip(b.terms, [c // content for c in ints_b]))
+    else:
+        rem, bterms = dict(a.terms), b.terms
+    keyf = DEFAULT_ORDER.key
+    be = max(bterms, key=keyf)
+    bc = bterms[be]
+    binv = None if rational else field_inverse(bc)
+    tail = [(e, c) for e, c in bterms.items() if e != be]
+    heap = [(tuple(-k for k in keyf(e)), e) for e in rem]
+    heapify(heap)
     quo = {}
-    bterms = list(b.terms.items())
-    while rem:
-        e = max(rem, key=keyf)
+    while heap:
+        e = heappop(heap)[1]
+        c = rem.pop(e, None)
+        if c is None:       # cancelled since it was pushed
+            continue
         qe = tuple(x - y for x, y in zip(e, be))
         if any(x < 0 for x in qe):
             raise ExactDivisionError("leading monomial not divisible")
-        qc = rem[e] * binv
+        if rational:
+            qc, r = divmod(c, bc)
+            if r:
+                raise ExactDivisionError("quotient coefficient is not an integer")
+        else:
+            qc = c * binv
         quo[qe] = qc
-        for eb, cb in bterms:
+        for eb, cb in tail:
             ne = tuple(x + y for x, y in zip(qe, eb))
             c = rem.get(ne)
-            delta = qc * cb
             if c is None:
-                rem[ne] = -delta
+                rem[ne] = -qc * cb
+                heappush(heap, (tuple(-k for k in keyf(ne)), ne))
             else:
-                c = c - delta
+                c -= qc * cb
                 if c:
                     rem[ne] = c
                 else:
                     del rem[ne]
-    return MultiPoly(a.vars, quo, a.field)
+    if rational:
+        # a / b = (ints_a / den_a) / (content * primitive b / den_b)
+        scale = Fraction(den_b, den_a * content)
+        if scale != 1:
+            quo = _canonical({e: c * scale for e, c in quo.items()})
+    return MultiPoly(a.vars, quo, a.field, _clean=True)
 
 
 def divides(b: MultiPoly, a: MultiPoly) -> bool:
@@ -899,7 +939,167 @@ def resultant(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd (subresultant polynomial remainder sequence)
+# gcd (one modular image checked by exact division; subresultant PRS fallback)
+
+_P = (1 << 61) - 1              # a Mersenne prime; images live in GF(_P)
+_AT = 0x9E3779B97F4A7C15        # variable j of an image is set to _AT * (j + 1) mod _P
+
+
+@cache
+def _lanes(n: int):
+    """GF(_P) images of the primitive n-th roots of unity, as their powers r^j for
+    j < phi(n), with the inverse of the matrix (r^j) that takes the values
+    of a Q(zeta_n) element at the roots back to its coordinates; None
+    unless n divides _P - 1, which makes every root an element of GF(_P)."""
+    if (_P - 1) % n:
+        return None
+    primes = [q for q in range(2, n + 1) if n % q == 0 and all(q % s for s in range(2, q))]
+    g = 2
+    while any(pow(g, (_P - 1) // q, _P) == 1 for q in primes):
+        g += 1
+    w = pow(g, (_P - 1) // n, _P)       # of order exactly n
+    roots = [pow(w, k, _P) for k in range(1, n + 1) if gcd(k, n) == 1]
+    m = len(roots)
+    powers = [[pow(r, j, _P) for j in range(m)] for r in roots]
+    rows = [row + [int(i == k) for i in range(m)] for k, row in enumerate(powers)]
+    for c in range(m):                  # Gauss-Jordan on (powers | identity)
+        piv = next(r for r in range(c, m) if rows[r][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = pow(rows[c][c], -1, _P)
+        rows[c] = [x * inv % _P for x in rows[c]]
+        for r in range(m):
+            if r != c:
+                f = rows[r][c]
+                rows[r] = [(x - f * y) % _P for x, y in zip(rows[r], rows[c])]
+    return powers, [row[m:] for row in rows]
+
+
+def _coordinates(p: MultiPoly) -> dict:
+    """p times a common denominator: exponents -> integer power-basis coordinates."""
+    if not p.field.is_cyclotomic:
+        return dict(zip(p.terms, [(c,) for c in _integral(p.terms)[0]]))
+    den = lcm(*[c._den for c in p.terms.values()])
+    return {e: tuple(x * (den // c._den) for x in c._num) for e, c in p.terms.items()}
+
+
+def _image(ints: dict, i: int, point) -> list:
+    """Coefficients mod _P of an integer term dict in variable i, constant first,
+    with each other variable j set to point[j]."""
+    out = [0] * (max(e[i] for e in ints) + 1)
+    for e, c in ints.items():
+        for j, k in enumerate(e):
+            if k and j != i:
+                c *= pow(point[j], k, _P)
+        out[e[i]] += c
+    return [c % _P for c in out]
+
+
+def _gf_gcd(f: list, g: list) -> list:
+    """Monic gcd over GF(_P) of two coefficient lists, constant first, nonzero leads."""
+    while g:
+        inv, n = pow(g[-1], -1, _P), len(g) - 1
+        f = f[:]
+        while len(f) > n:
+            q = f.pop() * inv % _P
+            if q:
+                off = len(f) - n
+                f[off:] = [(x - q * y) % _P for x, y in zip(f[off:], g)]
+        while f and not f[-1]:
+            f.pop()
+        f, g = g, f
+    inv = pow(f[-1], -1, _P)
+    return [c * inv % _P for c in f]
+
+
+def _lift(a: MultiPoly, b: MultiPoly, coords: list, used: list):
+    """gcd(a, b) for inputs in one variable x or homogeneous in (x, y); None if unproved.
+
+    Each lane maps zeta_N to one root in GF(_P) (over Q the one lane is
+    the identity).  The monic image gcd of a(x, 1) and b(x, 1) in a lane
+    has at least the true degree when _P divides neither leading
+    coefficient there.  Scaled by a multiple gamma of the true gcd's
+    leading coefficient and read back to coordinates in symmetric
+    residues, the lanes give the true gcd up to a unit when no
+    coordinate exceeds _P/2.  A candidate of the image degree that
+    divides both inputs is therefore the gcd.  Homogeneous inputs get it
+    rehomogenized, times the power of y they share.
+    """
+    powers, inverse = _lanes(a.field.conductor)
+    i, nv = used[0], len(a.vars)
+    gs = []
+    for rp in powers:
+        images = [_image({e: sum(map(mul, v, rp)) for e, v in c.items()}, i, [1] * nv)
+                  for c in coords]
+        if not all(f[-1] for f in images):
+            return None
+        gs.append(_gf_gcd(*images))
+    d = len(gs[0]) - 1
+    if any(len(g) != d + 1 for g in gs):
+        return None
+    gamma = [1]
+    if d:
+        # a multiple of the gcd's leading coefficient: lc(a), or
+        # gcd(lc(a), lc(b)) when both are integers
+        la, lb = (c[max(c, key=lambda e: e[i])] for c in coords)
+        gamma = la if any(la[1:] + lb[1:]) else [gcd(la[0], lb[0])]
+    coeffs = []
+    for m in range(d + 1):
+        y = [sum(map(mul, gamma, rp)) * g[m] % _P for rp, g in zip(powers, gs)]
+        u = [sum(map(mul, row, y)) % _P for row in inverse]
+        coeffs.append([c - _P if c > _P // 2 else c for c in u])
+    content = gcd(*[c for u in coeffs for c in u])
+    if len(used) == 2:
+        j = used[1]
+        shift = min(e[j] for c in coords for e in c)     # the power of y both share
+    terms = {}
+    for m, u in enumerate(coeffs):
+        if any(u):
+            e = [0] * nv
+            e[i] = m
+            if len(used) == 2:
+                e[j] = d - m + shift
+            u = [c // content for c in u]
+            terms[tuple(e)] = CycloNumber(a.field.conductor, u) if a.field.is_cyclotomic else u[0]
+    cand = MultiPoly(a.vars, terms, a.field, _clean=True)
+    if d and not (any(coeffs[-1]) and divides(cand, a) and divides(cand, b)):
+        return None
+    return cand
+
+
+def _modular_gcd(a: MultiPoly, b: MultiPoly):
+    """gcd(a, b) of nonconstant inputs up to a unit, or None where the PRS must decide.
+
+    A monomial operand gives the common monomial.  Inputs in one variable
+    or homogeneous in two go to _lift.  Other inputs are proved coprime by
+    a constant image gcd in each variable both use, in the first lane,
+    with the other variables at fixed points where neither leading
+    coefficient vanishes mod _P: a common factor uses such a variable and
+    keeps its degree there.  Q(zeta_N) with N not dividing _P - 1 has no
+    lanes and always takes the PRS.
+    """
+    for p, q in ((a, b), (b, a)):
+        if len(p.terms) == 1:
+            (m,) = p.terms
+            for e in q.terms:
+                m = tuple(map(min, m, e))
+            return MultiPoly.monomial(1, m, a.vars, a.field)
+    lanes = _lanes(a.field.conductor)
+    if lanes is None:
+        return None
+    coords = [_coordinates(p) for p in (a, b)]
+    used = [i for i in range(len(a.vars)) if any(e[i] for c in coords for e in c)]
+    if len(used) == 1 or len(used) == 2 and all(len({sum(e) for e in c}) == 1
+                                                for c in coords):
+        return _lift(a, b, coords, used)
+    ints = [{e: sum(map(mul, v, lanes[0][0])) for e, v in c.items()} for c in coords]
+    point = [_AT * (j + 1) % _P for j in range(len(a.vars))]
+    for i in used:
+        images = [_image(t, i, point) for t in ints]
+        if len(images[0]) > 1 and len(images[1]) > 1 and (
+                not all(f[-1] for f in images) or len(_gf_gcd(*images)) > 1):
+            return None
+    return MultiPoly.constant(1, a.vars, a.field)
+
 
 def _content_primitive(p: MultiPoly, name: str):
     """Content (gcd of coefficients) and primitive part of p in the named variable."""
@@ -949,6 +1149,9 @@ def gcd_poly(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return monic(a)
     if a.is_constant() or b.is_constant():
         return MultiPoly.constant(1, a.vars, a.field)
+    g = _modular_gcd(a, b)
+    if g is not None:
+        return monic(g)
     name = None
     for v in a.vars:
         if a.uses_variable(v) or b.uses_variable(v):
@@ -979,3 +1182,19 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
     if not cont.is_constant():
         sf = sf * squarefree_part(cont)
     return primitive_normalize(sf)
+
+
+def is_squarefree(p: MultiPoly) -> bool:
+    """Whether p has no repeated factor, without building its squarefree part.
+
+    p is squarefree when its content in the first variable it uses is,
+    and its primitive part is coprime to its derivative there.
+    """
+    if not p.terms:
+        raise ValueError("squarefree part of the zero polynomial")
+    if p.is_constant():
+        return True
+    name = next(v for v in p.vars if p.uses_variable(v))
+    cont, prim = _content_primitive(p, name)
+    return (gcd_poly(prim, derivative(prim, name)).is_constant()
+            and is_squarefree(cont))

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from polymap.polyring import (BlockOrder, CyclotomicField, DegRevLex,
                               QQ, RingMismatch, _product, block_order, common_field,
                               derivative, divides, evaluate, exact_div,
                               gcd_poly, hessian_det, is_scalar_multiple,
-                              jacobian_det, monic, primitive_normalize,
+                              is_squarefree, jacobian_det, monic, primitive_normalize,
                               pseudo_rem, resultant, squarefree_part,
                               substitute, sylvester_matrix)
 
@@ -444,3 +445,125 @@ def test_rational_coefficients_are_canonical():
     assert q.terms == {(1, 0): 1} and type(q.terms[(1, 0)]) is int
     r = parse_poly("1/2*x") - parse_poly("-1/2*x")
     assert type(r.terms[(1, 0)]) is int
+    g = gcd_poly(parse_poly("2*x^2 - 2*y^2"), parse_poly("4*x + 4*y"))
+    assert g.terms == {(1, 0): 1, (0, 1): 1}
+    # x^0 slice of the pullback: 1/2 * 2y, which no later product touches
+    pulled = substitute(parse_poly("x + 1/2*y"), {"y": 2 * Y})
+    integral = MultiPoly(("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(2)}, QQ,
+                         _clean=True)
+    for q in (g, pulled, monic(parse_poly("2*x + 4")), primitive_normalize(integral),
+              exact_div(parse_poly("x^2 - 1/4"), parse_poly("2*x - 1"))):
+        assert all(type(c) is int or c.denominator != 1 for c in q.terms.values()), q.terms
+    assert pulled.terms == {(1, 0): 1, (0, 1): 1}
+
+
+def test_small_products_take_the_schoolbook_loop(monkeypatch):
+    boxes = []
+    kronecker = polyring._kronecker
+    monkeypatch.setattr(polyring, "_kronecker",
+                        lambda a, b, dims: boxes.append(dims) or kronecker(a, b, dims))
+    assert (X + 1) ** 2 == MultiPoly(("x", "y"), {(2, 0): 1, (1, 0): 2, (0, 0): 1})
+    assert boxes == []      # 2 x 2 term pairs
+    cube = (X + 1) ** 3
+    assert cube * cube == (X + 1) ** 6 and boxes == [[7, 1]]    # 4 x 4 pairs
+
+
+# ---------------------------------------------------------------------------
+# gcds from one modular image, against the subresultant PRS
+
+_MODULUS = 2 ** 61 - 1
+
+
+def _prs_only(fn, *args):
+    """fn(*args) with the modular image switched off, so every gcd runs the PRS."""
+    with mock.patch.object(polyring, "_modular_gcd", lambda a, b: None):
+        return fn(*args)
+
+
+def _form(draw, variables, field, homogeneous, top):
+    """A random nonconstant factor of degree at most `top` with small coefficients."""
+    n = len(variables)
+    degree = draw(st.integers(1, top))
+    exps = [e for e in itertools.product(range(degree + 1), repeat=n)
+            if (sum(e) == degree if homogeneous else sum(e) <= degree)]
+    rats = st.integers(-3, 3) if not field.is_cyclotomic else _coefficients(field)
+    terms = {e: draw(rats) for e in exps}
+    lead = max(exps, key=sum)
+    terms[lead] = terms[lead] or field.one    # keeps the factor nonconstant
+    return MultiPoly(variables, terms, field)
+
+
+@st.composite
+def gcd_inputs(draw):
+    """(a, b): products of random factors with multiplicities, some factors shared."""
+    kind = draw(st.sampled_from(("univariate", "homogeneous", "bivariate", "three",
+                                 "zeta6-homogeneous", "zeta12")))
+    variables = {"univariate": ("x",), "three": ("x", "y", "z")}.get(kind, ("x", "y"))
+    field = {"zeta6-homogeneous": CyclotomicField(6),
+             "zeta12": CyclotomicField(12)}.get(kind, QQ)
+    homogeneous = "homogeneous" in kind
+    # the PRS reference is slow in three variables and over Q(zeta_12)
+    small = kind in ("three", "zeta12")
+    factors = [_form(draw, variables, field, homogeneous, 1 if small else 2)
+               for _ in range(draw(st.integers(1, 2 if small else 4)))]
+    products = []
+    for _ in range(2):
+        p = MultiPoly.constant(draw(st.sampled_from((1, -2, Fraction(3, 5)))),
+                               variables, field)
+        for f in factors:
+            p = p * f ** draw(st.integers(0, 2))
+        products.append(p)
+    return products
+
+
+@settings(max_examples=100, deadline=None)
+@given(gcd_inputs())
+def test_gcd_and_squarefree_match_the_prs(case):
+    a, b = case
+    assert gcd_poly(a, b) == _prs_only(gcd_poly, a, b)
+    for p in (a, b):
+        if p.is_constant():
+            continue
+        assert squarefree_part(p) == _prs_only(squarefree_part, p)
+        assert is_squarefree(p) == is_scalar_multiple(squarefree_part(p), p)
+
+
+def test_gcd_falls_back_to_the_prs(monkeypatch):
+    calls = []
+    prs = polyring._prs_gcd
+    monkeypatch.setattr(polyring, "_prs_gcd",
+                        lambda a, b, name: calls.append(name) or prs(a, b, name))
+    # the leading coefficient vanishes mod the prime, so the image loses a degree
+    assert gcd_poly((_MODULUS * X + 1) * (X + 2), (X + 2) * (X - 3)) == X + 2
+    assert len(calls) == 1
+    # a gcd coefficient above half the prime has no symmetric residue
+    g = X + (_MODULUS // 2 + 5)
+    assert gcd_poly(g * (X + 1), g * (X - 1)) == g and len(calls) == 2
+    # the leading coefficient in x vanishes at the point the image sets y to
+    h = X + Y + 1
+    at = MultiPoly.constant(polyring._AT * 2 % _MODULUS, X.vars)
+    assert gcd_poly(((Y - at) * X + 1) * h, h * (X - Y ** 2)) == h and len(calls) > 2
+    # a denominator divisible by the prime is scaled away, not a fallback
+    before = len(calls)
+    a = (X + 1) * (X - 1) * Fraction(1, _MODULUS)
+    assert gcd_poly(a, (X + 1) * (X + 5)) == X + 1 and len(calls) == before
+    # Q(zeta_12) has no root of unity mod the prime
+    x12 = X.in_field(CyclotomicField(12))
+    z = x12 + zeta(12)
+    assert gcd_poly(z * (x12 + 1), z * (x12 - 1)) == z and len(calls) > before
+
+
+def test_coprime_images_in_three_variables():
+    Z = MultiPoly.variable("z", ("x", "y", "z"))
+    x, y = (MultiPoly.variable(v, Z.vars) for v in "xy")
+    # each image is coprime, and a factor free of one variable still shows in another
+    assert gcd_poly(x * y + Z, x + y * Z ** 2 + 1) == 1
+    assert gcd_poly(y * (x + Z), y * (x - Z)) == y
+    assert is_squarefree(y * (x + Z)) and not is_squarefree(y ** 2 * (x + Z))
+
+
+def test_exact_div_stops_at_a_fractional_quotient():
+    with pytest.raises(ExactDivisionError, match="not an integer"):
+        exact_div(X ** 2 + 1, 2 * X + 1)
+    assert exact_div(parse_poly("x^2 - 1/4"), parse_poly("2*x - 1")) == parse_poly("1/2*x + 1/4")
+    assert exact_div(parse_poly("6*x^2 + 3*x"), parse_poly("4*x + 2")) == parse_poly("3/2*x")

@@ -2,10 +2,12 @@
 
 import pytest
 
-from polymap.maps import is_proper, topological_degree, verify_branch
+from polymap import polyring
+from polymap.maps import critical_ideal, is_proper, topological_degree, verify_branch
 from polymap.numberfield import zeta
 from polymap.parser import parse_poly
-from polymap.polyring import MultiPoly, is_scalar_multiple, jacobian_det
+from polymap.polyring import (MultiPoly, is_scalar_multiple, jacobian_det,
+                              squarefree_part)
 from polymap.refgroups import (Matrix2, basic_invariants, build_group,
                                claimed_branch, classes_of_degree, cyclic_group,
                                default_table4_rows, enumerate_group,
@@ -183,6 +185,27 @@ def test_verify_table4_divisibility_rows():
         report = verify_table4_row(parse_group_spec(spec))
         assert report["ok"], spec
         assert report["tiers"]["elimination"] == "not-run"
+
+
+def test_table4_cheap_tiers_need_no_prs(monkeypatch):
+    # the slate is over Q and Q(zeta_6), and every gcd its cheap tiers take
+    # has a monomial operand, is a unit by the images, or is lifted in one
+    # variable or homogeneous in two, so none reaches the PRS
+    def refuse(*args):
+        raise AssertionError("the subresultant PRS was reached")
+    monkeypatch.setattr(polyring, "_prs_gcd", refuse)
+    jacobians = {}
+    for rec in default_table4_rows():
+        f = quotient_map(rec)
+        check = verify_branch(f, claimed_branch(rec), run_elimination=False)
+        assert check.substitution_divisible and check.claimed_squarefree, rec.label
+        jacobians[rec.label] = critical_ideal(f)
+    assert len(jacobians) == 43
+    assert squarefree_part(jacobians["G_19"]) == parse_poly(
+        "x^61*y + 305*x^56*y^6 - 125294*x^51*y^11 + 1125145*x^46*y^16"
+        " + 23226665*x^41*y^21 - 55707274*x^36*y^26 - 55707274*x^26*y^36"
+        " - 23226665*x^21*y^41 + 1125145*x^16*y^46 + 125294*x^11*y^51"
+        " + 305*x^6*y^56 - x*y^61")
 
 
 def test_verify_table4_full_rows():
