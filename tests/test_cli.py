@@ -388,12 +388,16 @@ def test_elimination_skip_reports_progress(capsys):
         "pair_reductions": 2, "zero_reductions": 0, "basis_size": 3}
 
 
-def test_budget_reaches_local_and_singular_engines(capsys, monkeypatch):
+def test_budget_reaches_total_milnor_and_local_engines(capsys, monkeypatch):
     # the first map's graph basis needs no pair reduction, so a zero budget
-    # first runs out in the global singular-point count of its critical curve
-    code, out, _ = run(capsys, "distinguish", "(x, y^4 - 4*x^2*y)",
+    # first runs out in the total-Milnor basis of its critical curve
+    code, out, _ = run(capsys, "--json", "distinguish", "(x, y^4 - 4*x^2*y)",
                        "(x, y^4 - 4*x^3*y)", "--budget", "0")
-    assert code == 0 and "distinguish: skipped-budget" in out
+    check = json.loads(out)["checks"][0]
+    assert code == 0 and check["status"] == "skipped-budget"
+    assert check["details"] == {"limit": "pair-reduction budget 0 exceeded",
+                                "pair_reductions": 0, "zero_reductions": 0,
+                                "basis_size": 3}
     # the environment budget reaches the local basis, whose unlimited
     # run reduces 3 pairs
     monkeypatch.setenv("POLYMAP_BUDGET", "1")

@@ -1,6 +1,8 @@
 """Curve singularities: Milnor numbers and conic classification."""
 
 import math
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,11 @@ from hypothesis import strategies as st
 from polymap.curves import (CONIC_ONE_POINT, CONIC_TWO_POINTS,
                             DEGENERATE_CONIC, LINE, NOT_APPLICABLE,
                             NonEquivalenceCertificate, PreconditionError,
-                            classify_low_degree_curve, distinguish_by_milnor,
-                            milnor_at_origin,
-                            singular_points_exist_outside_origin)
-from polymap.maps import PolyMap, make_family
+                            _total_milnor, classify_low_degree_curve,
+                            distinguish_by_milnor, milnor_at_origin)
+from polymap.maps import PlaneAutomorphism, PolyMap, compose, make_family
 from polymap.parser import parse_map, parse_poly
-from polymap.polyring import MultiPoly
+from polymap.polyring import QQ, MultiPoly, substitute
 
 X = MultiPoly.variable("x", ("x", "y"))
 Y = MultiPoly.variable("y", ("x", "y"))
@@ -53,18 +54,20 @@ def test_milnor_requires_vanishing():
         milnor_at_origin(Y ** 2 - X ** 3 + 1)
 
 
-def test_singular_points_elsewhere():
-    # cusp only at the origin
-    assert not singular_points_exist_outside_origin(Y ** 2 - X ** 3)
-    # two nodes: origin and (1, 0)
-    two_nodes = Y ** 2 - X ** 2 * (X - 1) ** 2
-    assert singular_points_exist_outside_origin(two_nodes)
-    with pytest.raises(ValueError):
-        singular_points_exist_outside_origin((Y - X) ** 2)
-
-
-def test_smooth_curve_has_no_singular_points():
-    assert not singular_points_exist_outside_origin(Y - X ** 3)
+@pytest.mark.parametrize("curve, points, total", [
+    (Y ** 2 - X ** 2 * (X - 1) ** 2, [(0, 0), (1, 0)], 2),
+    (X * Y * (X + Y - 1), [(0, 0), (1, 0), (0, 1)], 3),
+    # the critical curve of test_distinguish_far_singularities' first map
+    (Y ** 3 - (X - 1) ** 2 * X ** 2, [(0, 0), (1, 0)], 4),
+    (Y ** 2 - X ** 3, [(0, 0)], 2),
+    (Y - X ** 3, [], 0),
+], ids=["two-nodes", "three-lines", "two-cusps", "cusp", "smooth"])
+def test_total_milnor_sums_local_milnor_numbers(curve, points, total):
+    # the same move as `milnor --at a,b`: the point (a, b) goes to the origin
+    local = [milnor_at_origin(substitute(curve, {"x": X + a, "y": Y + b}))
+             for a, b in points]
+    assert all(m.isolated and m.value > 0 for m in local)
+    assert _total_milnor(curve) == sum(m.value for m in local) == total
 
 
 def test_classify_conics_frozen():
@@ -118,17 +121,43 @@ def test_distinguish_preconditions():
     whitney = make_family("whitney")
     with pytest.raises(PreconditionError):
         distinguish_by_milnor(improper, whitney)
-    # critical curve 3y^2 is not reduced
+    # the critical curve 3y^2 reduces to the smooth line y = 0, and
+    # whitney's parabola is smooth too: 0 against 0 proves nothing
     pure = PolyMap(*parse_map("(x, y^3)"))
-    with pytest.raises(PreconditionError):
-        distinguish_by_milnor(pure, whitney)
+    assert distinguish_by_milnor(pure, whitney) is None
 
 
-def test_distinguish_rejects_far_singularities():
-    # f's critical curve has a second singular point away from the origin
+def test_distinguish_far_singularities():
+    # f's critical curve y^3 = x^2 (x - 1)^2 has cusps at (0, 0) and (1, 0)
     f = PolyMap(X, Y ** 4 - (X - 1) ** 2 * X ** 2 * Y * 4)
-    with pytest.raises(PreconditionError):
-        distinguish_by_milnor(f, make_family("shifted_power", d=4, n=2))
+    cert = distinguish_by_milnor(f, make_family("shifted_power", d=4, n=2))
+    assert (cert.milnor_first, cert.milnor_second) == (4, 2)
+    assert cert.reason == "critical curves have different total Milnor numbers"
+
+
+def random_automorphism(rng, shear_degree=2):
+    """A linear map followed by a shear y -> y + s(x), as cli-mix draws them."""
+    while True:
+        a, b, c, d = (Fraction(rng.randint(-3, 3)) for _ in range(4))
+        if a * d - b * c != 0:
+            break
+    lin = PlaneAutomorphism.linear(a, b, c, d)
+    shear = MultiPoly(("x", "y"), {(k, 0): Fraction(rng.randint(-2, 2))
+                                   for k in range(shear_degree + 1)}, QQ)
+    return lin.then(PlaneAutomorphism.triangular(shear, lower=True))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(3, 4), st.integers(2, 3), st.integers(0, 2 ** 32))
+def test_distinguish_is_invariant_under_automorphisms(d, n, seed):
+    rng = random.Random(seed)
+    base = make_family("shifted_power", d=d, n=n)
+    f = compose(base, pre=random_automorphism(rng),
+                post=random_automorphism(rng))
+    g = make_family("shifted_power", d=d, n=n + 1)
+    cert = distinguish_by_milnor(f, g)
+    assert cert.milnor_first == (d - 2) * (n - 1)
+    assert cert.milnor_second == (d - 2) * n
 
 
 @settings(max_examples=30, deadline=None)

@@ -331,9 +331,8 @@ def test_local_dimension_matches_truncation(terms):
     # two curves of degree <= d - 1 with no common component through the
     # origin meet there at most (d - 1)^2 times, so a finite mu is below n
     n = (F.total_degree() - 1) ** 2 + 1
-    # the Jacobian ideal gives mu; adding F, as
-    # `singular_points_exist_outside_origin` does, gives the Tjurina
-    # number, at most mu and finite with it, so the same n bounds it
+    # the Jacobian ideal gives mu; adding F gives the Tjurina number,
+    # at most mu and finite with it, so the same n bounds it
     for ideal in (gens, [F] + gens):
         dim = local_dimension(ideal)
         truncated = truncated_dimension(ideal, n)
