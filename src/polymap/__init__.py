@@ -1,8 +1,9 @@
 """Exact tools for proper polynomial self-maps of the affine plane.
 
 Properness and topological degree via Groebner bases, branch loci via
-elimination, Milnor numbers via local dimensions, and the catalog
-of rank-2 complex reflection groups with their invariant quotient maps.
+elimination, Milnor numbers as intersection multiplicities (Fulton's
+algorithm), and the catalog of rank-2 complex reflection groups with
+their invariant quotient maps.
 """
 
 from .numberfield import CycloNumber, cyclotomic_polynomial, embed, zeta

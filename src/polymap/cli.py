@@ -153,7 +153,7 @@ def _cmd_milnor(args):
         F = substitute(F, {"x": x + a, "y": y + b})
         if (0, 0) in F.terms:
             raise ValueError(f"curve does not pass through ({a}, {b})")
-    result = milnor_at_origin(F, args.budget)
+    result = milnor_at_origin(F)
     value = result.value if result.isolated else "infinite"
     return [Check("milnor", PASS,
                   {"curve": format_poly(F), "milnor": value,
@@ -309,7 +309,7 @@ def _cmd_verify_theorem_b(args):
     for n in range(1, args.n_max + 1):
         f = make_family("shifted_power", d=d, n=n)
         J = critical_ideal(f)
-        mu = milnor_at_origin(J, args.budget)
+        mu = milnor_at_origin(J)
         expected = (d - 2) * (n - 1)
         checks.append(Check(f"milnor(d={d},n={n})",
                             PASS if mu.value == expected else FAIL,
@@ -375,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=_point, default=None, metavar="a,b",
                    help="evaluate at (a, b) instead of the origin; attach a "
                         "point that starts with '-' as --at=-1,2")
-    common(p)
+    common(p, budget=False)
     p.set_defaults(handler=_cmd_milnor)
 
     p = sub.add_parser("distinguish",

@@ -1,11 +1,12 @@
 """Plane curve singularities: Milnor numbers and low-degree classification.
 
 The Milnor number at the origin is the local dimension of the Jacobian
-algebra, dim C{x,y}/(F_x, F_y), read off the leading exponents of a
-local standard basis (`groebner.local_dimension`).  Summed over all
-singular points of the reduced critical curve it is one global quotient
-dimension, and together with properness it separates maps whose critical
-curves have different singularities.
+algebra, dim C{x,y}/(F_x, F_y), which for two generators is the
+intersection multiplicity of F_x = 0 and F_y = 0 there; Fulton's
+algorithm computes it from the two curves alone, with no standard
+basis.  Summed over all singular points of the reduced critical curve
+it is one global quotient dimension, and together with properness it
+separates maps whose critical curves have different singularities.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groebner import buchberger, local_dimension, quotient_dimension
+from .groebner import buchberger, quotient_dimension
 from .maps import PolyMap, critical_ideal, is_proper
-from .polyring import MultiPoly, derivative, squarefree_part
+from .polyring import (MultiPoly, derivative, gcd_poly, primitive_normalize,
+                       squarefree_part)
 
 
 @dataclass(frozen=True)
@@ -30,23 +32,51 @@ class MilnorResult:
         return self.value
 
 
-def milnor_at_origin(F: MultiPoly, budget=None) -> MilnorResult:
+def _intersection_multiplicity(F: MultiPoly, G: MultiPoly):
+    """Intersection multiplicity of the plane curves F = 0 and G = 0 at
+    the origin; math.inf when they share a component through it.
+
+    In two variables that is exactly when gcd(F, G) vanishes at the
+    origin, so it is tested first.  Then Fulton's algorithm (Algebraic
+    Curves, 1969, 3.3) on f = F(x, 0) and g = G(x, 0), swapped so that
+    deg f <= deg g with f = 0 lowest: a curve that misses the origin
+    adds 0; if f = 0, then F = y * F1 and I(F, G) = ord_x g + I(F1, G);
+    otherwise lc(f) G - lc(g) x^(deg g - deg f) F replaces G, which
+    spans the same ideal with F and has a lower deg g.  Each step lowers
+    I, or keeps it and lowers (deg f, deg g) lexicographically, so a
+    finite I ends the loop.
+    """
+    origin = (0, 0)
+    if origin not in gcd_poly(F, G).terms:
+        return math.inf
+    total = 0
+    while origin not in F.terms and origin not in G.terms:
+        f = {i: c for (i, j), c in F.terms.items() if not j}
+        g = {i: c for (i, j), c in G.terms.items() if not j}
+        if max(g, default=-1) < max(f, default=-1):
+            F, G, f, g = G, F, g, f
+        if not f:
+            total += min(g)
+            F = MultiPoly(F.vars, {(i, j - 1): c for (i, j), c in F.terms.items()},
+                          F.field, _clean=True)
+        else:
+            r, s = max(f), max(g)
+            shifted = MultiPoly.monomial(g[s], (s - r, 0), F.vars, F.field) * F
+            G = primitive_normalize(G * f[r] - shifted)
+    return total
+
+
+def milnor_at_origin(F: MultiPoly) -> MilnorResult:
     """Milnor number of the curve F = 0 at the origin.
 
-    Computes dim of the local ring modulo the two partial derivatives.
-    A smooth point gives 0; a non-isolated critical point comes back
-    with value inf and isolated=False.
+    dim C{x,y}/(F_x, F_y) is the intersection multiplicity of the two
+    partials at the origin.  A smooth point gives 0; a non-isolated
+    critical point comes back with value inf and isolated=False.
     """
     if (0,) * len(F.vars) in F.terms:
         raise ValueError("curve does not pass through the origin")
-    gens = [derivative(F, v) for v in F.vars]
-    gens = [g for g in gens if g.terms]
-    if not gens:
-        return MilnorResult(math.inf, False)
-    dim = local_dimension(gens, budget)
-    if dim == math.inf:
-        return MilnorResult(math.inf, False)
-    return MilnorResult(dim, True)
+    mu = _intersection_multiplicity(*(derivative(F, v) for v in F.vars))
+    return MilnorResult(mu, mu != math.inf)
 
 
 LINE = "line"

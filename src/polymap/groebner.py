@@ -1,4 +1,4 @@
-"""Groebner bases and local dimensions with an explicit computation budget.
+"""Global Groebner bases with an explicit computation budget.
 
 There is one engine: Buchberger's algorithm with the Gebauer-Moeller
 pair criteria.  When the generators are homogeneous for some positive
@@ -34,13 +34,6 @@ computation starts over (`_packed`), so no exponent ever wraps.
 Polynomials enter and leave the engine as MultiPolys with tuple
 exponents, and the engine hands over each basis element's leading
 exponent with the basis (`IdealBasis.leads`), so nothing reads it again.
-
-Dimensions of the local ring at the origin modulo an ideal come from
-the same engine by Lazard's method: homogenize the generators with one
-new variable, compute a global basis under a degree order that breaks
-ties by a local order, and set the new variable to 1 in its leading
-exponents (Greuel & Pfister, A Singular Introduction to Commutative
-Algebra, 1.7).
 
 The engine takes a ComputationBudget and checks it before each pair
 reduction.  Exceeding the limit raises ResourceBudgetExceeded, whose
@@ -78,7 +71,7 @@ class ResourceBudgetExceeded(RuntimeError):
 
 @dataclass
 class ComputationBudget:
-    """Limits for each basis computation, global or local; None means unlimited.
+    """Limits for each basis computation; None means unlimited.
 
     One budget is passed through every engine a command runs, and each
     basis computation counts against it from zero.  A computation stops
@@ -630,59 +623,3 @@ def staircase_count(leads, nvars):
 
     walk(())
     return count
-
-
-# ---------------------------------------------------------------------------
-# local dimensions (Lazard's homogenization)
-
-
-class _HomogenizedLocalOrder(MonomialOrder):
-    """Global order on the ring with the homogenizing variable appended last.
-
-    Within one total degree a higher power of that variable, i.e. a lower
-    degree in the original variables, ranks higher, with revlex breaking
-    ties.  So on a homogeneous polynomial, the leading exponent without
-    its last entry is the leading exponent of the dehomogenized
-    polynomial under the anti-graded revlex order, a local order.
-    """
-
-    name = "homogenized-local"
-
-    def key(self, exps):
-        return (sum(exps), exps[-1]) + tuple(-e for e in reversed(exps[:-1]))
-
-
-def local_dimension(generators, budget: ComputationBudget = None):
-    """Dimension of the local ring at the origin modulo the generated
-    ideal; math.inf if not finite.
-
-    Lazard's method: homogenize each generator with one new variable h,
-    compute the global basis of the homogeneous ideal with `buchberger`
-    under _HomogenizedLocalOrder, and count the staircase of its leading
-    exponents with h set to 1, which are the leading exponents of a
-    local standard basis.  Every reduction stays inside one degree of a
-    homogeneous ideal, so the pair budget bounds the work, and budget
-    stops are those of `buchberger`.  A generator with a nonzero constant
-    term is a unit in the local ring, so the dimension is 0 at once,
-    with zero pair reductions.
-    """
-    gens = [g for g in generators if g.terms]
-    if not gens:
-        raise ValueError("no nonzero generators")
-    ring = gens[0]
-    for g in gens[1:]:
-        ring._same_ring(g)
-    n = len(ring.vars)
-    if any((0,) * n in g.terms for g in gens):
-        return 0
-    h = "h"
-    while h in ring.vars:
-        h += "_"
-    homogenized = []
-    for g in gens:
-        d = g.total_degree()
-        homogenized.append(MultiPoly(ring.vars + (h,),
-                                     {e + (d - sum(e),): c for e, c in g.terms.items()},
-                                     ring.field, _clean=True))
-    gb = buchberger(homogenized, _HomogenizedLocalOrder(), budget)
-    return staircase_count([e[:-1] for e in gb.leads], n)

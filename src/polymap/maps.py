@@ -87,12 +87,6 @@ class PlaneAutomorphism:
         raise AttributeError("PlaneAutomorphism is immutable")
 
     @classmethod
-    def identity(cls, field=QQ):
-        x = MultiPoly.variable("x", SOURCE_VARS, field)
-        y = MultiPoly.variable("y", SOURCE_VARS, field)
-        return cls((x, y), (x, y))
-
-    @classmethod
     def linear(cls, a, b, c, d, field=QQ):
         """(x, y) -> (a x + b y, c x + d y) for an invertible 2x2 matrix."""
         a, b, c, d = (field.coerce(v) for v in (a, b, c, d))

@@ -2,20 +2,23 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polymap.curves import (CONIC_ONE_POINT, CONIC_TWO_POINTS,
                             DEGENERATE_CONIC, LINE, NOT_APPLICABLE,
                             NonEquivalenceCertificate, PreconditionError,
-                            _total_milnor, classify_low_degree_curve,
-                            distinguish_by_milnor, milnor_at_origin)
+                            _intersection_multiplicity, _total_milnor,
+                            classify_low_degree_curve, distinguish_by_milnor,
+                            milnor_at_origin)
+from polymap.groebner import buchberger, quotient_dimension
 from polymap.maps import PlaneAutomorphism, PolyMap, compose, make_family
 from polymap.parser import parse_map, parse_poly
-from polymap.polyring import QQ, MultiPoly, substitute
+from polymap.polyring import QQ, MultiPoly, derivative, substitute
 
 X = MultiPoly.variable("x", ("x", "y"))
 Y = MultiPoly.variable("y", ("x", "y"))
@@ -33,16 +36,20 @@ def test_milnor_grid_frozen():
 def test_milnor_smooth_point():
     res = milnor_at_origin(Y - X ** 2)
     assert res.value == 0 and res.isolated
+    # the partials of x are the unit 1 and 0
+    assert milnor_at_origin(X) == res
 
 
 def test_milnor_node_and_cusp():
     assert milnor_at_origin(Y ** 2 - X ** 2 - X ** 3).value == 1
     assert milnor_at_origin(Y ** 2 - X ** 3).value == 2
+    assert milnor_at_origin(parse_poly("y^2 - zeta(3)*x^3")).value == 2
     # tangential unit factors do not change the local count
     assert milnor_at_origin((Y ** 2 - X ** 3) * (X + 1)).value == 2
 
 
 def test_milnor_non_isolated():
+    # the partials 0 and 2y share the line y = 0
     res = milnor_at_origin(Y ** 2)
     assert not res.isolated and res.value == math.inf
     with pytest.raises(ValueError):
@@ -52,6 +59,103 @@ def test_milnor_non_isolated():
 def test_milnor_requires_vanishing():
     with pytest.raises(ValueError):
         milnor_at_origin(Y ** 2 - X ** 3 + 1)
+
+
+def test_intersection_multiplicity_of_the_cusp_partials():
+    # ordinary cusp: the partials 3x^2 and 2y meet twice at the origin
+    assert _intersection_multiplicity(X ** 2 * 3, Y * 2) == 2
+    assert _intersection_multiplicity(X * 2, Y * 2) == 1
+
+
+def test_intersection_multiplicity_ignores_unit_factors():
+    # x - x^2 = x(1 - x): locally a coordinate, so the curves meet once
+    assert _intersection_multiplicity(X - X ** 2, Y) == 1
+
+
+def test_intersection_multiplicity_is_local():
+    # the partials of y^2 - x^3 - x^2 meet at the node and at x = -2/3;
+    # the global quotient counts both points, the origin only one
+    gens = [parse_poly("-3*x^2 - 2*x"), Y * 2]
+    assert _intersection_multiplicity(*gens) == 1
+    assert quotient_dimension(buchberger(gens)) == 2
+
+
+def test_intersection_multiplicity_needs_the_gcd_check():
+    # x*y and x*(y - x^2) share the line x = 0 through the origin
+    assert _intersection_multiplicity(X * Y, X * (Y - X ** 2)) == math.inf
+    # x + 1 misses the origin, where y and y - x^2 meet twice
+    assert _intersection_multiplicity((X + 1) * Y, (X + 1) * (Y - X ** 2)) == 2
+    # a common component other than y: without the check Fulton's loop
+    # would replace one curve by the other's multiple forever
+    F = X * parse_poly("6*x^2 - 9/2*x*y + 2*x - 5")
+    assert _intersection_multiplicity(F, X ** 3 * Fraction(-3, 2)) == math.inf
+
+
+SMOOTH_ORIGIN = ("-5*x^5*y^5 - 1/2*x^3*y^5 - 4/3*x^2*y^6 + 1/3*x^2*y^3"
+                 " + 5/3*x^4 + 5/2*y")
+
+
+def test_milnor_with_a_unit_partial_is_immediate():
+    # dF/dy has constant term 5/2, a unit at the origin, so Fulton's loop
+    # stops before its first step
+    started = time.monotonic()
+    assert milnor_at_origin(parse_poly(SMOOTH_ORIGIN)).value == 0
+    assert time.monotonic() - started < 0.1
+
+
+# ---------------------------------------------------------------------------
+# Milnor numbers against a truncation oracle: for an ideal J of Q[x, y],
+# Q[x, y]/(J + m^n) is supported at the origin only, so its dimension is
+# the local one of J + m^n.  It equals mu = dim O/J as soon as m^n lies in
+# J locally, and until then it grows strictly with n (Nakayama): equal
+# values at n and n + 1 prove mu, and a finite mu is reached by n = mu.
+
+
+def truncated_dimension(gens, n):
+    """dim Q[x, y]/(gens + m^n), by the global engine alone."""
+    power = [MultiPoly(("x", "y"), {(i, n - i): 1}, QQ) for i in range(n + 1)]
+    return quotient_dimension(buchberger(list(gens) + power))
+
+
+def jacobian(F):
+    return [g for g in (derivative(F, v) for v in F.vars) if g.terms]
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+curve_exps = [(i, j) for i in range(6) for j in range(6) if 1 <= i + j <= 5]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(curve_exps), small, min_size=1, max_size=6))
+def test_milnor_matches_truncation(terms):
+    F = MultiPoly(("x", "y"), terms, QQ)
+    assume(F.terms)
+    gens = jacobian(F)
+    # two curves of degree <= d - 1 with no common component through the
+    # origin meet there at most (d - 1)^2 times, so a finite mu is below n
+    n = (F.total_degree() - 1) ** 2 + 1
+    mu = milnor_at_origin(F).value
+    truncated = truncated_dimension(gens, n)
+    if mu == math.inf:
+        assert truncated_dimension(gens, n + 1) > truncated
+    else:
+        assert mu == truncated
+
+
+@pytest.mark.parametrize("curve, mu, stable", [
+    ("2/3*x^4*y^4 + x^2*y^4 - 1/2*x^4*y - 1/3*x*y^4 - 2*x^4", 13, 7),
+    ("x^6*y^3 - x^2*y^5 - x^6 - 4*x^5*y - x*y^5", 25, 9),
+    ("-x^8*y^8 + 3/2*x^8*y - 3*y^9 + 2*x^8 - 1/2*y^8 - 1/3*x*y^4 + 3*x^4", 13, 7),
+    ("x^8*y^7 - x^6*y^7 + 2*x^9 + 4*x^3*y^4 - 3*y^7 + 2/3*y^6", 40, 14),
+], ids=["mu13", "mu25", "mu13-degree16", "mu40"])
+def test_milnor_frozen_curves(curve, mu, stable):
+    # the first two took Mora's tangent-cone algorithm past 5 s; the
+    # last two took a homogenized local standard basis 350 s and 7.2 s
+    F = parse_poly(curve)
+    assert milnor_at_origin(F).value == mu
+    gens = jacobian(F)
+    assert truncated_dimension(gens, stable) == mu
+    assert truncated_dimension(gens, stable + 1) == mu
 
 
 @pytest.mark.parametrize("curve, points, total", [

@@ -1,8 +1,7 @@
-"""Buchberger bases, elimination, and local dimensions."""
+"""Buchberger bases, elimination, and the packed engine layer."""
 
 import itertools
 import math
-import time
 from fractions import Fraction
 
 import pytest
@@ -11,9 +10,9 @@ from hypothesis import strategies as st
 
 from polymap.groebner import (ComputationBudget, IdealBasis,
                               ResourceBudgetExceeded, _ExponentOverflow,
-                              _grading, _HomogenizedLocalOrder, _Packing,
-                              buchberger, elimination_ideal, local_dimension,
-                              normal_form, quotient_dimension)
+                              _grading, _Packing, buchberger,
+                              elimination_ideal, normal_form,
+                              quotient_dimension)
 from polymap.maps import (PlaneAutomorphism, compose, critical_ideal,
                           make_family)
 from polymap.numberfield import CycloNumber
@@ -94,50 +93,6 @@ def test_budget_interrupts():
     buchberger(gens, budget=ComputationBudget(max_pair_reductions=10000))
 
 
-def test_local_quotient_dimension_cusp():
-    # ordinary cusp: local algebra of the Jacobian ideal has length 2
-    assert local_dimension([X ** 2 * 3, Y * 2]) == 2
-    assert local_dimension([X * 2, Y * 2]) == 1
-
-
-def test_local_unit_factors_are_invisible():
-    # x - x^2 = x(1 - x): locally a coordinate, so the quotient is a point
-    assert local_dimension([X - X ** 2, Y]) == 1
-
-
-def test_local_vs_global_dimension():
-    import math
-    # y^2 - x^2(x + 1) has a node at the origin and nothing else on x = y
-    F = parse_poly("y^2 - x^3 - x^2")
-    gens = [parse_poly("-3*x^2 - 2*x"), Y * 2]
-    local = local_dimension(gens)
-    total = quotient_dimension(buchberger(gens))
-    assert local == 1
-    # the global critical scheme also sees x = -2/3
-    assert total == 2
-
-
-SMOOTH_ORIGIN = ("-5*x^5*y^5 - 1/2*x^3*y^5 - 4/3*x^2*y^6 + 1/3*x^2*y^3"
-                 " + 5/3*x^4 + 5/2*y")
-
-
-def test_local_unit_generator_gives_unit_ideal():
-    # dF/dy has constant term 5/2, a unit at the origin; homogenizing it
-    # instead took 133 pairs and a 71-element basis to reach the same (1)
-    gens = [derivative(parse_poly(SMOOTH_ORIGIN), v) for v in ("x", "y")]
-    started = time.monotonic()
-    # a budget of zero pairs proves that none is reduced
-    assert local_dimension(gens, ComputationBudget(max_pair_reductions=0)) == 0
-    assert time.monotonic() - started < 0.1
-
-
-def test_mora_budget():
-    gens = [parse_poly("x^2 - y^3"), parse_poly("x*y^2 + x^4")]
-    with pytest.raises(ResourceBudgetExceeded):
-        local_dimension(gens, ComputationBudget(max_pair_reductions=0))
-    local_dimension(gens)
-
-
 def test_budget_stop_reports_progress():
     # the unlimited run reduces 3 pairs; each smaller limit stops right
     # after its last allowed reduction, with the live basis at that point
@@ -146,15 +101,6 @@ def test_budget_stop_reports_progress():
     for limit, live in ((0, 2), (1, 3), (2, 4)):
         with pytest.raises(ResourceBudgetExceeded) as exc:
             buchberger(gens, budget=ComputationBudget(max_pair_reductions=limit))
-        assert exc.value.stats == {"pair_reductions": limit,
-                                   "zero_reductions": 0, "basis_size": live}
-    # a local dimension runs through the same engine on the homogenized
-    # generators, so it stops and reports the same way; it needs 3 pairs
-    local = [parse_poly("x^2 - y^3"), parse_poly("x*y^2 + x^4")]
-    assert local_dimension(local, ComputationBudget(max_pair_reductions=3)) == 7
-    for limit, live in ((1, 3), (2, 4)):
-        with pytest.raises(ResourceBudgetExceeded) as exc:
-            local_dimension(local, ComputationBudget(max_pair_reductions=limit))
         assert exc.value.stats == {"pair_reductions": limit,
                                    "zero_reductions": 0, "basis_size": live}
 
@@ -267,8 +213,9 @@ def test_grading_of_branch_and_local_generators():
     moved = compose(make_family("whitney"), pre=shear,
                     post=PlaneAutomorphism.linear(1, 2, 1, 3))
     assert _grading(branch_ideal_generators(moved)) is None
-    # Lazard's homogenization makes any generators standard-graded
-    gens = jacobian(parse_poly("x^4 + x^2*y + y^4"))
+    # homogenizing with one new variable makes any generators standard-graded
+    F = parse_poly("x^4 + x^2*y + y^4")
+    gens = [derivative(F, v) for v in F.vars]
     assert _grading(gens) is None
     homogenized = [MultiPoly(("x", "y", "h"),
                              {e + (g.total_degree() - sum(e),): c
@@ -299,59 +246,6 @@ def test_elimination_matches_resultant_random(a, b):
     # curves it is a multiple of the principal generator
     if len(out) == 1 and out[0].terms:
         assert divides(out[0].extended(("x", "y")), r)
-
-
-# ---------------------------------------------------------------------------
-# the local engine against a truncation oracle: for an ideal J of Q[x, y],
-# Q[x, y]/(J + m^n) is supported at the origin only, so its dimension is
-# the local one of J + m^n.  It equals mu = dim O/J as soon as m^n lies in
-# J locally, and until then it grows strictly with n (Nakayama): equal
-# values at n and n + 1 prove mu, and a finite mu is reached by n = mu.
-
-
-def truncated_dimension(gens, n):
-    """dim Q[x, y]/(gens + m^n), by the global engine alone."""
-    power = [MultiPoly(("x", "y"), {(i, n - i): 1}, QQ) for i in range(n + 1)]
-    return quotient_dimension(buchberger(list(gens) + power))
-
-
-def jacobian(F):
-    return [g for g in (derivative(F, v) for v in F.vars) if g.terms]
-
-
-curve_exps = [(i, j) for i in range(6) for j in range(6) if 1 <= i + j <= 5]
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.dictionaries(st.sampled_from(curve_exps), small, min_size=1, max_size=6))
-def test_local_dimension_matches_truncation(terms):
-    F = MultiPoly(("x", "y"), terms, QQ)
-    assume(F.terms)
-    gens = jacobian(F)
-    # two curves of degree <= d - 1 with no common component through the
-    # origin meet there at most (d - 1)^2 times, so a finite mu is below n
-    n = (F.total_degree() - 1) ** 2 + 1
-    # the Jacobian ideal gives mu; adding F gives the Tjurina number,
-    # at most mu and finite with it, so the same n bounds it
-    for ideal in (gens, [F] + gens):
-        dim = local_dimension(ideal)
-        truncated = truncated_dimension(ideal, n)
-        if dim == math.inf:
-            assert truncated_dimension(ideal, n + 1) > truncated
-        else:
-            assert dim == truncated
-
-
-@pytest.mark.parametrize("curve, mu, stable", [
-    ("2/3*x^4*y^4 + x^2*y^4 - 1/2*x^4*y - 1/3*x*y^4 - 2*x^4", 13, 7),
-    ("x^6*y^3 - x^2*y^5 - x^6 - 4*x^5*y - x*y^5", 25, 9),
-])
-def test_local_dimension_frozen_curves(curve, mu, stable):
-    # both took Mora's tangent-cone algorithm past 5 s
-    gens = jacobian(parse_poly(curve))
-    assert local_dimension(gens) == mu
-    assert truncated_dimension(gens, stable) == mu
-    assert truncated_dimension(gens, stable + 1) == mu
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +398,9 @@ def test_composed_graph_bases_are_pinned(spec, stats, basis):
 
 
 def _engine_orders(n):
-    """The four monomial orders the engine runs, on n variables."""
+    """The three monomial orders the engine runs, on n variables."""
     names = tuple("xyzw"[:n])
-    return (Lex(), DegRevLex(), block_order(names, names[:n // 2]),
-            _HomogenizedLocalOrder())
+    return Lex(), DegRevLex(), block_order(names, names[:n // 2])
 
 
 def _monomials(n, bits):
@@ -561,7 +454,7 @@ def test_packing_refuses_an_exponent_past_its_fields(bits):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from((15, 31)).flatmap(
-    lambda bits: st.tuples(st.just(bits), _monomial_pairs(bits), st.integers(0, 3))))
+    lambda bits: st.tuples(st.just(bits), _monomial_pairs(bits), st.integers(0, 2))))
 def test_int_keys_order_like_the_order_keys(case):
     # the int key is exact only if each order's key is linear in the exponents
     bits, (a, b), which = case
@@ -604,7 +497,7 @@ def test_weighted_and_normal_selection_agree(gens, order):
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(st.lists(polys(3), min_size=1, max_size=3),
                  st.lists(q12_polys(3, 2), min_size=2, max_size=2)),
-       st.integers(0, 3))
+       st.integers(0, 2))
 def test_engine_leads_are_the_leading_exponents(gens, which):
     # the engine hands over the leads it knew packed; reading them again
     # off the basis under the order's tuple key must give the same list
