@@ -301,8 +301,8 @@ class _Arith:
 
     Group enumeration multiplies thousands of matrices whose entries
     repeat heavily; hashing entries down to small integers makes the
-    closure loop spend its time in dict lookups instead of cyclotomic
-    multiplication.
+    closure loop and the power walks of `fingerprint` spend their time
+    in dict lookups instead of cyclotomic multiplication.
     """
 
     __slots__ = ("values", "index", "muls", "adds")
@@ -418,24 +418,35 @@ def enumerate_group(record: GroupRecord) -> GroupElements:
     return GroupElements(record, ar, tuple(elements), gen_ids, one)
 
 
+def _commutes(ar: _Arith, m, g) -> bool:
+    # m*g == g*m entry by entry: the (0,0) entries share a*e, and once the
+    # off-diagonal entries agree, tr(mg) = tr(gm) settles the (1,1) entry
+    a, b, c, d = m
+    e, f, h, k = g
+    mul, add = ar.mul, ar.add
+    return (mul(b, h) == mul(c, f)
+            and add(mul(a, f), mul(b, k)) == add(mul(e, b), mul(f, d))
+            and add(mul(c, e), mul(d, h)) == add(mul(h, a), mul(k, c)))
+
+
 def fingerprint(els: GroupElements) -> dict:
     """Order, center order and element-order histogram of a group."""
     ar = els._arith
     ids = sorted(els._ids)
-    center = 0
-    histogram = {}
-    # a finite-order matrix is diagonalizable, so its characteristic
-    # polynomial (trace, a*d - b*c) fixes its order
-    orders = {}
+    # one power walk per cyclic subgroup; if m has order n, then m^j has
+    # order n / gcd(j, n)
+    orders, histogram = {}, {}
     for m in ids:
-        if all(_mul_ids(ar, m, g) == _mul_ids(ar, g, m) for g in els._gen_ids):
-            center += 1
-        a, b, c, d = m
-        charpoly = (ar.add(a, d), ar.mul(a, d), ar.mul(b, c))
-        k = orders.get(charpoly)
-        if k is None:
-            k = orders[charpoly] = els.element_order(m)
-        histogram[k] = histogram.get(k, 0) + 1
+        if m not in orders:
+            powers = [m]
+            while powers[-1] != els._one:
+                powers.append(_mul_ids(ar, powers[-1], m))
+                if len(powers) > 2 * len(ids):
+                    raise RuntimeError("element order exceeds group order")
+            for j, p in enumerate(powers, 1):
+                orders[p] = len(powers) // math.gcd(j, len(powers))
+        histogram[orders[m]] = histogram.get(orders[m], 0) + 1
+    center = sum(all(_commutes(ar, m, g) for g in els._gen_ids) for m in ids)
     return {"order": len(ids), "center_order": center,
             "order_histogram": dict(sorted(histogram.items()))}
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from polymap import polyring
+from polymap import polyring, refgroups
 from polymap.maps import critical_ideal, is_proper, topological_degree, verify_branch
 from polymap.numberfield import zeta
 from polymap.parser import parse_poly
@@ -27,6 +27,39 @@ EXCEPTIONAL_TABLE = {
     14: (144, (6, 24)), 15: (288, (12, 24)), 16: (600, (20, 30)),
     17: (1200, (20, 60)), 18: (1800, (30, 60)), 19: (3600, (60, 60)),
     20: (360, (12, 30)), 21: (720, (12, 60)), 22: (240, (12, 20)),
+}
+
+# fingerprints of G_4..G_22: order, center order, element-order histogram
+EXCEPTIONAL_FINGERPRINTS = {
+    4: (24, 2, {1: 1, 2: 1, 3: 8, 4: 6, 6: 8}),
+    5: (72, 6, {1: 1, 2: 1, 3: 26, 4: 6, 6: 26, 12: 12}),
+    6: (48, 4, {1: 1, 2: 7, 3: 8, 4: 8, 6: 8, 12: 16}),
+    7: (144, 12, {1: 1, 2: 7, 3: 26, 4: 8, 6: 38, 12: 64}),
+    8: (96, 4, {1: 1, 2: 7, 3: 8, 4: 32, 6: 8, 8: 24, 12: 16}),
+    9: (192, 8, {1: 1, 2: 19, 3: 8, 4: 44, 6: 8, 8: 64, 12: 16, 24: 32}),
+    10: (288, 12, {1: 1, 2: 7, 3: 26, 4: 32, 6: 38, 8: 24, 12: 112,
+                   24: 48}),
+    11: (576, 24, {1: 1, 2: 19, 3: 26, 4: 44, 6: 62, 8: 64, 12: 136,
+                   24: 224}),
+    12: (48, 2, {1: 1, 2: 13, 3: 8, 4: 6, 6: 8, 8: 12}),
+    13: (96, 4, {1: 1, 2: 19, 3: 8, 4: 20, 6: 8, 8: 24, 12: 16}),
+    14: (144, 6, {1: 1, 2: 13, 3: 26, 4: 6, 6: 50, 8: 12, 12: 12, 24: 24}),
+    15: (288, 12, {1: 1, 2: 19, 3: 26, 4: 20, 6: 62, 8: 24, 12: 88,
+                   24: 48}),
+    16: (600, 10, {1: 1, 2: 1, 3: 20, 4: 30, 5: 124, 6: 20, 10: 124,
+                   15: 80, 20: 120, 30: 80}),
+    17: (1200, 20, {1: 1, 2: 31, 3: 20, 4: 32, 5: 124, 6: 20, 10: 244,
+                    12: 40, 15: 80, 20: 368, 30: 80, 60: 160}),
+    18: (1800, 30, {1: 1, 2: 1, 3: 62, 4: 30, 5: 124, 6: 62, 10: 124,
+                    12: 60, 15: 488, 20: 120, 30: 488, 60: 240}),
+    19: (3600, 60, {1: 1, 2: 31, 3: 62, 4: 32, 5: 124, 6: 122, 10: 244,
+                    12: 184, 15: 488, 20: 368, 30: 728, 60: 1216}),
+    20: (360, 6, {1: 1, 2: 1, 3: 62, 4: 30, 5: 24, 6: 62, 10: 24, 12: 60,
+                  15: 48, 30: 48}),
+    21: (720, 12, {1: 1, 2: 31, 3: 62, 4: 32, 5: 24, 6: 122, 10: 24,
+                   12: 184, 15: 48, 20: 48, 30: 48, 60: 96}),
+    22: (240, 4, {1: 1, 2: 31, 3: 20, 4: 32, 5: 24, 6: 20, 10: 24, 12: 40,
+                  20: 48}),
 }
 
 
@@ -77,11 +110,58 @@ def test_presentations_hold():
 
 
 def test_center_order_equals_presentation_k():
-    for no in (4, 5, 8, 12, 22):
+    # each exceptional group is irreducible, so by Schur's lemma its center
+    # is its scalar matrices: a second count, independent of commutation
+    for no in EXCEPTIONAL_TABLE:
         rec = exceptional_group(no)
-        fp = fingerprint(enumerate_group(rec))
-        assert fp["center_order"] == rec.presentation.k
+        els = enumerate_group(rec)
+        scalars = sum(1 for g in els if not g.b and not g.c and g.a == g.d)
+        assert fingerprint(els)["center_order"] == scalars, no
+        assert scalars == rec.presentation.k, no
         assert 2 * rec.presentation.k < rec.expected_order
+
+
+def test_exceptional_fingerprints_frozen():
+    for no, (order, center, histogram) in EXCEPTIONAL_FINGERPRINTS.items():
+        fp = fingerprint(enumerate_group(exceptional_group(no)))
+        assert fp == {"order": order, "center_order": center,
+                      "order_histogram": histogram}, no
+        assert list(fp["order_histogram"]) == sorted(histogram), no
+
+
+def test_commutation_test_compares_each_entry_it_needs():
+    # the first three pairs differ only on the diagonal, only in the (0,1)
+    # entry and only in the (1,0) entry of m*g - g*m
+    ar = refgroups._Arith()
+    pairs = [((0, 1, 0, 0), (0, 0, 1, 0), False),
+             ((1, 1, 0, 1), (1, 0, 0, 2), False),
+             ((1, 0, 1, 1), (1, 0, 0, 2), False),
+             ((1, 2, 3, 4), (3, 2, 3, 6), True),
+             ((1, 2, 3, 4), (5, 0, 0, 5), True)]
+    for m, g, want in pairs:
+        m, g = Matrix2(*m), Matrix2(*g)
+        assert (m * g == g * m) == want
+        assert refgroups._commutes(ar, refgroups._mat_ids(ar, m),
+                                   refgroups._mat_ids(ar, g)) == want
+
+
+@pytest.mark.parametrize("spec", ["G4", "G5", "G8", "G12", "G(6,2,2)",
+                                  "G(8,4,2)", "Z2xZ3", "G(2,2,2)"])
+def test_fingerprint_matches_per_element_oracles(spec):
+    els = enumerate_group(parse_group_spec(spec))
+    elements = list(els)
+    histogram = {}
+    for g in elements:
+        k = els.element_order(g)
+        histogram[k] = histogram.get(k, 0) + 1
+    center = sum(1 for m in elements
+                 if all(m * g == g * m for g in elements))
+    fp = fingerprint(els)
+    assert fp["order_histogram"] == histogram
+    assert fp["center_order"] == center
+    if spec in ("Z2xZ3", "G(2,2,2)"):
+        # abelian and reducible: the whole group is central
+        assert center == len(elements)
 
 
 def test_conjugate_imprimitive_groups_share_fingerprints():
