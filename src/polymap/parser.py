@@ -10,7 +10,13 @@ without one pair of parentheses around them.
 
 Each text is tokenized once; the field is read off the tokens and one
 recursive-descent parser walks them, so every error position counts
-from the start of the text.
+from the start of the text.  Each grammar rule returns a fresh term
+dict {exponents: coefficient} that its caller owns: a sum merges its
+terms into the first one's dict in place, a product or power of single
+terms adds or scales exponents, and only products and powers of sums
+(or of zero) go through `MultiPoly` arithmetic.  Each component becomes one `MultiPoly`
+at the end.  Nesting deeper than the interpreter's stack is a parse
+error at the token reached.
 """
 
 from __future__ import annotations
@@ -72,110 +78,123 @@ def infer_field(text: str):
 class _Parser:
     def __init__(self, text, variables, field):
         self.toks = _tokenize(text)
-        self.end = ("end", "", len(text))
+        self.field = _field_of(self.toks) if field is None else field
+        self.toks.append(("end", "", len(text)))
         self.pos = 0
         self.vars = tuple(variables)
-        self.field = _field_of(self.toks) if field is None else field
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else self.end
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+        self.const_exps = (0,) * len(self.vars)
+        self.units = {v: tuple(int(w == v) for w in self.vars) for v in self.vars}
+        self.one = self.field.one
 
     def expect(self, kind):
-        tok = self.next()
+        tok = self.toks[self.pos]
+        self.pos += 1
         if tok[0] != kind:
             raise PolyParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
         return tok
 
     def finish(self):
-        tok = self.peek()
+        tok = self.toks[self.pos]
         if tok[0] != "end":
             raise PolyParseError(f"unexpected {tok[1]!r}", tok[2])
 
     def poly(self) -> MultiPoly:
-        p = self.expr()
+        p = self.component()
         self.finish()
         return p
 
     def pair(self):
         # a leading "(" wraps the pair only when a "," follows the
         # expression it opens; otherwise it belongs to the first component
-        wrapped = self.peek()[0] == "("
+        wrapped = self.toks[self.pos][0] == "("
         if wrapped:
             self.pos = 1
-            first = self.expr()
-            wrapped = self.peek()[0] == ","
+            first = self.component()
+            wrapped = self.toks[self.pos][0] == ","
         if not wrapped:
             self.pos = 0
-            first = self.expr()
+            first = self.component()
         self.expect(",")
-        second = self.expr()
+        second = self.component()
         if wrapped:
             self.expect(")")
         self.finish()
         return first, second
 
-    def expr(self) -> MultiPoly:
+    def component(self) -> MultiPoly:
+        try:
+            terms = self.expr()
+        except RecursionError:
+            raise PolyParseError("expression nested too deeply",
+                                 self.toks[self.pos][2]) from None
+        return self.wrap(terms)
+
+    def expr(self) -> dict:
         p = self.term()
         while True:
-            op = self.peek()[0]
-            if op == "+":
-                self.next()
-                p = p + self.term()
-            elif op == "-":
-                self.next()
-                p = p - self.term()
-            else:
+            op = self.toks[self.pos][0]
+            if op != "+" and op != "-":
                 return p
+            self.pos += 1
+            for e, c in self.term().items():
+                prior = p.get(e)
+                if prior is None:
+                    p[e] = -c if op == "-" else c
+                else:
+                    c = prior - c if op == "-" else prior + c
+                    if c:
+                        p[e] = self.field.coerce(c)
+                    else:
+                        del p[e]
 
-    def term(self) -> MultiPoly:
+    def term(self) -> dict:
         p = self.factor()
-        while self.peek()[0] == "*":
-            self.next()
+        while self.toks[self.pos][0] == "*":
+            self.pos += 1
             q = self.factor()
-            if len(p.terms) == 1 and len(q.terms) == 1:
+            if len(p) == 1 and len(q) == 1:
                 # every printed term is such a product: skip the general product
-                (ep, cp), = p.terms.items()
-                (eq, cq), = q.terms.items()
-                p = MultiPoly(self.vars, {tuple(map(add, ep, eq)): cp * cq}, self.field)
+                (ep, cp), = p.items()
+                (eq, cq), = q.items()
+                p = {tuple(map(add, ep, eq)): self.field.coerce(cp * cq)}
             else:
-                p = p * q
+                p = (self.wrap(p) * self.wrap(q)).terms
         return p
 
-    def factor(self) -> MultiPoly:
-        op = self.peek()[0]
-        if op in ("+", "-"):
-            self.next()
-            p = self.factor()
-            return -p if op == "-" else p
-        return self.power()
+    def factor(self) -> dict:
+        negate = False
+        while (op := self.toks[self.pos][0]) == "-" or op == "+":
+            self.pos += 1
+            negate ^= op == "-"
+        p = self.power()
+        if negate:
+            for e, c in p.items():
+                p[e] = -c
+        return p
 
-    def power(self) -> MultiPoly:
+    def power(self) -> dict:
         base = self.atom()
-        if self.peek()[0] == "^":
-            self.next()
-            tok = self.expect("number")
-            if "/" in tok[1]:
-                raise PolyParseError("exponent must be a nonnegative integer", tok[2])
-            n = int(tok[1])
-            if len(base.terms) == 1:
-                (exps, c), = base.terms.items()
-                return MultiPoly(self.vars, {tuple(e * n for e in exps): c ** n}, self.field)
-            return base ** n
-        return base
+        if self.toks[self.pos][0] != "^":
+            return base
+        self.pos += 1
+        tok = self.expect("number")
+        if "/" in tok[1]:
+            raise PolyParseError("exponent must be a nonnegative integer", tok[2])
+        n = int(tok[1])
+        if len(base) == 1:
+            (exps, c), = base.items()
+            return {tuple([e * n for e in exps]): self.field.coerce(c ** n)}
+        return (self.wrap(base) ** n).terms
 
-    def atom(self) -> MultiPoly:
-        kind, text, pos = self.next()
+    def atom(self) -> dict:
+        kind, text, pos = self.toks[self.pos]
+        self.pos += 1
         if kind == "number":
             try:
                 value = Fraction(text) if "/" in text else int(text)
             except ZeroDivisionError:
                 raise PolyParseError("zero denominator", pos) from None
-            return MultiPoly.constant(value, self.vars, self.field)
+            return self.constant(value)
         if kind == "name":
             if text == "zeta":
                 self.expect("(")
@@ -189,8 +208,8 @@ class _Parser:
                 return self._root_constant(n, pos)
             if text == "i":
                 return self._root_constant(4, pos)
-            if text in self.vars:
-                return MultiPoly.variable(text, self.vars, self.field)
+            if text in self.units:
+                return {self.units[text]: self.one}
             raise PolyParseError(f"unknown variable {text!r}", pos)
         if kind == "(":
             p = self.expr()
@@ -198,16 +217,23 @@ class _Parser:
             return p
         raise PolyParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
-    def _root_constant(self, n: int, pos: int) -> MultiPoly:
+    def constant(self, value) -> dict:
+        value = self.field.coerce(value)
+        return {self.const_exps: value} if value else {}
+
+    def wrap(self, terms: dict) -> MultiPoly:
+        return MultiPoly(self.vars, terms, self.field, _clean=True)
+
+    def _root_constant(self, n: int, pos: int) -> dict:
         z = zeta(n)
         if z.is_rational():
-            return MultiPoly.constant(z.rational_value(), self.vars, self.field)
+            return self.constant(z.rational_value())
         if not self.field.is_cyclotomic:
             raise PolyParseError("root of unity in a rational-coefficient context", pos)
         if self.field.conductor % n != 0:
             raise PolyParseError(
                 f"zeta({n}) does not lie in Q(zeta_{self.field.conductor})", pos)
-        return MultiPoly.constant(z, self.vars, self.field)
+        return self.constant(z)
 
 
 def parse_poly(text: str, variables=("x", "y"), field=None) -> MultiPoly:

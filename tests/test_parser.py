@@ -25,6 +25,13 @@ def test_precedence_and_grouping():
     assert parse_poly("(x + y)^2") == parse_poly("x^2 + 2*x*y + y^2")
     assert parse_poly("2*(x - y)^2") == parse_poly("2*x^2 - 4*x*y + 2*y^2")
     assert parse_poly("x - y - y") == parse_poly("x - 2*y")
+    # signs, products and powers of sums take the general product path
+    for text, expanded in [("-(x - y)", "y - x"), ("- -(x + 1)", "x + 1"),
+                           ("x*-(y - 1)", "x - x*y"), ("(x + 1)*(x - 1)", "x^2 - 1"),
+                           ("-(x + y)^2", "-x^2 - 2*x*y - y^2"),
+                           ("(x - y)^0 + (x - y)^1", "x - y + 1"),
+                           ("(1/2*x + i)*(1/2*x - i)", "1/4*x^2 + 1")]:
+        assert parse_poly(text) == parse_poly(expanded, field=infer_field(text))
 
 
 def test_implicit_multiplication_is_rejected():
@@ -34,10 +41,34 @@ def test_implicit_multiplication_is_rejected():
         parse_poly("x y")
 
 
+# message and position of each malformed input, as the parser reports them
+FROZEN_ERRORS = [
+    ("x +", "unexpected end of input", 3),
+    ("* x", "unexpected '*'", 0),
+    ("x ^ y", "expected 'number', found 'y'", 4),
+    ("(x", "expected ')', found ''", 2),
+    ("x)", "unexpected ')'", 1),
+    ("", "unexpected end of input", 0),
+    ("x // y", "unexpected character '/'", 2),
+    ("x + z", "unknown variable 'z'", 4),
+    ("2x", "unexpected 'x'", 1),
+    ("x^1/2", "exponent must be a nonnegative integer", 2),
+    ("zeta(0)", "conductor must be positive", 5),
+    ("zeta(3/2)", "conductor must be an integer", 5),
+    ("1/0", "zero denominator", 0),
+]
+
+
 def test_malformed_inputs():
-    for text in ("x +", "* x", "x ^ y", "(x", "x)", "", "x // y", "x + z"):
-        with pytest.raises(PolyParseError):
+    for text, message, position in FROZEN_ERRORS:
+        with pytest.raises(PolyParseError) as exc:
             parse_poly(text)
+        assert (str(exc.value), exc.value.position) == (
+            f"{message} (at position {position})", position)
+    with pytest.raises(PolyParseError) as exc:
+        parse_poly("zeta(5)*x", field=CyclotomicField(4))
+    assert str(exc.value) == "zeta(5) does not lie in Q(zeta_4) (at position 0)"
+    assert exc.value.position == 0
 
 
 def test_division_not_supported():
@@ -126,6 +157,10 @@ def test_map_with_a_stray_parenthesis_is_a_parse_error():
     for text in (")", "3 ) x", "(x), y)", "((x, y))"):
         with pytest.raises(PolyParseError):
             parse_map(text)
+    with pytest.raises(PolyParseError) as exc:
+        parse_map("(x), y)")
+    assert str(exc.value) == "unexpected ')' (at position 6)"
+    assert exc.value.position == 6
 
 
 def test_map_leading_parenthesis_opens_the_first_component():
@@ -208,3 +243,103 @@ def test_round_trip_random_cyclotomic(raw):
     # the printed form of 0 carries no field hint, so parse into the
     # declared field rather than relying on inference
     assert parse_poly(format_poly(p), field=fld) == p
+
+
+@pytest.mark.parametrize("parse", [parse_poly, lambda text: parse_map(text + ", y")])
+def test_deep_nesting_is_a_parse_error(parse):
+    text = "(" * 1000 + "x" + ")" * 1000
+    with pytest.raises(PolyParseError) as exc:
+        parse(text)
+    assert str(exc.value).startswith("expression nested too deeply")
+    # the position is that of an opening parenthesis the parser reached
+    assert 0 < exc.value.position < 1000
+
+
+def test_a_long_run_of_signs_parses():
+    x = parse_poly("x")
+    assert parse_poly("-" * 1000 + "x") == x
+    assert parse_poly("-" * 1001 + "x") == -x
+    assert parse_map("+-" * 1000 + "x, y") == (x, parse_poly("y"))
+
+
+def _canonical_over_q(p):
+    return all(type(c) is int or type(c) is Fraction and c.denominator != 1
+               for c in p.terms.values())
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("1/2*x + 1/2*x", {(1, 0): 1}),
+    ("(1/2)^2*4", {(0, 0): 1}),
+    ("2/4*x*2", {(1, 0): 1}),
+    ("x*(2/2)", {(1, 0): 1}),
+    ("(1/2)^0*x", {(1, 0): 1}),
+    ("3/2*y - 1/2*y + 1/3", {(0, 1): 1, (0, 0): Fraction(1, 3)}),
+    ("-(1/3)*3*y", {(0, 1): -1}),
+    ("(x + 1/2)^2*4", {(2, 0): 4, (1, 0): 4, (0, 0): 1}),
+    ("(1/2*x + 1/2)*(2*x - 2)", {(2, 0): 1, (0, 0): -1}),
+])
+def test_integral_rational_coefficients_are_ints(text, terms):
+    # MultiPoly equality cannot tell Fraction(2, 1) from 2; the types can
+    p = parse_poly(text)
+    assert p.terms == terms
+    assert _canonical_over_q(p)
+
+
+# random expression trees over Q(zeta_12), printed with the fewest
+# parentheses the grammar allows; each node is (text, binding level, value)
+Q12 = CyclotomicField(12)
+SUM, PRODUCT, SIGNED, POWER, ATOM = range(5)
+
+
+def _operand(node, level):
+    text, own, _ = node
+    return text if own >= level else f"({text})"
+
+
+def _leaves():
+    def number(q):
+        return str(q), ATOM, MultiPoly.constant(q, ("x", "y"), Q12)
+
+    def root(k):
+        text = "i" if k == 4 else f"zeta({k})"
+        return text, ATOM, MultiPoly.constant(zeta(k), ("x", "y"), Q12)
+
+    # half the leaves are variables, so that few sums collapse to constants
+    return st.one_of(
+        st.sampled_from(["x", "y"]).map(
+            lambda v: (v, ATOM, MultiPoly.variable(v, ("x", "y"), Q12))),
+        st.one_of(st.fractions(min_value=0, max_value=5, max_denominator=4).map(number),
+                  st.sampled_from([1, 2, 3, 4, 6, 12]).map(root)))
+
+
+def _nodes(children):
+    def binary(args):
+        op, a, b = args
+        if op == "*":
+            text = f"{_operand(a, PRODUCT)}*{_operand(b, SIGNED)}"
+            return text, PRODUCT, a[2] * b[2]
+        text = f"{_operand(a, SUM)} {op} {_operand(b, PRODUCT)}"
+        return text, SUM, a[2] + b[2] if op == "+" else a[2] - b[2]
+
+    def signed(args):
+        sign, a = args
+        return f"{sign}{_operand(a, POWER)}", SIGNED, -a[2] if sign == "-" else a[2]
+
+    def power(args):
+        a, n = args
+        return f"{_operand(a, ATOM)}^{n}", POWER, a[2] ** n
+
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*"), children, children).map(binary),
+        st.tuples(st.sampled_from("+-"), children).map(signed),
+        st.tuples(children, st.integers(0, 3)).map(power))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_leaves(), _nodes, max_leaves=8))
+def test_parse_matches_an_expression_tree(node):
+    text, _, value = node
+    assert parse_poly(text, field=Q12) == value
+    inferred = parse_poly(text)
+    assert inferred.in_field(Q12) == value
+    assert inferred.field.is_cyclotomic or _canonical_over_q(inferred)
