@@ -458,7 +458,15 @@ def main(argv=None) -> int:
     report = RunReport(command=["polymap"] + argv, checks=checks,
                        tier=getattr(args, "tier", None),
                        elapsed=time.time() - started)
-    print(report.to_json() if args.json else report.to_text())
+    try:
+        print(report.to_json() if args.json else report.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early; with stdout on the null device
+        # the flush at interpreter exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return report.exit_code
 
 

@@ -35,6 +35,11 @@ Polynomials enter and leave the engine as MultiPolys with tuple
 exponents, and the engine hands over each basis element's leading
 exponent with the basis (`IdealBasis.leads`), so nothing reads it again.
 
+`buchberger` returns the minimal basis: the leading monomials, which
+fix the staircase, are those of the reduced basis, but no tail is
+reduced.  A caller that prints the basis reduces what it prints with
+`interreduce`; `elimination_ideal` reduces only its eliminants.
+
 The engine takes a ComputationBudget and checks it before each pair
 reduction.  Exceeding the limit raises ResourceBudgetExceeded, whose
 stats say how far the computation got; the command line reports it as
@@ -91,7 +96,12 @@ class ComputationBudget:
 @dataclass
 class IdealBasis:
     """Generators together with a computed Groebner basis, the leading
-    exponent of each basis element in basis order, and run statistics."""
+    exponent of each basis element in basis order, and run statistics.
+
+    `buchberger` gives the minimal basis, smallest lead first, each
+    element primitive over Q and monic over Q(zeta_N); `interreduce`
+    turns it into the reduced basis with the same leads.
+    """
 
     generators: list
     order: MonomialOrder
@@ -368,31 +378,38 @@ def _gm_update(pairs, entries, new: _Entry, packing):
     t = new.index
     lead = new.lead_exp
     guard = packing.guard
-    lcm_with_new = {g.index: packing.lcm(g.lead_exp, lead)
-                    for g in entries if g.index != t}
+    # candidate pairs with the new element, from the non-retired part
+    fresh = {g.index: packing.lcm(g.lead_exp, lead) for g in entries
+             if not g.retired and g.index != t}
+
+    def lcm_with_new(i):
+        # a member of an old pair may be retired
+        lcm = fresh.get(i)
+        return packing.lcm(entries[i].lead_exp, lead) if lcm is None else lcm
+
     # prune old pairs strictly dominated by the new element
     survivors = {}
     for (i, j), lcm in pairs.items():
         if (((lcm | guard) - lead) & guard == guard
-                and lcm_with_new[i] != lcm and lcm_with_new[j] != lcm):
+                and lcm_with_new(i) != lcm and lcm_with_new(j) != lcm):
             continue
         survivors[(i, j)] = lcm
-    # candidate pairs with the new element, from the non-retired part
-    fresh = {g.index: lcm_with_new[g.index] for g in entries
-             if not g.retired and g.index != t}
-    # drop candidates whose lcm is a proper multiple of another candidate's lcm
-    kept = {}
-    for i, lcm in fresh.items():
+    # drop candidates whose lcm is a proper multiple of another candidate's
+    # lcm; a proper divisor of a packed monomial is a smaller int, so in
+    # increasing order each lcm meets its divisors among the minimal ones
+    minimal = []
+    for lcm in sorted(set(fresh.values())):
         lg = lcm | guard
-        dominated = any(other != lcm and (lg - other) & guard == guard
-                        for other in fresh.values())
-        if not dominated:
-            kept[i] = lcm
-    # one representative per lcm class; a coprime member kills its whole
-    # class, and coprime leads are those whose lcm is their product
+        if not any((lg - other) & guard == guard for other in minimal):
+            minimal.append(lcm)
+    minimal = set(minimal)
+    # one representative per lcm class, the smallest index; a coprime
+    # member kills its whole class, and coprime leads are those whose lcm
+    # is their product
     classes = {}
-    for i, lcm in sorted(kept.items()):
-        classes.setdefault(lcm, []).append(i)
+    for i, lcm in fresh.items():
+        if lcm in minimal:
+            classes.setdefault(lcm, []).append(i)
     for lcm, members in classes.items():
         if any(lcm == entries[i].lead_exp + lead for i in members):
             continue
@@ -451,7 +468,11 @@ def _grading(gens):
 
 def buchberger(generators, order: MonomialOrder = None,
                budget: ComputationBudget = None) -> IdealBasis:
-    """Reduced Groebner basis of the generated ideal under a global monomial order."""
+    """Minimal Groebner basis of the generated ideal under a global monomial order.
+
+    The leads are those of the reduced basis; `interreduce` gives the
+    reduced basis itself.
+    """
     if order is None:
         order = DegRevLex()
     budget = budget or ComputationBudget()
@@ -468,7 +489,7 @@ def buchberger(generators, order: MonomialOrder = None,
 
 
 def _buchberger(gens, budget, weights, packing):
-    """(reduced basis, leading exponents, stats) of the generators, under
+    """(minimal basis, leading exponents, stats) of the generators, under
     the packing's order."""
     negkey = packing.negkey
     divides = packing.divides
@@ -526,22 +547,31 @@ def _buchberger(gens, budget, weights, packing):
         else:
             stats["zero_reductions"] += 1
 
-    basis, leads = _interreduce(active, gens[0], packing)
-    stats["basis_size"] = len(basis)
-    return basis, leads, stats
+    kept = _minimal(active, packing)
+    stats["basis_size"] = len(kept)
+    return ([_unpacked(gens[0], e.terms, packing) for e in kept],
+            [packing.unpack(e.lead_exp) for e in kept], stats)
 
 
-def _interreduce(entries, ring, packing):
-    """(reduced basis as MultiPolys of `ring`, their leading exponents),
-    from the live entries sorted by leading monomial.
-
-    Each kept element is reduced by the others; its leading term is not
-    divisible by theirs, so it stays, and the output keeps the order.
-    """
+def _minimal(entries, packing):
+    """The entries, sorted by leading monomial, whose lead no kept
+    earlier lead divides."""
     kept = []
     for entry in entries:
         if not any(packing.divides(k.lead_exp, entry.lead_exp) for k in kept):
             kept.append(entry)
+    return kept
+
+
+def _interreduce(entries, ring, packing):
+    """(reduced basis as MultiPolys of `ring`, their leading exponents),
+    from the entries of a Groebner basis sorted by leading monomial.
+
+    Each element of the minimal basis is reduced by the others; its
+    leading term is not divisible by theirs, so it stays, and the output
+    keeps the order.
+    """
+    kept = _minimal(entries, packing)
     out = []
     for entry in kept:
         others = [k for k in kept if k is not entry]
@@ -557,6 +587,22 @@ def _unpacked(ring, terms, packing, field=None):
                      field or ring.field, _clean=True)
 
 
+def _entries(basis: IdealBasis, packing):
+    """The basis elements as packed entries, smallest lead first."""
+    entries = [_Entry(*_pack_terms(g, packing), i) for i, g in enumerate(basis.basis)]
+    entries.sort(key=lambda e: packing.negkey(e.lead_exp), reverse=True)
+    return entries
+
+
+def interreduce(basis: IdealBasis) -> IdealBasis:
+    """The reduced Groebner basis of a computed basis's ideal: the same
+    order, leads and stats, each element reduced by the others."""
+    reduced, leads = _packed(
+        lambda packing: _interreduce(_entries(basis, packing), basis.basis[0], packing),
+        len(basis.vars), basis.order)
+    return IdealBasis(basis.generators, basis.order, reduced, leads, stats=dict(basis.stats))
+
+
 def normal_form(p: MultiPoly, basis: IdealBasis) -> MultiPoly:
     """Remainder of p under full division by a computed basis."""
     if not p.terms:
@@ -564,8 +610,7 @@ def normal_form(p: MultiPoly, basis: IdealBasis) -> MultiPoly:
     field = common_field(p.field, basis.field)
 
     def divide(packing):
-        entries = [_Entry(*_pack_terms(g, packing), i) for i, g in enumerate(basis.basis)]
-        entries.sort(key=lambda e: packing.negkey(e.lead_exp), reverse=True)
+        entries = _entries(basis, packing)
         pack = packing.pack
         terms, scale = _reduce_terms({pack(e): c for e, c in p.in_field(field).terms.items()},
                                      entries, packing, field)
@@ -590,8 +635,13 @@ def elimination_ideal(generators, eliminate, budget=None) -> list:
     elim_idx = [variables.index(v) for v in eliminate]
     # the eliminated block comes first in the order, so an element whose
     # lead is free of it is free of it in every term
-    return [primitive_normalize(g.restricted(keep))
-            for g, e in zip(gb.basis, gb.leads) if not any(e[i] for i in elim_idx)]
+    free = [k for k, e in enumerate(gb.leads) if not any(e[i] for i in elim_idx)]
+    basis = [gb.basis[k] for k in free]
+    if len(basis) > 1:
+        # a Groebner basis of the intersection; reduced among themselves,
+        # these elements are its reduced basis
+        basis = interreduce(IdealBasis(gens, gb.order, basis, [gb.leads[k] for k in free])).basis
+    return [primitive_normalize(g.restricted(keep)) for g in basis]
 
 
 def quotient_dimension(basis: IdealBasis):

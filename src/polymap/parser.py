@@ -56,7 +56,10 @@ def _tokenize(text: str) -> list:
 
 
 def _field_of(tokens):
-    """Q, or Q(zeta_n) for n the lcm of the conductors of every `zeta(k)` and `i`."""
+    """Q, or Q(zeta_n) for n the lcm of the conductors of every `zeta(k)` and `i`.
+
+    Q(zeta_1) and Q(zeta_2) are Q: their roots, 1 and -1, are rational.
+    """
     n = None
     for k, (_, value, _) in enumerate(tokens):
         c = None
@@ -67,7 +70,7 @@ def _field_of(tokens):
             c = int(tokens[k + 2][1]) if tokens[k + 2][1].isdigit() else None
         if c:
             n = c if n is None else common_conductor(n, c)
-    return QQ if n is None else CyclotomicField(n)
+    return QQ if n is None or n <= 2 else CyclotomicField(n)
 
 
 def infer_field(text: str):

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -419,3 +422,23 @@ def test_branch_with_claim(capsys):
     assert code == 0 and "branch-claim: pass" in out
     code, out, _ = run(capsys, "branch", "(x, y^3+x*y)", "--claimed", "y")
     assert code == 1 and "fail" in out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--json", "degree", "(x, y)"], 0),
+    (["branch", "(x, y^3+x*y)", "--claimed", "y"], 1)])
+def test_a_closed_stdout_is_no_traceback(argv, code):
+    # a reader that has gone away, as in `polymap ... | head -1`: the write
+    # end of a pipe whose read end is closed fails on the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "polymap.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code

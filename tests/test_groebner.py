@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polymap.groebner import (ComputationBudget, IdealBasis,
-                              ResourceBudgetExceeded, _ExponentOverflow,
-                              _grading, _Packing, buchberger,
-                              elimination_ideal, normal_form,
-                              quotient_dimension)
+                              ResourceBudgetExceeded, _Entry,
+                              _ExponentOverflow, _gm_update, _grading,
+                              _Packing, buchberger, elimination_ideal,
+                              interreduce, normal_form, quotient_dimension)
 from polymap.maps import (PlaneAutomorphism, compose, critical_ideal,
                           make_family)
 from polymap.numberfield import CycloNumber
@@ -28,7 +28,7 @@ Y = MultiPoly.variable("y", ("x", "y"))
 
 def test_reduced_basis_textbook_example():
     gens = [parse_poly("x^2 + 2*x*y^2"), parse_poly("x*y + 2*y^3 - 1")]
-    basis = buchberger(gens, Lex())
+    basis = interreduce(buchberger(gens, Lex()))
     got = sorted((monic(g, Lex()) for g in basis.basis),
                  key=lambda p: p.leading(Lex())[0])
     assert got == [parse_poly("y^3 - 1/2"), parse_poly("x")]
@@ -83,6 +83,31 @@ def test_elimination_agrees_with_resultant():
     r = resultant(a, b, "y")
     assert len(out) == 1
     assert is_scalar_multiple(out[0].extended(("x", "y")), r)
+
+
+def test_elimination_with_several_eliminants_is_pinned():
+    # the eliminants of the minimal basis, reduced among themselves, must
+    # give the reduced basis of I ∩ k[s, t, u]; these values were recorded
+    # from an engine that reduced the whole basis
+    allv = ("x", "s", "t", "u")
+    q_gens = [parse_poly(g, allv) for g in ("s - x^2 - 2*x", "t - x^3 + x", "u - x^4")]
+    assert [format_poly(p) for p in elimination_ideal(q_gens, ("x",))] == [
+        "s^2 + 2*s*t + t^2 - s*u - s - 2*t - 3*u",
+        "2*s*t*u + t^2*u - s*u^2 + 2*s*t + 3*t^2 + 2*t*u - 2*u^2 + s + 2*t + 2*u",
+        "2*t^3 + t^2*u - s*u^2 - t^2 + 6*t*u + 2*u^2 + s + 2*t - 2*u",
+        "s*t^2 + t^2 + s*u - 2*t*u - u^2 - s - 2*t + u"]
+    z3_gens = [parse_poly(g, allv).in_field(CyclotomicField(3))
+               for g in ("s - x^2 - 2*zeta(3)*x", "t - x^3 + x", "u - x^4")]
+    assert [format_poly(p) for p in elimination_ideal(z3_gens, ("x",))] == [
+        "s^2 + (2*zeta(3))*s*t + t^2 - s*u - s + (-2*zeta(3))*t + (4*zeta(3)+5)*u",
+        "2*s*t*u + (-zeta(3)-1)*t^2*u + (zeta(3)+1)*s*u^2 + 2*s*t + (5*zeta(3)+1)*t^2"
+        " + 2*t*u + (-6*zeta(3)-2)*u^2 + (-zeta(3)-1)*s + 2*t + (6*zeta(3)+2)*u",
+        "2*t^3 + (-zeta(3)-1)*t^2*u + (zeta(3)+1)*s*u^2 + (zeta(3)+1)*t^2 + 6*t*u"
+        " + (-2*zeta(3)-2)*u^2 + (-zeta(3)-1)*s + 2*t + (2*zeta(3)+2)*u",
+        "s*t^2 + t^2 + s*u + (-2*zeta(3))*t*u - u^2 - s + (-2*zeta(3))*t + u"]
+    # one of the eliminants has a tail that the others reduce
+    gb = buchberger(q_gens, block_order(allv, ("x",)))
+    assert gb.basis != interreduce(gb).basis
 
 
 def test_budget_interrupts():
@@ -192,8 +217,27 @@ def _sympy_reduced_basis(gens, order_name):
 def test_reduced_basis_matches_sympy(gens):
     # an independent implementation; the reduced basis is unique up to scalars
     for order, order_name in ((DegRevLex(), "grevlex"), (Lex(), "lex")):
-        ours = {_up_to_scalars(g.terms) for g in buchberger(gens, order).basis}
+        ours = {_up_to_scalars(g.terms) for g in interreduce(buchberger(gens, order)).basis}
         assert ours == _sympy_reduced_basis(gens, order_name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.lists(polys(3), min_size=1, max_size=3), weighted_ideals),
+       st.integers(0, 2))
+def test_buchberger_returns_the_minimal_basis(gens, which):
+    # no lead divides another, and the leads are the reduced basis's
+    gens = [g for g in gens if g.terms]
+    assume(gens)
+    order = _engine_orders(len(gens[0].vars))[which]
+    try:
+        gb = buchberger(gens, order, ComputationBudget(max_pair_reductions=40))
+    except ResourceBudgetExceeded:
+        assume(False)
+    for a, b in itertools.permutations(gb.leads, 2):
+        assert not all(x <= y for x, y in zip(a, b))
+    reduced = interreduce(gb)
+    assert reduced.leads == gb.leads == [g.leading(order)[0] for g in reduced.basis]
+    assert reduced.stats == gb.stats
 
 
 def branch_ideal_generators(f):
@@ -387,7 +431,7 @@ def test_composed_graph_bases_are_pinned(spec, stats, basis):
     allv = ("x", "y", "s", "t")
     gens = [MultiPoly.variable(v, allv) - c.extended(allv)
             for v, c in zip(("s", "t"), (g.f1, g.f2))]
-    gb = buchberger(gens, block_order(allv, ("x", "y")))
+    gb = interreduce(buchberger(gens, block_order(allv, ("x", "y"))))
     assert gb.stats == stats
     assert [format_poly(p) for p in gb.basis] == basis
 
@@ -476,7 +520,7 @@ def test_int_keys_order_like_the_order_keys(case):
      {"pair_reductions": 1, "zero_reductions": 0, "basis_size": 2}, "y^2"),
 ])
 def test_large_exponents_widen_the_packing(gens, basis, stats, remainder):
-    gb = buchberger([parse_poly(g) for g in gens], Lex())
+    gb = interreduce(buchberger([parse_poly(g) for g in gens], Lex()))
     assert [format_poly(p) for p in gb.basis] == basis
     assert gb.stats == stats
     assert normal_form(parse_poly("x^40000*y"), gb) == parse_poly(remainder)
@@ -491,7 +535,8 @@ def test_weighted_and_normal_selection_agree(gens, order):
     assume(_grading(gens) is not None)
     redundant = gens[0] * (MultiPoly.variable("x", XYZ) + 1)
     assert _grading(gens + [redundant]) is None
-    assert buchberger(gens + [redundant], order).basis == buchberger(gens, order).basis
+    assert (interreduce(buchberger(gens + [redundant], order)).basis
+            == interreduce(buchberger(gens, order)).basis)
 
 
 @settings(max_examples=40, deadline=None)
@@ -509,3 +554,59 @@ def test_engine_leads_are_the_leading_exponents(gens, which):
     except ResourceBudgetExceeded:
         assume(False)
     assert gb.leads == [g.leading(order)[0] for g in gb.basis]
+
+
+# ---------------------------------------------------------------------------
+# the Gebauer-Moeller pair update against the quadratic update it replaced
+
+
+def _gm_update_quadratic(pairs, entries, new, packing):
+    """The pair update that tested criterion M candidate against candidate."""
+    t = new.index
+    lead = new.lead_exp
+    guard = packing.guard
+    lcm_with_new = {g.index: packing.lcm(g.lead_exp, lead)
+                    for g in entries if g.index != t}
+    survivors = {}
+    for (i, j), lcm in pairs.items():
+        if (((lcm | guard) - lead) & guard == guard
+                and lcm_with_new[i] != lcm and lcm_with_new[j] != lcm):
+            continue
+        survivors[(i, j)] = lcm
+    fresh = {g.index: lcm_with_new[g.index] for g in entries
+             if not g.retired and g.index != t}
+    kept = {}
+    for i, lcm in fresh.items():
+        lg = lcm | guard
+        dominated = any(other != lcm and (lg - other) & guard == guard
+                        for other in fresh.values())
+        if not dominated:
+            kept[i] = lcm
+    classes = {}
+    for i, lcm in sorted(kept.items()):
+        classes.setdefault(lcm, []).append(i)
+    for lcm, members in classes.items():
+        if any(lcm == entries[i].lead_exp + lead for i in members):
+            continue
+        survivors[(members[0], t)] = lcm
+    return survivors
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.booleans()),
+    min_size=2, max_size=10)), st.randoms(use_true_random=False))
+def test_pair_update_matches_the_quadratic_update(leads, rnd):
+    # random leads, some retired, and a random old pair set among them;
+    # the new element is the last
+    packing = _Packing(len(leads[0][0]), DegRevLex(), 15)
+    entries = []
+    for k, (exps, retired) in enumerate(leads):
+        m = packing.pack(exps)
+        entries.append(_Entry({m: 1}, m, k))
+        entries[-1].retired = retired and k < len(leads) - 1
+    new = entries[-1]
+    pairs = {(i, j): packing.lcm(entries[i].lead_exp, entries[j].lead_exp)
+             for i, j in itertools.combinations(range(new.index), 2) if rnd.random() < 0.5}
+    assert (_gm_update(dict(pairs), entries, new, packing)
+            == _gm_update_quadratic(dict(pairs), entries, new, packing))

@@ -139,9 +139,21 @@ def test_infer_field():
     assert infer_field("x^2 + y") is QQ
     assert infer_field("zeta(12)*x").conductor == 12
     assert infer_field("i*x + zeta(3)").conductor == 12
+    assert infer_field("zeta(2)*x + y") is QQ
+    assert parse_poly("zeta(2)*x + y") == parse_poly("-x + y")
     with pytest.raises(PolyParseError) as exc:
         infer_field("x $ y")
     assert exc.value.position == 2
+
+
+@pytest.mark.parametrize("text, conductor", [
+    ("zeta(1)*x", None), ("zeta(2)*x + y", None),
+    ("zeta(2)*zeta(3)*x", 6), ("i*zeta(2)", 4)])
+def test_rational_roots_leave_the_field_alone(text, conductor):
+    # zeta(1) and zeta(2) are rational, so on their own they keep Q
+    p = parse_poly(text)
+    assert p.field is QQ if conductor is None else p.field.conductor == conductor
+    assert parse_poly(format_poly(p)) == p
 
 
 def test_map_error_positions_count_from_the_full_text():
