@@ -16,7 +16,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, sub
 
 from .numberfield import CycloNumber, ConductorMismatch, common_conductor, embed
 
@@ -833,7 +833,7 @@ def divides(b: MultiPoly, a: MultiPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# univariate views (for resultants, pseudo-division, gcd)
+# univariate views (for resultants)
 
 def _as_univariate(p: MultiPoly, name: str) -> dict:
     """Coefficients of p as a polynomial in one variable; values keep the full ring."""
@@ -845,43 +845,6 @@ def _as_univariate(p: MultiPoly, name: str) -> dict:
         bucket = out.setdefault(d, {})
         bucket[base] = coeff
     return {d: MultiPoly(p.vars, t, p.field, _clean=True) for d, t in out.items()}
-
-
-def _leading_in(p: MultiPoly, name: str):
-    d = p.degree_in(name)
-    i = p.vars.index(name)
-    terms = {}
-    for exps, coeff in p.terms.items():
-        if exps[i] == d:
-            terms[exps[:i] + (0,) + exps[i + 1:]] = coeff
-    return d, MultiPoly(p.vars, terms, p.field, _clean=True)
-
-
-def _var_power(p: MultiPoly, name: str, e: int) -> MultiPoly:
-    i = p.vars.index(name)
-    one = [0] * len(p.vars)
-    one[i] = e
-    return MultiPoly.monomial(p.field.one, tuple(one), p.vars, p.field)
-
-
-def pseudo_rem(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
-    """Pseudo-remainder of a by b in the named variable: lc(b)^(da-db+1)*a mod b."""
-    a._same_ring(b)
-    db, lb = _leading_in(b, name)
-    if db < 0:
-        raise ZeroDivisionError("pseudo-division by zero")
-    r = a
-    da = a.degree_in(name)
-    if da < db:
-        return r
-    e = da - db + 1
-    while r.terms and r.degree_in(name) >= db:
-        dr, lr = _leading_in(r, name)
-        r = lb * r - lr * _var_power(a, name, dr - db) * b
-        e -= 1
-    if e > 0:
-        r = (lb ** e) * r
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +902,8 @@ def resultant(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd (one modular image checked by exact division; subresultant PRS fallback)
+# gcd (one modular image checked by exact division; the Groebner engine's
+# lcm where the image cannot decide)
 
 _P = (1 << 61) - 1              # a Mersenne prime; images live in GF(_P)
 _AT = 0x9E3779B97F4A7C15        # variable j of an image is set to _AT * (j + 1) mod _P
@@ -1022,7 +986,8 @@ def _lift(a: MultiPoly, b: MultiPoly, coords: list, used: list):
     residues, the lanes give the true gcd up to a unit when no
     coordinate exceeds _P/2.  A candidate of the image degree that
     divides both inputs is therefore the gcd.  Homogeneous inputs get it
-    rehomogenized, times the power of y they share.
+    rehomogenized; y divides neither, as gcd_poly has taken out their
+    monomial content.
     """
     powers, inverse = _lanes(a.field.conductor)
     i, nv = used[0], len(a.vars)
@@ -1048,16 +1013,13 @@ def _lift(a: MultiPoly, b: MultiPoly, coords: list, used: list):
         u = [sum(map(mul, row, y)) % _P for row in inverse]
         coeffs.append([c - _P if c > _P // 2 else c for c in u])
     content = gcd(*[c for u in coeffs for c in u])
-    if len(used) == 2:
-        j = used[1]
-        shift = min(e[j] for c in coords for e in c)     # the power of y both share
     terms = {}
     for m, u in enumerate(coeffs):
         if any(u):
             e = [0] * nv
             e[i] = m
             if len(used) == 2:
-                e[j] = d - m + shift
+                e[used[1]] = d - m
             u = [c // content for c in u]
             terms[tuple(e)] = CycloNumber(a.field.conductor, u) if a.field.is_cyclotomic else u[0]
     cand = MultiPoly(a.vars, terms, a.field, _clean=True)
@@ -1067,22 +1029,16 @@ def _lift(a: MultiPoly, b: MultiPoly, coords: list, used: list):
 
 
 def _modular_gcd(a: MultiPoly, b: MultiPoly):
-    """gcd(a, b) of nonconstant inputs up to a unit, or None where the PRS must decide.
+    """gcd(a, b) up to a unit, or None where the engine must decide.
 
-    A monomial operand gives the common monomial.  Inputs in one variable
-    or homogeneous in two go to _lift.  Other inputs are proved coprime by
-    a constant image gcd in each variable both use, in the first lane,
-    with the other variables at fixed points where neither leading
-    coefficient vanishes mod _P: a common factor uses such a variable and
-    keeps its degree there.  Q(zeta_N) with N not dividing _P - 1 has no
-    lanes and always takes the PRS.
+    The inputs are nonconstant, and no variable divides either.  Inputs
+    in one variable or homogeneous in two go to _lift.  Other inputs are
+    proved coprime by a constant image gcd in each variable both use, in
+    the first lane, with the other variables at fixed points where
+    neither leading coefficient vanishes mod _P: a common factor uses
+    such a variable and keeps its degree there.  Q(zeta_N) with N not
+    dividing _P - 1 has no lanes and always goes to the engine.
     """
-    for p, q in ((a, b), (b, a)):
-        if len(p.terms) == 1:
-            (m,) = p.terms
-            for e in q.terms:
-                m = tuple(map(min, m, e))
-            return MultiPoly.monomial(1, m, a.vars, a.field)
     lanes = _lanes(a.field.conductor)
     if lanes is None:
         return None
@@ -1101,72 +1057,71 @@ def _modular_gcd(a: MultiPoly, b: MultiPoly):
     return MultiPoly.constant(1, a.vars, a.field)
 
 
-def _content_primitive(p: MultiPoly, name: str):
-    """Content (gcd of coefficients) and primitive part of p in the named variable."""
-    coeffs = list(_as_univariate(p, name).values())
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        cont = gcd_poly(cont, c)
-        if cont.is_constant():
-            break
-    if cont.is_constant():
-        cont = MultiPoly.constant(1, p.vars, p.field)
-        return cont, p
-    return cont, exact_div(p, cont)
+def _engine_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """gcd(a, b) up to a unit, as a / (lcm(a, b) / b).
+
+    <lcm(a, b)> is the intersection of <a> and <b>, which for a variable
+    t the ring lacks is <t*a, (1 - t)*b> intersected with k[vars] (Cox,
+    Little & O'Shea, Ideals, Varieties, and Algorithms, section 4.3):
+    one elimination by the engine.
+    """
+    from .groebner import elimination_ideal     # groebner imports this module
+    t = "t"
+    while t in a.vars:
+        t += "_"
+    ring = a.vars + (t,)
+    tv = MultiPoly.variable(t, ring, a.field)
+    ta, tb = a.extended(ring), b.extended(ring)
+    (least,) = elimination_ideal([tv * ta, tb - tv * tb], (t,))
+    return exact_div(a, exact_div(least, b))
 
 
-def _prs_gcd(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
-    # subresultant remainder sequence on primitive inputs
-    if a.degree_in(name) < b.degree_in(name):
-        a, b = b, a
-    one = MultiPoly.constant(1, a.vars, a.field)
-    g = h = one
-    while True:
-        delta = a.degree_in(name) - b.degree_in(name)
-        r = pseudo_rem(a, b, name)
-        if not r.terms:
-            break
-        if r.degree_in(name) == 0:
-            return one
-        a, b = b, exact_div(r, g * h ** delta)
-        _, g = _leading_in(a, name)
-        if delta == 0:
-            pass
-        elif delta == 1:
-            h = g
-        else:
-            h = exact_div(g ** delta, h ** (delta - 1))
-    _, prim = _content_primitive(b, name)
-    return prim
+def _monomial_content(p: MultiPoly):
+    """(the minimum exponent of each variable over p's terms, p divided by that monomial)."""
+    m = tuple(map(min, zip(*p.terms)))
+    if not any(m):
+        return m, p
+    return m, MultiPoly(p.vars, {tuple(map(sub, e, m)): c for e, c in p.terms.items()},
+                        p.field, _clean=True)
 
 
 def gcd_poly(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Greatest common divisor, monic-normalized by its leading coefficient."""
+    """Greatest common divisor, monic-normalized by its leading coefficient.
+
+    It is the monomial both inputs share times the gcd of what is left
+    once each is divided by its own monomial content.  That gcd comes
+    from one modular image where the image decides, and from the engine
+    otherwise.
+    """
     a._same_ring(b)
     if not a.terms:
         return monic(b)
     if not b.terms:
         return monic(a)
+    (ma, a), (mb, b) = _monomial_content(a), _monomial_content(b)
+    shared = MultiPoly.monomial(1, tuple(map(min, ma, mb)), a.vars, a.field)
     if a.is_constant() or b.is_constant():
-        return MultiPoly.constant(1, a.vars, a.field)
+        return shared
     g = _modular_gcd(a, b)
-    if g is not None:
-        return monic(g)
-    name = None
-    for v in a.vars:
-        if a.uses_variable(v) or b.uses_variable(v):
-            name = v
-            break
-    if a.degree_in(name) == 0 or b.degree_in(name) == 0:
-        # one input is free of the chosen variable; a common divisor must be too
-        free, other = (a, b) if a.degree_in(name) == 0 else (b, a)
-        c_other, _ = _content_primitive(other, name)
-        return monic(gcd_poly(free, c_other))
-    ca, pa = _content_primitive(a, name)
-    cb, pb = _content_primitive(b, name)
-    cont = gcd_poly(ca, cb)
-    prim = _prs_gcd(pa, pb, name)
-    return monic(cont * prim)
+    if g is None:
+        g = _engine_gcd(a, b)
+    return shared * monic(g)
+
+
+def _repeated_part(p: MultiPoly) -> MultiPoly:
+    """gcd(p, dp/dv for each variable v that p uses).
+
+    In characteristic zero an irreducible factor f of multiplicity e
+    divides it exactly e - 1 times: f does not divide df/dv for a
+    variable v that f uses.
+    """
+    g = p
+    for v in p.vars:
+        if p.uses_variable(v):
+            g = gcd_poly(g, derivative(p, v))
+            if g.is_constant():
+                break
+    return g
 
 
 def squarefree_part(p: MultiPoly) -> MultiPoly:
@@ -1175,26 +1130,12 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
         raise ValueError("squarefree part of the zero polynomial")
     if p.is_constant():
         return MultiPoly.constant(1, p.vars, p.field)
-    name = next(v for v in p.vars if p.uses_variable(v))
-    cont, prim = _content_primitive(p, name)
-    g = gcd_poly(prim, derivative(prim, name))
-    sf = exact_div(prim, g) if not g.is_constant() else prim
-    if not cont.is_constant():
-        sf = sf * squarefree_part(cont)
-    return primitive_normalize(sf)
+    g = _repeated_part(p)
+    return primitive_normalize(p if g.is_constant() else exact_div(p, g))
 
 
 def is_squarefree(p: MultiPoly) -> bool:
-    """Whether p has no repeated factor, without building its squarefree part.
-
-    p is squarefree when its content in the first variable it uses is,
-    and its primitive part is coprime to its derivative there.
-    """
+    """Whether p has no repeated factor, without building its squarefree part."""
     if not p.terms:
         raise ValueError("squarefree part of the zero polynomial")
-    if p.is_constant():
-        return True
-    name = next(v for v in p.vars if p.uses_variable(v))
-    cont, prim = _content_primitive(p, name)
-    return (gcd_poly(prim, derivative(prim, name)).is_constant()
-            and is_squarefree(cont))
+    return _repeated_part(p).is_constant()

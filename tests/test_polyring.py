@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymap import polyring
+from polymap import groebner, polyring
 from polymap.numberfield import CycloNumber, totient, zeta
 from polymap.parser import parse_poly
 from polymap.polyring import (BlockOrder, CyclotomicField, DegRevLex,
@@ -17,7 +17,7 @@ from polymap.polyring import (BlockOrder, CyclotomicField, DegRevLex,
                               derivative, divides, evaluate, exact_div,
                               gcd_poly, hessian_det, is_scalar_multiple,
                               is_squarefree, jacobian_det, monic, primitive_normalize,
-                              pseudo_rem, resultant, squarefree_part,
+                              resultant, squarefree_part,
                               substitute, sylvester_matrix)
 
 X = MultiPoly.variable("x", ("x", "y"))
@@ -111,6 +111,11 @@ def test_gcd():
     g = gcd_poly(a, b)
     assert is_scalar_multiple(g, X + Y)
     assert gcd_poly(X ** 2, Y ** 2).is_constant()
+    # the monomial content comes out first; G_15's claim is x*y*(y + 108*x^2)
+    p = parse_poly("x*y*(y + 108*x^2)")
+    assert gcd_poly(p, derivative(p, "x")) == Y and gcd_poly(p, X ** 3 * Y ** 2) == X * Y
+    # homogeneous inputs sharing a power of y, which setting y = 1 would lose
+    assert gcd_poly(Y ** 2 * (X + Y), X * Y ** 3 * (X - Y) * (X + Y)) == Y ** 2 * (X + Y)
 
 
 def test_exact_division():
@@ -127,6 +132,8 @@ def test_squarefree_part():
     assert is_scalar_multiple(squarefree_part(p),
                               (X + Y) * (X - Y) * (X + 1))
     assert is_scalar_multiple(squarefree_part(X ** 2), X)
+    assert squarefree_part(X ** 3 * Y * (Y + 1) ** 2) == X * Y * (Y + 1)
+    assert is_squarefree(parse_poly("x*y*(y + 108*x^2)"))
 
 
 def test_normalizations():
@@ -159,7 +166,7 @@ def test_common_field():
 def test_pseudo_remainder():
     a = parse_poly("y^3 + x")
     b = parse_poly("2*y - x")
-    r = pseudo_rem(a, b, "y")
+    r = _pseudo_rem(a, b, "y")
     assert r.degree_in("y") == 0
     # remainder must vanish exactly when b | a; here it does not
     assert r.terms
@@ -469,13 +476,100 @@ def test_small_products_take_the_schoolbook_loop(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# gcds from one modular image, against the subresultant PRS
+# gcds and squarefree parts against the subresultant PRS they replaced
 
 _MODULUS = 2 ** 61 - 1
 
 
-def _prs_only(fn, *args):
-    """fn(*args) with the modular image switched off, so every gcd runs the PRS."""
+def _leading_in(p, name):
+    d = p.degree_in(name)
+    i = p.vars.index(name)
+    terms = {e[:i] + (0,) + e[i + 1:]: c for e, c in p.terms.items() if e[i] == d}
+    return d, MultiPoly(p.vars, terms, p.field)
+
+
+def _pseudo_rem(a, b, name):
+    """Pseudo-remainder of a by b in the named variable: lc(b)^(da-db+1)*a mod b."""
+    db, lb = _leading_in(b, name)
+    if db < 0:
+        raise ZeroDivisionError("pseudo-division by zero")
+    r = a
+    da = a.degree_in(name)
+    if da < db:
+        return r
+    e = da - db + 1
+    while r.terms and r.degree_in(name) >= db:
+        dr, lr = _leading_in(r, name)
+        power = MultiPoly.monomial(1, tuple(int(v == name) * (dr - db) for v in a.vars),
+                                   a.vars, a.field)
+        r = lb * r - lr * power * b
+        e -= 1
+    if e > 0:
+        r = (lb ** e) * r
+    return r
+
+
+def _content_primitive(p, name):
+    """Content (gcd of coefficients) and primitive part of p in the named variable."""
+    coeffs = list(polyring._as_univariate(p, name).values())
+    cont = coeffs[0]
+    for c in coeffs[1:]:
+        cont = _prs_gcd_poly(cont, c)
+    if cont.is_constant():
+        return MultiPoly.constant(1, p.vars, p.field), p
+    return cont, exact_div(p, cont)
+
+
+def _prs(a, b, name):
+    """gcd of primitive inputs by the subresultant remainder sequence."""
+    if a.degree_in(name) < b.degree_in(name):
+        a, b = b, a
+    one = MultiPoly.constant(1, a.vars, a.field)
+    g = h = one
+    while True:
+        delta = a.degree_in(name) - b.degree_in(name)
+        r = _pseudo_rem(a, b, name)
+        if not r.terms:
+            break
+        if r.degree_in(name) == 0:
+            return one
+        a, b = b, exact_div(r, g * h ** delta)
+        _, g = _leading_in(a, name)
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = exact_div(g ** delta, h ** (delta - 1))
+    return _content_primitive(b, name)[1]
+
+
+def _prs_gcd_poly(a, b):
+    """The monic gcd, recursive on the contents in the first variable used."""
+    if not a.terms or not b.terms:
+        return monic(a + b)
+    if a.is_constant() or b.is_constant():
+        return MultiPoly.constant(1, a.vars, a.field)
+    name = next(v for v in a.vars if a.uses_variable(v) or b.uses_variable(v))
+    if a.degree_in(name) == 0 or b.degree_in(name) == 0:
+        # a common divisor is free of the variable one input is free of
+        free, other = (a, b) if a.degree_in(name) == 0 else (b, a)
+        return _prs_gcd_poly(free, _content_primitive(other, name)[0])
+    (ca, pa), (cb, pb) = _content_primitive(a, name), _content_primitive(b, name)
+    return monic(_prs_gcd_poly(ca, cb) * _prs(pa, pb, name))
+
+
+def _prs_squarefree_part(p):
+    """The squarefree part of the primitive part and, recursively, of the content."""
+    if p.is_constant():
+        return MultiPoly.constant(1, p.vars, p.field)
+    name = next(v for v in p.vars if p.uses_variable(v))
+    cont, prim = _content_primitive(p, name)
+    g = _prs_gcd_poly(prim, derivative(prim, name))
+    sf = exact_div(prim, g) * _prs_squarefree_part(cont)
+    return primitive_normalize(sf)
+
+
+def _engine_only(fn, *args):
+    """fn(*args) with the modular image switched off, so every gcd takes the engine."""
     with mock.patch.object(polyring, "_modular_gcd", lambda a, b: None):
         return fn(*args)
 
@@ -497,7 +591,7 @@ def _form(draw, variables, field, homogeneous, top):
 def gcd_inputs(draw):
     """(a, b): products of random factors with multiplicities, some factors shared."""
     kind = draw(st.sampled_from(("univariate", "homogeneous", "bivariate", "three",
-                                 "zeta6-homogeneous", "zeta12")))
+                                 "zeta6-homogeneous", "zeta12", "monomial")))
     variables = {"univariate": ("x",), "three": ("x", "y", "z")}.get(kind, ("x", "y"))
     field = {"zeta6-homogeneous": CyclotomicField(6),
              "zeta12": CyclotomicField(12)}.get(kind, QQ)
@@ -510,6 +604,9 @@ def gcd_inputs(draw):
     for _ in range(2):
         p = MultiPoly.constant(draw(st.sampled_from((1, -2, Fraction(3, 5)))),
                                variables, field)
+        if kind == "monomial":
+            # a shared monomial factor, as in x*y*(y + 108*x^2)
+            p = p * X ** draw(st.integers(1, 2)) * Y ** draw(st.integers(0, 2))
         for f in factors:
             p = p * f ** draw(st.integers(0, 2))
         products.append(p)
@@ -519,20 +616,28 @@ def gcd_inputs(draw):
 @settings(max_examples=100, deadline=None)
 @given(gcd_inputs())
 def test_gcd_and_squarefree_match_the_prs(case):
+    # as they run, and with every gcd taken by the engine
     a, b = case
-    assert gcd_poly(a, b) == _prs_only(gcd_poly, a, b)
-    for p in (a, b):
-        if p.is_constant():
-            continue
-        assert squarefree_part(p) == _prs_only(squarefree_part, p)
-        assert is_squarefree(p) == is_scalar_multiple(squarefree_part(p), p)
+    nonconstant = [p for p in (a, b) if not p.is_constant()]
+    want = [_prs_gcd_poly(a, b)] + [_prs_squarefree_part(p) for p in nonconstant]
+    for run in (lambda fn, *args: fn(*args), _engine_only):
+        assert run(gcd_poly, a, b) == want[0]
+        for p, sf in zip(nonconstant, want[1:]):
+            assert run(squarefree_part, p) == sf
+            assert run(is_squarefree, p) == is_scalar_multiple(sf, p)
 
 
-def test_gcd_falls_back_to_the_prs(monkeypatch):
+def _count_eliminations(monkeypatch):
     calls = []
-    prs = polyring._prs_gcd
-    monkeypatch.setattr(polyring, "_prs_gcd",
-                        lambda a, b, name: calls.append(name) or prs(a, b, name))
+    eliminate = groebner.elimination_ideal
+    monkeypatch.setattr(groebner, "elimination_ideal",
+                        lambda gens, names, budget=None:
+                        calls.append(names) or eliminate(gens, names, budget))
+    return calls
+
+
+def test_gcd_falls_back_to_the_engine(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
     # the leading coefficient vanishes mod the prime, so the image loses a degree
     assert gcd_poly((_MODULUS * X + 1) * (X + 2), (X + 2) * (X - 3)) == X + 2
     assert len(calls) == 1
@@ -542,15 +647,33 @@ def test_gcd_falls_back_to_the_prs(monkeypatch):
     # the leading coefficient in x vanishes at the point the image sets y to
     h = X + Y + 1
     at = MultiPoly.constant(polyring._AT * 2 % _MODULUS, X.vars)
-    assert gcd_poly(((Y - at) * X + 1) * h, h * (X - Y ** 2)) == h and len(calls) > 2
+    assert gcd_poly(((Y - at) * X + 1) * h, h * (X - Y ** 2)) == h and len(calls) == 3
     # a denominator divisible by the prime is scaled away, not a fallback
-    before = len(calls)
     a = (X + 1) * (X - 1) * Fraction(1, _MODULUS)
-    assert gcd_poly(a, (X + 1) * (X + 5)) == X + 1 and len(calls) == before
+    assert gcd_poly(a, (X + 1) * (X + 5)) == X + 1 and len(calls) == 3
     # Q(zeta_12) has no root of unity mod the prime
     x12 = X.in_field(CyclotomicField(12))
     z = x12 + zeta(12)
-    assert gcd_poly(z * (x12 + 1), z * (x12 - 1)) == z and len(calls) > before
+    assert gcd_poly(z * (x12 + 1), z * (x12 - 1)) == z and len(calls) == 4
+
+
+def test_engine_gcd_takes_a_variable_the_ring_lacks(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    t, u = (MultiPoly.variable(v, ("t", "t_")) for v in ("t", "t_"))
+    h = t + u + 1
+    # not homogeneous and not coprime, so the images cannot decide
+    assert gcd_poly(h * (t - u ** 2), h ** 2 * (t * u - 3)) == h
+    assert calls == [("t__",)]
+    assert squarefree_part(h ** 2 * (t * u - 3)) == primitive_normalize(h * (t * u - 3))
+
+
+def test_squarefree_part_of_a_constant_is_one():
+    fld = CyclotomicField(3)
+    c = MultiPoly.constant(zeta(3), ("x", "y"), fld)
+    assert squarefree_part(c) == MultiPoly.constant(1, ("x", "y"), fld)
+    assert is_squarefree(c)
+    with pytest.raises(ValueError):
+        squarefree_part(MultiPoly.zero(("x", "y"), fld))
 
 
 def test_coprime_images_in_three_variables():

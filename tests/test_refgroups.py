@@ -2,7 +2,7 @@
 
 import pytest
 
-from polymap import polyring, refgroups
+from polymap import groebner, refgroups
 from polymap.maps import critical_ideal, is_proper, topological_degree, verify_branch
 from polymap.numberfield import zeta
 from polymap.parser import parse_poly
@@ -267,13 +267,14 @@ def test_verify_table4_divisibility_rows():
         assert report["tiers"]["elimination"] == "not-run"
 
 
-def test_table4_cheap_tiers_need_no_prs(monkeypatch):
+def test_table4_cheap_tiers_build_no_basis(monkeypatch):
     # the slate is over Q and Q(zeta_6), and every gcd its cheap tiers take
-    # has a monomial operand, is a unit by the images, or is lifted in one
-    # variable or homogeneous in two, so none reaches the PRS
-    def refuse(*args):
-        raise AssertionError("the subresultant PRS was reached")
-    monkeypatch.setattr(polyring, "_prs_gcd", refuse)
+    # has a monomial operand once monomial contents are out, is a unit by
+    # the images, or is lifted in one variable or homogeneous in two, so
+    # none reaches the engine
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Groebner basis was built")
+    monkeypatch.setattr(groebner, "buchberger", refuse)
     jacobians = {}
     for rec in default_table4_rows():
         f = quotient_map(rec)
