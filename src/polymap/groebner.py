@@ -1,12 +1,20 @@
 """Global Groebner bases with an explicit computation budget.
 
 There is one engine: Buchberger's algorithm with the Gebauer-Moeller
-pair criteria.  When the generators are homogeneous for some positive
+pair criteria, its pairs in a heap from which pruned ones are dropped
+as they come up.  When the generators are homogeneous for some positive
 integer weights w, the next pair is the one whose lcm has the smallest
 w-degree, ties broken by the active order; for a w-homogeneous ideal
 that w-degree is the pair's sugar (Giovini, Mora, Niesi, Robbiano,
 Traverso, "One sugar cube, please", ISSAC 1991).  Otherwise selection is
 the normal strategy: the smallest lcm in the active order.
+
+A caller may pass the quotient's Hilbert function hf with the weights
+(`hilbert`).  In each degree D the engine counts the monomials no lead
+divides, one less per new element; at hf(D) the other pairs of degree D
+reduce to zero and are dropped unreduced and unbudgeted (Traverso,
+"Hilbert functions and the Buchberger algorithm", JSC 22, 1996).  Any
+other count on leaving degree D raises ArithmeticError.
 
 Reduction is one division loop for both coefficient fields.  Over Q it
 is fraction-free: every basis element is a primitive integer
@@ -52,6 +60,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import mul
 
 from .polyring import (DegRevLex, MonomialOrder, MultiPoly, block_order,
                        common_field, field_inverse, primitive_normalize)
@@ -467,11 +476,12 @@ def _grading(gens):
 
 
 def buchberger(generators, order: MonomialOrder = None,
-               budget: ComputationBudget = None) -> IdealBasis:
+               budget: ComputationBudget = None, hilbert=None) -> IdealBasis:
     """Minimal Groebner basis of the generated ideal under a global monomial order.
 
     The leads are those of the reduced basis; `interreduce` gives the
-    reduced basis itself.
+    reduced basis itself.  `hilbert=(weights, hf)` grades the four
+    variables by (1, 1, a, b) and gives the quotient's Hilbert function.
     """
     if order is None:
         order = DegRevLex()
@@ -482,25 +492,57 @@ def buchberger(generators, order: MonomialOrder = None,
     ring = gens[0]
     for g in gens[1:]:
         ring._same_ring(g)
-    weights = _grading(gens)
+    weights = hilbert[0] if hilbert else _grading(gens)
+    if hilbert and (len(weights) != 4 or weights[:2] != (1, 1) or any(
+            len({sum(map(mul, weights, e)) for e in g.terms}) > 1 for g in gens)):
+        raise ValueError("hilbert needs generators homogeneous for weights (1, 1, a, b)")
+    hf = hilbert[1] if hilbert else None
     basis, leads, stats = _packed(
-        lambda packing: _buchberger(gens, budget, weights, packing), len(ring.vars), order)
+        lambda packing: _buchberger(gens, budget, weights, packing, hf), len(ring.vars), order)
     return IdealBasis(list(generators), order, basis, leads, stats=stats)
 
 
-def _buchberger(gens, budget, weights, packing):
+def _standard_count(leads, weights, degree):
+    """Monomials x^a y^b s^c t^e of weighted degree `degree` that no lead
+    divides, `leads` sorted.  Per (c, e), with r = degree - w_s c - w_t e,
+    a lead with lc <= c and le <= e divides x^a y^(r - a) for la <= a <= r - lb."""
+    _, _, ws, wt = weights
+    count = 0
+    for c in range(degree // ws + 1):
+        for e in range((degree - ws * c) // wt + 1):
+            r = degree - ws * c - wt * e
+            count += r + 1
+            end = -1
+            for la, lb, lc, le in leads:
+                if la > r:
+                    break
+                hi = r - lb
+                if lc <= c and le <= e and hi > end and hi >= la:
+                    count -= hi - max(la, end + 1) + 1
+                    end = hi
+    return count
+
+
+def _buchberger(gens, budget, weights, packing, hf):
     """(minimal basis, leading exponents, stats) of the generators, under
-    the packing's order."""
+    the packing's order; hf is the Hilbert function of a `hilbert` run."""
     negkey = packing.negkey
     divides = packing.divides
+    unpack = packing.unpack
     field = gens[0].field
     # basis_size counts the live (non-retired) entries throughout, so a
     # budget stop reports the basis as it stood
     stats = {"pair_reductions": 0, "zero_reductions": 0, "basis_size": 0}
+    if hf:
+        stats["hilbert_skipped"] = 0
 
     entries: list[_Entry] = []
     active: list[_Entry] = []     # the live entries, smallest lead first
     pairs: dict = {}
+    # the smallest lcm comes first: by weighted degree when there is a
+    # grading, then by the order, then by the pair; a popped pair that is
+    # no longer in `pairs` was pruned
+    queue = []
 
     def add(terms, lead):
         nonlocal pairs, active
@@ -510,6 +552,11 @@ def _buchberger(gens, budget, weights, packing):
         # pairs are formed against the pre-retirement basis; only afterwards may
         # elements with now-redundant leading terms stop spawning future pairs
         pairs = _gm_update(pairs, entries, entry, packing)
+        for (i, j), lcm in pairs.items():
+            if j == entry.index:
+                key = -negkey(lcm)
+                heappush(queue, ((key,) if weights is None else
+                                 (sum(map(mul, weights, unpack(lcm))), key), (i, j)))
         for e in active:
             if divides(lead, e.lead_exp):
                 e.retired = True
@@ -522,30 +569,39 @@ def _buchberger(gens, budget, weights, packing):
                               key=lambda tl: negkey(tl[1]), reverse=True):
         add(terms, lead)
 
-    # the smallest lcm comes first: by weighted degree when there is a
-    # grading, then by the order; ranks are memoized per lcm
-    rank = {}
-    unpack = packing.unpack
+    degree, target, count = None, None, 0
 
-    def pair_key(item):
-        lcm = item[1]
-        r = rank.get(lcm)
-        if r is None:
-            r = rank[lcm] = ((-negkey(lcm),) if weights is None else
-                             (sum(w * e for w, e in zip(weights, unpack(lcm))), -negkey(lcm)))
-        return r, item[0]
+    def check():
+        # a wrong count means a wrong engine or a wrong hf
+        if degree is not None and count != target:
+            raise ArithmeticError(f"{count} standard monomials in weighted degree "
+                                  f"{degree}, but the Hilbert function is {target}")
 
-    while pairs:
+    while queue:
+        r, (i, j) = heappop(queue)
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
+            continue
+        if hf and r[0] != degree:
+            check()
+            degree = r[0]
+            target = hf(degree)
+            count = _standard_count(sorted(unpack(e.lead_exp) for e in active),
+                                    weights, degree)
+        if hf and count == target:
+            # every lead of this degree is found, so the pair reduces to zero
+            stats["hilbert_skipped"] += 1
+            continue
         budget.check_pairs(stats)
-        (i, j), lcm = min(pairs.items(), key=pair_key)
-        del pairs[(i, j)]
         stats["pair_reductions"] += 1
         rterms, _ = _reduce_terms(_spoly_terms(entries[i], entries[j], lcm),
                                   active, packing, field)
         if rterms:
             add(rterms, next(iter(rterms)))
+            count -= 1  # the new lead is its own only multiple of its degree
         else:
             stats["zero_reductions"] += 1
+    check()
 
     kept = _minimal(active, packing)
     stats["basis_size"] = len(kept)
@@ -621,7 +677,7 @@ def normal_form(p: MultiPoly, basis: IdealBasis) -> MultiPoly:
     return _packed(divide, len(p.vars), basis.order)
 
 
-def elimination_ideal(generators, eliminate, budget=None) -> list:
+def elimination_ideal(generators, eliminate, budget=None, hilbert=None) -> list:
     """Generators of the ideal's intersection with the subring without `eliminate`."""
     gens = [g for g in generators if g.terms]
     if not gens:
@@ -630,7 +686,7 @@ def elimination_ideal(generators, eliminate, budget=None) -> list:
     for v in eliminate:
         if v not in variables:
             raise ValueError(f"unknown variable {v!r}")
-    gb = buchberger(gens, block_order(variables, tuple(eliminate)), budget)
+    gb = buchberger(gens, block_order(variables, tuple(eliminate)), budget, hilbert)
     keep = tuple(v for v in variables if v not in eliminate)
     elim_idx = [variables.index(v) for v in eliminate]
     # the eliminated block comes first in the order, so an element whose

@@ -265,7 +265,10 @@ def branch_ideal(f: PolyMap, budget=None) -> list:
     """Generators of the branch ideal in the target variables (s, t).
 
     Eliminates the source variables from <J_f, s - f1, t - f2>; each
-    generator comes back content-normalized with a fixed sign.
+    generator comes back content-normalized with a fixed sign.  For f1, f2
+    homogeneous of degrees d1, d2 the quotient is k[x, y]/(J_f) graded by
+    (1, 1, d1, d2), whose Hilbert function min(D + 1, deg J_f) drives the
+    elimination.
     """
     J = critical_ideal(f)
     if not J.terms:
@@ -275,7 +278,12 @@ def branch_ideal(f: PolyMap, budget=None) -> list:
     gens = [J.extended(allv),
             MultiPoly.variable("s", allv, field) - f.f1.extended(allv),
             MultiPoly.variable("t", allv, field) - f.f2.extended(allv)]
-    return elimination_ideal(gens, SOURCE_VARS, budget)
+    hilbert = None
+    degrees = [{sum(e) for e in c.terms} for c in f.components()]
+    if all(len(d) == 1 for d in degrees):
+        top = J.total_degree()
+        hilbert = (1, 1, *map(min, degrees)), lambda D: min(D + 1, top)
+    return elimination_ideal(gens, SOURCE_VARS, budget, hilbert)
 
 
 # ---------------------------------------------------------------------------

@@ -1090,7 +1090,8 @@ def gcd_poly(a: MultiPoly, b: MultiPoly) -> MultiPoly:
 
     It is the monomial both inputs share times the gcd of what is left
     once each is divided by its own monomial content.  That gcd comes
-    from one modular image where the image decides, and from the engine
+    from one modular image where the image decides, else from an exact
+    division when one input divides the other, and from the engine
     otherwise.
     """
     a._same_ring(b)
@@ -1104,7 +1105,7 @@ def gcd_poly(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return shared
     g = _modular_gcd(a, b)
     if g is None:
-        g = _engine_gcd(a, b)
+        g = b if divides(b, a) else a if divides(a, b) else _engine_gcd(a, b)
     return shared * monic(g)
 
 

@@ -192,25 +192,19 @@ def _scalar(text: str, conductor: int) -> CycloNumber:
 
 @lru_cache(maxsize=None)
 def _base_matrices(family: str):
-    n = _FAMILY_CONDUCTOR[family]
-    if family == "A4":
-        i = zeta(24, 6)
-        eps = zeta(24, 3)
+    """S1 and T1 over the field their entries live in: Q(zeta_8) for A4
+    and S4, Q(zeta_5) for A5."""
+    if family in ("A4", "S4"):
+        i, eps, one = zeta(8, 2), zeta(8), CycloNumber.one(8)
         half_rt2 = (eps - eps**3) * Fraction(1, 2)  # 1/sqrt(2)
-        s1 = Matrix2(i, 0 * i, 0 * i, -i)
-        t1 = Matrix2(eps, eps**3, eps, eps**7).scaled(half_rt2)
-        return s1, t1
-    if family == "S4":
-        i = zeta(24, 6)
-        eps = zeta(24, 3)
-        one = CycloNumber.one(24)
-        half_rt2 = (eps - eps**3) * Fraction(1, 2)
-        s1 = Matrix2(i, one, -one, -i).scaled(half_rt2)
-        t1 = Matrix2(eps, eps, eps**3, eps**7).scaled(half_rt2)
-        return s1, t1
+        if family == "A4":
+            return (Matrix2(i, 0 * i, 0 * i, -i),
+                    Matrix2(eps, eps**3, eps, eps**7).scaled(half_rt2))
+        return (Matrix2(i, one, -one, -i).scaled(half_rt2),
+                Matrix2(eps, eps, eps**3, eps**7).scaled(half_rt2))
     if family == "A5":
-        eta = zeta(60, 12)  # primitive fifth root
-        one = CycloNumber.one(60)
+        eta = zeta(5)
+        one = CycloNumber.one(5)
         fifth_rt5 = (one + eta * 2 + eta**4 * 2) * Fraction(1, 5)  # 1/sqrt(5)
         s1 = Matrix2(eta**4 - eta, eta**2 - eta**3,
                      eta**2 - eta**3, eta - eta**4).scaled(fifth_rt5)
@@ -257,8 +251,8 @@ def exceptional_group(no: int) -> GroupRecord:
     family, lam, mu, k1, k2, k3, k, degrees, gap = _EXCEPTIONAL[no]
     n = _FAMILY_CONDUCTOR[family]
     s1, t1 = _base_matrices(family)
-    s = s1.scaled(_scalar(lam, n))
-    t = t1.scaled(_scalar(mu, n))
+    s = s1.embed(n).scaled(_scalar(lam, n))
+    t = t1.embed(n).scaled(_scalar(mu, n))
     pres = Presentation(lam, mu, k1, k2, k3, k, _FAMILY_POWER[family])
     return GroupRecord("exceptional", (no,), f"G_{no}",
                        degrees[0] * degrees[1], degrees, n, (s, t), pres, gap)
@@ -538,20 +532,21 @@ def _base_seed_scalars(family: str, seed_name: str):
     Every seed spans a one-dimensional semi-invariant space of its
     family; scaling a generator by a root of unity then scales the
     multiplier by (root)^deg, so one symbolic substitution per base
-    matrix covers every table row.
+    matrix covers every table row.  It runs in the field of the matrices
+    and the seed; the multipliers go into the family conductor.
     """
-    n = _FAMILY_CONDUCTOR[family]
-    fld = CyclotomicField(n)
+    s1, t1 = _base_matrices(family)
+    fld = common_field(CyclotomicField(s1.conductor), invariant_seed(seed_name).field)
     seed = invariant_seed(seed_name).in_field(fld)
     out = []
-    for g in _base_matrices(family):
-        moved = substitute(seed, _action_images(g, fld))
+    for g in (s1, t1):
+        moved = substitute(seed, _action_images(g.embed(fld.conductor), fld))
         exps = next(iter(seed.terms))
         ratio = moved.coeff(exps) * seed.coeff(exps).inverse()
         if moved != seed * ratio:
             raise ArithmeticError(
                 f"{seed_name} is not semi-invariant under the {family} base group")
-        out.append(ratio)
+        out.append(embed(ratio, _FAMILY_CONDUCTOR[family]))
     return tuple(out)
 
 

@@ -395,6 +395,20 @@ def test_elimination_skip_reports_progress(capsys):
         "pair_reductions": 2, "zero_reductions": 0, "basis_size": 3}
 
 
+def test_homogeneous_elimination_skip_reports_skipped_pairs(capsys):
+    # pairs skipped by the Hilbert function are counted apart and cost no
+    # budget: 12 reductions finish the elimination that skips 14 pairs
+    argv = ("--json", "branch", "(x^4 + y^4, x^2*y^2)", "--claimed", "x^2*y - 4*y^3")
+    code, out, _ = run(capsys, *argv, "--budget", "11")
+    check = json.loads(out)["checks"][0]
+    assert code == 0 and check["status"] == "skipped-budget"
+    assert check["details"]["elimination_stop"] == {
+        "limit": "pair-reduction budget 11 exceeded", "pair_reductions": 11,
+        "zero_reductions": 1, "basis_size": 13, "hilbert_skipped": 8}
+    code, out, _ = run(capsys, *argv, "--budget", "12")
+    assert code == 0 and json.loads(out)["checks"][0]["status"] == "pass"
+
+
 def test_budget_reaches_the_total_milnor_basis(capsys):
     # the first map's graph basis needs no pair reduction, so a zero budget
     # first runs out in the total-Milnor basis of its critical curve

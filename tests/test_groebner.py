@@ -276,6 +276,38 @@ def test_g4_elimination_stats():
                         "basis_size": 14}
 
 
+def _g4_hilbert(hf):
+    gens = branch_ideal_generators(quotient_map(exceptional_group(4)))
+    return buchberger(gens, block_order(("x", "y", "s", "t"), ("x", "y")),
+                      hilbert=((1, 1, 4, 6), hf))
+
+
+def test_g4_hilbert_stats():
+    # the Jacobian has degree 8; 16 of the 30 plain pairs are skipped
+    # unreduced, and the leads are those of the plain run
+    gb = _g4_hilbert(lambda D: min(D + 1, 8))
+    assert gb.stats == {"pair_reductions": 14, "zero_reductions": 1,
+                        "basis_size": 14, "hilbert_skipped": 16}
+    gens = branch_ideal_generators(quotient_map(exceptional_group(4)))
+    assert gb.leads == buchberger(gens, block_order(("x", "y", "s", "t"), ("x", "y"))).leads
+
+
+@pytest.mark.parametrize("hf", [lambda D: min(D + 1, 9), lambda D: min(D + 1, 7),
+                                lambda D: min(D + 2, 8), lambda D: min(D, 8)])
+def test_wrong_hilbert_function_raises(hf):
+    with pytest.raises(ArithmeticError, match="Hilbert function"):
+        _g4_hilbert(hf)
+
+
+def test_hilbert_needs_homogeneous_generators():
+    gens = branch_ideal_generators(quotient_map(exceptional_group(4)))
+    order = block_order(("x", "y", "s", "t"), ("x", "y"))
+    with pytest.raises(ValueError):
+        buchberger(gens, order, hilbert=((1, 1, 4, 5), lambda D: min(D + 1, 8)))
+    with pytest.raises(ValueError):
+        buchberger(gens, order, hilbert=((2, 2, 8, 12), lambda D: min(D + 1, 8)))
+
+
 @settings(max_examples=20, deadline=None)
 @given(polys(2), polys(2))
 def test_elimination_matches_resultant_random(a, b):

@@ -1,17 +1,21 @@
 """Plane maps: properness, degree, branch loci, and Jacobian structure."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymap.groebner import ComputationBudget, ResourceBudgetExceeded
+from polymap.groebner import (ComputationBudget, ResourceBudgetExceeded,
+                              elimination_ideal)
 from polymap.maps import (PlaneAutomorphism, PolyMap, branch_ideal, compose,
-                          integral_relation_check, is_monic_in_y, is_proper,
-                          make_family, topological_degree, verify_branch)
+                          critical_ideal, integral_relation_check, is_monic_in_y,
+                          is_proper, make_family, topological_degree, verify_branch)
+from polymap.numberfield import zeta
 from polymap.parser import parse_map, parse_poly
-from polymap.polyring import MultiPoly, QQ, is_scalar_multiple, substitute
+from polymap.polyring import (CyclotomicField, MultiPoly, QQ, is_scalar_multiple,
+                              substitute)
 
 X = MultiPoly.variable("x", ("x", "y"))
 Y = MultiPoly.variable("y", ("x", "y"))
@@ -113,6 +117,28 @@ def test_branch_of_power_map():
     # critical locus y = 0 maps onto t = 0; elimination sees the reduced image
     assert len(gens) == 1
     assert gens[0].uses_variable("t") and not gens[0].uses_variable("s")
+
+
+@pytest.mark.parametrize("field", [QQ, CyclotomicField(3)], ids=["Q", "Q(zeta_3)"])
+def test_homogeneous_branch_matches_the_plain_elimination(field):
+    # the Hilbert-driven elimination of branch_ideal gives the generators
+    # of an elimination that reduces every pair
+    rng = random.Random(7)
+    coeffs = [0, 1, -1, 2, -3] + ([zeta(3), 1 - zeta(3) * 2] if field.is_cyclotomic else [])
+    allv = ("x", "y", "s", "t")
+    checked = 0
+    while checked < 12:
+        f = PolyMap(*(MultiPoly(("x", "y"), {(a, d - a): rng.choice(coeffs)
+                                             for a in range(d + 1)}, field)
+                      for d in (rng.randint(1, 4), rng.randint(1, 4))))
+        J = critical_ideal(f)
+        if not f.f1.terms or not f.f2.terms or not J.terms:
+            continue
+        gens = [J.extended(allv),
+                MultiPoly.variable("s", allv, f.field) - f.f1.extended(allv),
+                MultiPoly.variable("t", allv, f.field) - f.f2.extended(allv)]
+        assert branch_ideal(f) == elimination_ideal(gens, ("x", "y")), f
+        checked += 1
 
 
 def test_verify_branch_tiers():

@@ -657,6 +657,16 @@ def test_gcd_falls_back_to_the_engine(monkeypatch):
     assert gcd_poly(z * (x12 + 1), z * (x12 - 1)) == z and len(calls) == 4
 
 
+def test_divisible_inputs_build_no_basis(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    h = X ** 2 + Y + 1
+    # not homogeneous and not coprime, so the images cannot decide, but
+    # one input divides the other either way round
+    assert gcd_poly(h ** 2 * (X * Y - 3), h) == h
+    assert gcd_poly(h * (X - Y ** 2), h * (X - Y ** 2) * (X * Y - 3)) == monic(h * (X - Y ** 2))
+    assert calls == []
+
+
 def test_engine_gcd_takes_a_variable_the_ring_lacks(monkeypatch):
     calls = _count_eliminations(monkeypatch)
     t, u = (MultiPoly.variable(v, ("t", "t_")) for v in ("t", "t_"))
