@@ -22,8 +22,8 @@ from fractions import Fraction
 from .curves import (classify_low_degree_curve, distinguish_by_milnor,
                      milnor_at_origin)
 from .groebner import ComputationBudget, ResourceBudgetExceeded
-from .maps import (PlaneAutomorphism, PolyMap, branch_ideal, compose,
-                   critical_ideal, integral_relation_check, is_proper,
+from .maps import (PlaneAutomorphism, PolyMap, branch_ideal, branch_status,
+                   compose, critical_ideal, integral_relation_check, is_proper,
                    make_family, topological_degree, verify_branch)
 from .parser import format_map, format_poly, parse_map, parse_poly
 from .polyring import MultiPoly, substitute
@@ -138,10 +138,9 @@ def _cmd_branch(args):
                       {"map": _render_map(f),
                        "generators": [_target_poly_text(g) for g in gens]})]
     claim = parse_poly(args.claimed)
-    check = verify_branch(f, claim, run_elimination=True, budget=args.budget)
-    return [Check("branch-claim", check.status,
-                  {"map": _render_map(f), "claimed": format_poly(claim),
-                   **check.tier_report()})]
+    tiers = verify_branch(f, claim, run_elimination=True, budget=args.budget)
+    return [Check("branch-claim", branch_status(tiers),
+                  {"map": _render_map(f), "claimed": format_poly(claim), **tiers})]
 
 
 def _cmd_milnor(args):

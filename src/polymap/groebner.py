@@ -9,12 +9,13 @@ that w-degree is the pair's sugar (Giovini, Mora, Niesi, Robbiano,
 Traverso, "One sugar cube, please", ISSAC 1991).  Otherwise selection is
 the normal strategy: the smallest lcm in the active order.
 
-A caller may pass the quotient's Hilbert function hf with the weights
-(`hilbert`).  In each degree D the engine counts the monomials no lead
-divides, one less per new element; at hf(D) the other pairs of degree D
-reduce to zero and are dropped unreduced and unbudgeted (Traverso,
-"Hilbert functions and the Buchberger algorithm", JSC 22, 1996).  Any
-other count on leaving degree D raises ArithmeticError.
+When the weights are (1, 1, a, b) on four variables, a caller may pass
+the quotient's Hilbert function hf (`hilbert`).  In each degree D the
+engine counts the monomials no lead divides, one less per new element;
+at hf(D) the other pairs of degree D reduce to zero and are dropped
+unreduced and unbudgeted (Traverso, "Hilbert functions and the
+Buchberger algorithm", JSC 22, 1996).  Any other count on leaving
+degree D raises ArithmeticError.
 
 Reduction is one division loop for both coefficient fields.  Over Q it
 is fraction-free: every basis element is a primitive integer
@@ -430,8 +431,11 @@ def _grading(gens):
     """Positive integer weights making every generator weighted-homogeneous, or None.
 
     The admissible weights form the kernel of the term-difference
-    vectors.  The answer is its generator when the kernel is a positive
-    line, (1, ..., 1) when the kernel contains it, and None otherwise.
+    vectors.  Each row of their echelon form is pivoted on its last
+    nonzero column, every other column weighs 1, and back substitution
+    gives the pivot weights.  The answer is that kernel vector made
+    primitive, or None when it is not positive; a kernel that is a line
+    gives its positive generator.
     """
     n = len(gens[0].vars)
     diffs = []
@@ -444,7 +448,7 @@ def _grading(gens):
     rows = {}
     for d in diffs:
         v = list(d)
-        for col in sorted(rows):
+        for col in sorted(rows, reverse=True):
             if v[col]:
                 r = rows[col]
                 a, b = r[col], v[col]
@@ -452,18 +456,15 @@ def _grading(gens):
         if not any(v):
             continue
         content = math.gcd(*v)
-        rows[next(k for k, x in enumerate(v) if x)] = [x // content for x in v]
+        rows[max(k for k, x in enumerate(v) if x)] = [x // content for x in v]
         if len(rows) == n:
             return None
-    if len(rows) != n - 1:
-        return None
-    # the kernel is a line: back-substitute from its free column, scaling
-    # the solution so far to keep it integral
-    w = [0] * n
-    w[next(k for k in range(n) if k not in rows)] = 1
-    for col in sorted(rows, reverse=True):
+    # each pivot row reads only earlier columns: solve them in order,
+    # scaling the solution so far to keep it integral
+    w = [0 if k in rows else 1 for k in range(n)]
+    for col in sorted(rows):
         r = rows[col]
-        rest = sum(r[k] * w[k] for k in range(col + 1, n))
+        rest = sum(r[k] * w[k] for k in range(col))
         g = math.gcd(rest, r[col])
         w = [x * (r[col] // g) for x in w]
         w[col] = -rest // g
@@ -480,8 +481,9 @@ def buchberger(generators, order: MonomialOrder = None,
     """Minimal Groebner basis of the generated ideal under a global monomial order.
 
     The leads are those of the reduced basis; `interreduce` gives the
-    reduced basis itself.  `hilbert=(weights, hf)` grades the four
-    variables by (1, 1, a, b) and gives the quotient's Hilbert function.
+    reduced basis itself.  `hilbert` is the quotient's Hilbert function
+    for generators in four variables that weights (1, 1, a, b) make
+    homogeneous; for any other generators it raises ValueError.
     """
     if order is None:
         order = DegRevLex()
@@ -492,13 +494,12 @@ def buchberger(generators, order: MonomialOrder = None,
     ring = gens[0]
     for g in gens[1:]:
         ring._same_ring(g)
-    weights = hilbert[0] if hilbert else _grading(gens)
-    if hilbert and (len(weights) != 4 or weights[:2] != (1, 1) or any(
-            len({sum(map(mul, weights, e)) for e in g.terms}) > 1 for g in gens)):
+    weights = _grading(gens)
+    if hilbert and (weights is None or len(weights) != 4 or weights[:2] != (1, 1)):
         raise ValueError("hilbert needs generators homogeneous for weights (1, 1, a, b)")
-    hf = hilbert[1] if hilbert else None
     basis, leads, stats = _packed(
-        lambda packing: _buchberger(gens, budget, weights, packing, hf), len(ring.vars), order)
+        lambda packing: _buchberger(gens, budget, weights, packing, hilbert),
+        len(ring.vars), order)
     return IdealBasis(list(generators), order, basis, leads, stats=stats)
 
 
@@ -621,19 +622,17 @@ def _minimal(entries, packing):
 
 def _interreduce(entries, ring, packing):
     """(reduced basis as MultiPolys of `ring`, their leading exponents),
-    from the entries of a Groebner basis sorted by leading monomial.
+    from the entries of a minimal Groebner basis sorted by leading monomial.
 
-    Each element of the minimal basis is reduced by the others; its
-    leading term is not divisible by theirs, so it stays, and the output
-    keeps the order.
+    Each element is reduced by the others; its leading term is not
+    divisible by theirs, so it stays, and the output keeps the order.
     """
-    kept = _minimal(entries, packing)
     out = []
-    for entry in kept:
-        others = [k for k in kept if k is not entry]
+    for entry in entries:
+        others = [k for k in entries if k is not entry]
         terms, _ = _reduce_terms(dict(entry.terms), others, packing, ring.field)
         out.append(_unpacked(ring, _normalized(terms, entry.lead_exp, ring.field), packing))
-    return out, [packing.unpack(k.lead_exp) for k in kept]
+    return out, [packing.unpack(k.lead_exp) for k in entries]
 
 
 def _unpacked(ring, terms, packing, field=None):
@@ -651,8 +650,12 @@ def _entries(basis: IdealBasis, packing):
 
 
 def interreduce(basis: IdealBasis) -> IdealBasis:
-    """The reduced Groebner basis of a computed basis's ideal: the same
-    order, leads and stats, each element reduced by the others."""
+    """The reduced Groebner basis of a minimal basis's ideal: the same
+    order, leads and stats, each element reduced by the others.
+
+    The input must be minimal, as every basis `buchberger` returns is,
+    and so is any subset of one, such as `elimination_ideal`'s eliminants.
+    """
     reduced, leads = _packed(
         lambda packing: _interreduce(_entries(basis, packing), basis.basis[0], packing),
         len(basis.vars), basis.order)

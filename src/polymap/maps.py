@@ -10,8 +10,6 @@ variables from the graph ideal over the critical locus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groebner import (ResourceBudgetExceeded, buchberger, elimination_ideal,
                        staircase_count)
 from .polyring import (MultiPoly, QQ, RingMismatch, block_order, common_field,
@@ -201,6 +199,13 @@ def make_family(name: str, **params) -> PolyMap:
 # ---------------------------------------------------------------------------
 # basic geometry
 
+def _graph_generators(f: PolyMap) -> list:
+    """s - f1 and t - f2 over (x, y, s, t)."""
+    allv = SOURCE_VARS + TARGET_VARS
+    return [MultiPoly.variable(v, allv, f.field) - c.extended(allv)
+            for v, c in zip(TARGET_VARS, f.components())]
+
+
 def _graph_basis_leads(f: PolyMap, budget=None) -> list:
     """Leading exponents, over (x, y, s, t), of the graph ideal's block-order basis.
 
@@ -210,10 +215,8 @@ def _graph_basis_leads(f: PolyMap, budget=None) -> list:
     whose leading monomial avoids x and y generate the polynomial
     relations between f1 and f2; f is dominant exactly when there are none.
     """
-    allv = SOURCE_VARS + TARGET_VARS
-    gens = [MultiPoly.variable(v, allv, f.field) - c.extended(allv)
-            for v, c in zip(TARGET_VARS, f.components())]
-    leads = buchberger(gens, block_order(allv, SOURCE_VARS), budget).leads
+    leads = buchberger(_graph_generators(f),
+                       block_order(SOURCE_VARS + TARGET_VARS, SOURCE_VARS), budget).leads
     if any(not any(e[:len(SOURCE_VARS)]) for e in leads):
         raise ValueError("map is not dominant (algebraically dependent components)")
     return leads
@@ -267,66 +270,35 @@ def branch_ideal(f: PolyMap, budget=None) -> list:
     Eliminates the source variables from <J_f, s - f1, t - f2>; each
     generator comes back content-normalized with a fixed sign.  For f1, f2
     homogeneous of degrees d1, d2 the quotient is k[x, y]/(J_f) graded by
-    (1, 1, d1, d2), whose Hilbert function min(D + 1, deg J_f) drives the
-    elimination.
+    (1, 1, d1, d2), the weights the engine derives, and its Hilbert
+    function min(D + 1, deg J_f) drives the elimination.
     """
     J = critical_ideal(f)
     if not J.terms:
         raise ValueError("map is not dominant (identically zero Jacobian)")
-    allv = SOURCE_VARS + TARGET_VARS
-    field = f.field
-    gens = [J.extended(allv),
-            MultiPoly.variable("s", allv, field) - f.f1.extended(allv),
-            MultiPoly.variable("t", allv, field) - f.f2.extended(allv)]
-    hilbert = None
-    degrees = [{sum(e) for e in c.terms} for c in f.components()]
-    if all(len(d) == 1 for d in degrees):
-        top = J.total_degree()
-        hilbert = (1, 1, *map(min, degrees)), lambda D: min(D + 1, top)
-    return elimination_ideal(gens, SOURCE_VARS, budget, hilbert)
+    gens = [J.extended(SOURCE_VARS + TARGET_VARS), *_graph_generators(f)]
+    top = J.total_degree()
+    homogeneous = all(len({sum(e) for e in c.terms}) == 1 for c in f.components())
+    return elimination_ideal(gens, SOURCE_VARS, budget,
+                             (lambda D: min(D + 1, top)) if homogeneous else None)
 
 
 # ---------------------------------------------------------------------------
 # branch verification tiers
 
-@dataclass
-class BranchCheck:
-    """Outcome of the tiered branch verification for one claimed equation."""
-
-    claimed: MultiPoly
-    substitution_divisible: bool
-    claimed_squarefree: bool
-    elimination_status: str  # "pass" | "fail" | "skipped-budget" | "not-run"
-    # for a skipped elimination: the limit hit and the engine's counters
-    elimination_stop: dict | None = None
-
-    @property
-    def status(self) -> str:
-        """Overall verdict: fail if any tier refutes the claim,
-        skipped-budget if the elimination ran out of budget, else pass."""
-        if not (self.substitution_divisible and self.claimed_squarefree):
-            return "fail"
-        if self.elimination_status in ("fail", "skipped-budget"):
-            return self.elimination_status
-        return "pass"
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
-    def tier_report(self):
-        report = {
-            "substitution_divisible": self.substitution_divisible,
-            "claimed_squarefree": self.claimed_squarefree,
-            "elimination": self.elimination_status,
-        }
-        if self.elimination_stop is not None:
-            report["elimination_stop"] = self.elimination_stop
-        return report
+def branch_status(tiers: dict) -> str:
+    """The verdict of a `verify_branch` report: fail if a tier refutes
+    the claim, skipped-budget if the elimination ran out of budget, else
+    pass."""
+    if not (tiers["substitution_divisible"] and tiers["claimed_squarefree"]):
+        return "fail"
+    if tiers["elimination"] in ("fail", "skipped-budget"):
+        return tiers["elimination"]
+    return "pass"
 
 
 def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
-                  budget=None) -> BranchCheck:
+                  budget=None) -> dict:
     """Check a claimed branch equation for f, cheap tiers first.
 
     The claimed polynomial is written in (x, y) read as coordinates on
@@ -335,6 +307,12 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
     part of J_f.  Tier two: the claim itself must be squarefree.  Tier
     three (optional, budgeted): the eliminated branch ideal must be
     principal with the claim as generator, up to a unit.
+
+    Returns the tier report: `substitution_divisible`,
+    `claimed_squarefree`, `elimination` ("pass", "fail", "skipped-budget"
+    or "not-run") and, for a skipped elimination, `elimination_stop`
+    with the limit hit and the engine's counters.  `branch_status`
+    gives its verdict.
     """
     field = common_field(f.field, claimed.field)
     claim = claimed.in_field(field).rename(SOURCE_VARS)
@@ -343,22 +321,21 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
     if not J.terms:
         raise ValueError("map is not dominant (identically zero Jacobian)")
     pullback = substitute(claim, {"x": fl.f1, "y": fl.f2})
-    sub_ok = divides(squarefree_part(J), pullback)
-    sf_ok = is_squarefree(claim)
-    elim_status = "not-run"
-    elim_stop = None
+    tiers = {"substitution_divisible": divides(squarefree_part(J), pullback),
+             "claimed_squarefree": is_squarefree(claim),
+             "elimination": "not-run"}
     if run_elimination:
         try:
             gens = branch_ideal(fl, budget)
             if len(gens) == 1 and is_scalar_multiple(
                     gens[0], primitive_normalize(claim)):
-                elim_status = "pass"
+                tiers["elimination"] = "pass"
             else:
-                elim_status = "fail"
+                tiers["elimination"] = "fail"
         except ResourceBudgetExceeded as exc:
-            elim_status = "skipped-budget"
-            elim_stop = exc.details
-    return BranchCheck(claim, sub_ok, sf_ok, elim_status, elim_stop)
+            tiers["elimination"] = "skipped-budget"
+            tiers["elimination_stop"] = exc.details
+    return tiers
 
 
 # ---------------------------------------------------------------------------

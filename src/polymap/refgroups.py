@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .groebner import ComputationBudget
-from .maps import PolyMap, verify_branch
+from .maps import PolyMap, branch_status, verify_branch
 from .numberfield import CycloNumber, embed, zeta
 from .parser import parse_poly
 from .polyring import (CyclotomicField, MultiPoly, common_field, jacobian_det,
@@ -659,34 +658,21 @@ def claimed_branch(record: GroupRecord) -> MultiPoly:
     return parse_poly(_CLAIMED_EXCEPTIONAL[record.params[0]])
 
 
-# every Table 4 row eliminates in at most a few hundred pair reductions;
-# the limit only stops an input the weighted pair selection cannot tame
-FULL_TIER_BUDGET = ComputationBudget(max_pair_reductions=6000)
-
-
 def verify_table4_row(record: GroupRecord, tier: str = "divisibility",
                       budget=None) -> dict:
     """Tiered check that the claimed branch matches the quotient map.
 
     tier "divisibility" runs the two cheap certificates; tier "full"
     additionally eliminates the branch ideal and compares generators.
+    Returns the `verify_branch` report as `tiers`, its `branch_status`
+    as `status`, and `ok`, false only when the status is fail.
     """
     if tier not in ("divisibility", "full"):
         raise ValueError("tier must be 'divisibility' or 'full'")
-    if tier == "full" and budget is None:
-        budget = FULL_TIER_BUDGET
-    f = quotient_map(record)
-    claim = claimed_branch(record)
-    check = verify_branch(f, claim, run_elimination=(tier == "full"),
-                          budget=budget)
-    return {
-        "group": record.label,
-        "order": record.expected_order,
-        "tier": tier,
-        "tiers": check.tier_report(),
-        "ok": check.ok,
-        "status": check.status,
-    }
+    tiers = verify_branch(quotient_map(record), claimed_branch(record),
+                          run_elimination=(tier == "full"), budget=budget)
+    status = branch_status(tiers)
+    return {"tiers": tiers, "ok": status != "fail", "status": status}
 
 
 def default_table4_rows():

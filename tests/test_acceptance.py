@@ -19,8 +19,8 @@ from polymap.parser import format_poly, parse_map, parse_poly
 from polymap.polyring import (MultiPoly, QQ, divides, hessian_det,
                               is_scalar_multiple, jacobian_det, resultant,
                               substitute)
-from polymap.refgroups import (FULL_TIER_BUDGET, basic_invariants,
-                               claimed_branch, classes_of_degree, cyclic_group,
+from polymap.refgroups import (basic_invariants, claimed_branch,
+                               classes_of_degree, cyclic_group,
                                default_table4_rows, enumerate_group,
                                exceptional_group, fingerprint, invariant_seed,
                                is_invariant, quotient_map, verify_presentation,
@@ -66,8 +66,7 @@ def test_acceptance_02_topological_degree():
     for d in (3, 4, 5):
         ok = ok and topological_degree(make_family("pinch", d=d)) == d
     started = time.monotonic()
-    got = topological_degree(quotient_map(exceptional_group(4)),
-                             budget=FULL_TIER_BUDGET)
+    got = topological_degree(quotient_map(exceptional_group(4)))
     ok = ok and got == 24
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 60.0
@@ -103,7 +102,7 @@ def test_acceptance_03_branch_loci():
         done += 1
 
     quartic = quotient_map(exceptional_group(4))
-    gens = branch_ideal(quartic, FULL_TIER_BUDGET)
+    gens = branch_ideal(quartic)
     claim = parse_poly("x^3 + (-24*zeta(6) + 12)*y^2").rename(("s", "t"))
     ok = ok and len(gens) == 1 and is_scalar_multiple(
         gens[0], claim.in_field(gens[0].field))

@@ -20,7 +20,7 @@ from polymap.parser import format_poly, parse_poly
 from polymap.polyring import (CyclotomicField, DegRevLex, Lex, MultiPoly, QQ,
                               block_order, derivative, divides,
                               is_scalar_multiple, monic)
-from polymap.refgroups import exceptional_group, quotient_map
+from polymap.refgroups import exceptional_group, parse_group_spec, quotient_map
 
 X = MultiPoly.variable("x", ("x", "y"))
 Y = MultiPoly.variable("y", ("x", "y"))
@@ -252,6 +252,10 @@ def test_grading_of_branch_and_local_generators():
     # invariants of degrees 4 and 6 make the G_4 branch ideal weighted
     g4 = branch_ideal_generators(quotient_map(exceptional_group(4)))
     assert _grading(g4) == (1, 1, 4, 6)
+    # the cyclic and product rows are multigraded; free weights are 1
+    for spec, weights in (("Z_3", (1, 1, 1, 3)), ("Z_2xZ_3", (1, 1, 2, 3))):
+        gens = branch_ideal_generators(quotient_map(parse_group_spec(spec)))
+        assert _grading(gens) == weights, spec
     # an automorphism on each side destroys every grading
     shear = PlaneAutomorphism.triangular(parse_poly("x^2 + 1"), lower=True)
     moved = compose(make_family("whitney"), pre=shear,
@@ -278,8 +282,7 @@ def test_g4_elimination_stats():
 
 def _g4_hilbert(hf):
     gens = branch_ideal_generators(quotient_map(exceptional_group(4)))
-    return buchberger(gens, block_order(("x", "y", "s", "t"), ("x", "y")),
-                      hilbert=((1, 1, 4, 6), hf))
+    return buchberger(gens, block_order(("x", "y", "s", "t"), ("x", "y")), hilbert=hf)
 
 
 def test_g4_hilbert_stats():
@@ -300,12 +303,15 @@ def test_wrong_hilbert_function_raises(hf):
 
 
 def test_hilbert_needs_homogeneous_generators():
-    gens = branch_ideal_generators(quotient_map(exceptional_group(4)))
+    # whitney's generators are graded by (2, 1, 2, 3), the composed map's
+    # by no weights at all
     order = block_order(("x", "y", "s", "t"), ("x", "y"))
-    with pytest.raises(ValueError):
-        buchberger(gens, order, hilbert=((1, 1, 4, 5), lambda D: min(D + 1, 8)))
-    with pytest.raises(ValueError):
-        buchberger(gens, order, hilbert=((2, 2, 8, 12), lambda D: min(D + 1, 8)))
+    shear = PlaneAutomorphism.triangular(parse_poly("x^2 + 1"), lower=True)
+    moved = compose(make_family("whitney"), pre=shear,
+                    post=PlaneAutomorphism.linear(1, 2, 1, 3))
+    for f in (make_family("whitney"), moved):
+        with pytest.raises(ValueError):
+            buchberger(branch_ideal_generators(f), order, hilbert=lambda D: min(D + 1, 2))
 
 
 @settings(max_examples=20, deadline=None)
