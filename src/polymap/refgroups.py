@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .maps import PolyMap, branch_status, verify_branch
-from .numberfield import CycloNumber, embed, zeta
+from .numberfield import ConductorMismatch, CycloNumber, embed, zeta
 from .parser import parse_poly
 from .polyring import (CyclotomicField, MultiPoly, common_field, jacobian_det,
                        substitute)
@@ -292,10 +292,10 @@ def parse_group_spec(text: str) -> GroupRecord:
 class _Arith:
     """Interned scalars with memoized pairwise products and sums.
 
-    Group enumeration multiplies thousands of matrices whose entries
-    repeat heavily; hashing entries down to small integers makes the
-    closure loop and the power walks of `fingerprint` spend their time
-    in dict lookups instead of cyclotomic multiplication.
+    The closure of `enumerate_group` multiplies thousands of matrices
+    whose entries repeat heavily; hashing entries down to small integers
+    makes it spend its time in dict lookups instead of cyclotomic
+    multiplication.
     """
 
     __slots__ = ("values", "index", "muls", "adds")
@@ -347,100 +347,137 @@ def _mul_ids(ar: _Arith, m, n):
 class GroupElements:
     """Complete element list of a catalog group, closed under product.
 
-    Elements are held as tuples of interned entry ids; iteration builds
-    each Matrix2 on demand.
+    Elements are held as tuples of interned entry ids, numbered in
+    closure order with the identity as 0; iteration builds each Matrix2
+    on demand.  The closure also leaves the group's Cayley graph:
+    `_step[k][i]` numbers elements[i]·g_k for the k-th generator g_k,
+    and element i > 0 was first reached as elements[_parent[i]]·g_k
+    with k = `_gen[i]`.  Following the parents spells a generator word
+    for each element, so x·m is m's word applied to x through the
+    tables: list lookups, no field arithmetic.
     """
 
-    __slots__ = ("record", "_arith", "_ids", "_gen_ids", "_one")
+    __slots__ = ("record", "_arith", "_index", "_step", "_parent", "_gen")
 
-    def __init__(self, record, arith, ids, gen_ids, one):
+    def __init__(self, record, arith, index, step, parent, gen):
         self.record = record
         self._arith = arith
-        self._ids = ids
-        self._gen_ids = gen_ids
-        self._one = one
+        self._index = index
+        self._step = step
+        self._parent = parent
+        self._gen = gen
 
     def __len__(self):
-        return len(self._ids)
+        return len(self._index)
 
     def __iter__(self):
         values = self._arith.values
-        for ids in self._ids:
+        for ids in self._index:
             yield Matrix2(*(values[i] for i in ids))
 
-    def element_order(self, m) -> int:
-        ar = self._arith
-        if isinstance(m, Matrix2):
-            m = _mat_ids(ar, m.embed(self.record.conductor))
-        k, cur = 1, m
-        while cur != self._one:
-            cur = _mul_ids(ar, cur, m)
-            k += 1
-            if k > 2 * len(self._ids):
-                raise RuntimeError("element order exceeds group order")
-        return k
+    def _word(self, i: int) -> list:
+        """The step tables whose composition, in order, is elements[i]."""
+        word = []
+        while i:
+            word.append(self._step[self._gen[i]])
+            i = self._parent[i]
+        word.reverse()
+        return word
+
+    def _powers(self, i: int) -> list:
+        """The numbers of elements[i]^1, ^2, ... up to the identity."""
+        word, powers = self._word(i), [i]
+        while powers[-1]:
+            cur = powers[-1]
+            for step in word:
+                cur = step[cur]
+            powers.append(cur)
+        return powers
+
+    def _left(self, x: int) -> list:
+        """The numbers of elements[x]·elements[j] for every j.
+
+        Closure order puts each parent before its children, and
+        x·elements[j] is (x·elements[parent])·g_k.
+        """
+        left = [x]
+        for j in range(1, len(self._parent)):
+            left.append(self._step[self._gen[j]][left[self._parent[j]]])
+        return left
+
+    def element_order(self, m: Matrix2) -> int:
+        """Order of a group element; ValueError if m is not in the group."""
+        try:
+            entries = m.embed(self.record.conductor).entries()
+        except ConductorMismatch:
+            entries = ()
+        ids = tuple(self._arith.index.get(e) for e in entries)
+        i = self._index.get(ids)
+        if i is None:
+            raise ValueError(f"{m!r} is not an element of {self.record.label}")
+        return len(self._powers(i))
 
 
 def enumerate_group(record: GroupRecord) -> GroupElements:
-    """Breadth-first closure of the generators.
+    """Breadth-first closure of the generators, with its Cayley graph.
 
+    Every element is multiplied by every generator exactly once, and
+    each product's number is kept as a step table (see GroupElements).
     Raises if the closure overshoots twice the expected order, which
     can only mean the catalog data or the arithmetic is wrong.
     """
     ar = _Arith()
     one = _mat_ids(ar, Matrix2.identity(record.conductor))
     gen_ids = [_mat_ids(ar, g) for g in record.generators]
-    seen = {one}
-    elements = [one]
-    frontier = [one]
+    index = {one: 0}
+    elements, parent, gen = [one], [None], [None]
+    step = [[] for _ in gen_ids]
     cap = 2 * record.expected_order
-    while frontier:
-        batch = []
-        for m in frontier:
-            for g in gen_ids:
-                prod = _mul_ids(ar, m, g)
-                if prod not in seen:
-                    seen.add(prod)
-                    elements.append(prod)
-                    batch.append(prod)
-                    if len(elements) > cap:
-                        raise RuntimeError(
-                            f"closure of {record.label} exceeded twice the "
-                            f"expected order {record.expected_order}")
-        frontier = batch
-    return GroupElements(record, ar, tuple(elements), gen_ids, one)
-
-
-def _commutes(ar: _Arith, m, g) -> bool:
-    # m*g == g*m entry by entry: the (0,0) entries share a*e, and once the
-    # off-diagonal entries agree, tr(mg) = tr(gm) settles the (1,1) entry
-    a, b, c, d = m
-    e, f, h, k = g
-    mul, add = ar.mul, ar.add
-    return (mul(b, h) == mul(c, f)
-            and add(mul(a, f), mul(b, k)) == add(mul(e, b), mul(f, d))
-            and add(mul(c, e), mul(d, h)) == add(mul(h, a), mul(k, c)))
+    # elements grows behind i: each new element is stepped in its turn,
+    # which is the breadth-first order
+    i = 0
+    while i < len(elements):
+        m = elements[i]
+        for k, g in enumerate(gen_ids):
+            prod = _mul_ids(ar, m, g)
+            j = index.get(prod)
+            if j is None:
+                j = index[prod] = len(elements)
+                elements.append(prod)
+                parent.append(i)
+                gen.append(k)
+                if len(elements) > cap:
+                    raise RuntimeError(
+                        f"closure of {record.label} exceeded twice the "
+                        f"expected order {record.expected_order}")
+            step[k].append(j)
+        i += 1
+    return GroupElements(record, ar, index, step, parent, gen)
 
 
 def fingerprint(els: GroupElements) -> dict:
-    """Order, center order and element-order histogram of a group."""
-    ar = els._arith
-    ids = sorted(els._ids)
-    # one power walk per cyclic subgroup; if m has order n, then m^j has
-    # order n / gcd(j, n)
-    orders, histogram = {}, {}
-    for m in ids:
-        if m not in orders:
-            powers = [m]
-            while powers[-1] != els._one:
-                powers.append(_mul_ids(ar, powers[-1], m))
-                if len(powers) > 2 * len(ids):
-                    raise RuntimeError("element order exceeds group order")
+    """Order, center order and element-order histogram of a group.
+
+    The center and the histogram are read off the closure's step tables,
+    with no field arithmetic.
+    """
+    n = len(els)
+    # one power walk per cyclic subgroup; if m has order q, then m^j has
+    # order q / gcd(j, q)
+    orders, histogram = [0] * n, {}
+    for m in range(n):
+        if not orders[m]:
+            powers = els._powers(m)
+            q = len(powers)
             for j, p in enumerate(powers, 1):
-                orders[p] = len(powers) // math.gcd(j, len(powers))
+                orders[p] = q // math.gcd(j, q)
         histogram[orders[m]] = histogram.get(orders[m], 0) + 1
-    center = sum(all(_commutes(ar, m, g) for g in els._gen_ids) for m in ids)
-    return {"order": len(ids), "center_order": center,
+    # m is central iff m·g_k = g_k·m for every generator; step[0] numbers
+    # g_k itself
+    sides = [(step, els._left(step[0])) for step in els._step]
+    center = sum(all(step[m] == left[m] for step, left in sides)
+                 for m in range(n))
+    return {"order": n, "center_order": center,
             "order_histogram": dict(sorted(histogram.items()))}
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from polymap import groebner, refgroups
+from polymap import groebner
 from polymap.maps import critical_ideal, is_proper, topological_degree, verify_branch
 from polymap.numberfield import zeta
 from polymap.parser import parse_poly
@@ -129,20 +129,30 @@ def test_exceptional_fingerprints_frozen():
         assert list(fp["order_histogram"]) == sorted(histogram), no
 
 
-def test_commutation_test_compares_each_entry_it_needs():
-    # the first three pairs differ only on the diagonal, only in the (0,1)
-    # entry and only in the (1,0) entry of m*g - g*m
-    ar = refgroups._Arith()
-    pairs = [((0, 1, 0, 0), (0, 0, 1, 0), False),
-             ((1, 1, 0, 1), (1, 0, 0, 2), False),
-             ((1, 0, 1, 1), (1, 0, 0, 2), False),
-             ((1, 2, 3, 4), (3, 2, 3, 6), True),
-             ((1, 2, 3, 4), (5, 0, 0, 5), True)]
-    for m, g, want in pairs:
-        m, g = Matrix2(*m), Matrix2(*g)
-        assert (m * g == g * m) == want
-        assert refgroups._commutes(ar, refgroups._mat_ids(ar, m),
-                                   refgroups._mat_ids(ar, g)) == want
+@pytest.mark.parametrize("spec", ["G4", "G(6,2,2)", "Z2xZ3"])
+def test_step_tables_name_the_exact_products(spec):
+    rec = parse_group_spec(spec)
+    els = enumerate_group(rec)
+    elements = list(els)
+    assert len(els._step) == len(rec.generators)
+    for g, step in zip(rec.generators, els._step):
+        assert len(step) == len(elements)
+        for m, j in zip(elements, step):
+            assert elements[j] == m * g
+
+
+def test_element_order_rejects_matrices_outside_the_group():
+    els = enumerate_group(exceptional_group(4))
+    one, zero = zeta(24).one(24), zeta(24).zero(24)
+    # finite order 12, but not in G_4
+    outside = Matrix2.diagonal(zeta(12), zeta(12).one(12))
+    assert (outside ** 12).is_identity()
+    # infinite order
+    shear = Matrix2(one, one, zero, one)
+    for m in (outside, shear):
+        with pytest.raises(ValueError, match="G_4"):
+            els.element_order(m)
+    assert els.element_order(Matrix2(-one, zero, zero, -one)) == 2
 
 
 @pytest.mark.parametrize("spec", ["G4", "G5", "G8", "G12", "G(6,2,2)",
@@ -152,7 +162,7 @@ def test_fingerprint_matches_per_element_oracles(spec):
     elements = list(els)
     histogram = {}
     for g in elements:
-        k = els.element_order(g)
+        k = next(k for k in range(1, len(elements) + 1) if (g ** k).is_identity())
         histogram[k] = histogram.get(k, 0) + 1
     center = sum(1 for m in elements
                  if all(m * g == g * m for g in elements))
