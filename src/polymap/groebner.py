@@ -64,7 +64,8 @@ from heapq import heapify, heappop, heappush
 from operator import mul
 
 from .polyring import (DegRevLex, MonomialOrder, MultiPoly, block_order,
-                       common_field, field_inverse, primitive_normalize)
+                       common_field, field_inverse, integral_terms,
+                       primitive_normalize)
 
 
 class ResourceBudgetExceeded(RuntimeError):
@@ -232,8 +233,8 @@ class _Entry:
 
 def _pack_terms(p: MultiPoly, packing):
     """(terms, lead): p's terms with packed monomials, over Q the least
-    integral multiple (`_integral`), and the leading monomial."""
-    terms = p.terms if p.field.is_cyclotomic else _integral(p.terms)[0]
+    integral multiple (`integral_terms`), and the leading monomial."""
+    terms = p.terms if p.field.is_cyclotomic else integral_terms(p.terms)[0]
     pack = packing.pack
     terms = {pack(e): c for e, c in terms.items()}
     return terms, min(terms, key=packing.negkey)
@@ -253,20 +254,6 @@ def _normalized(terms, lead, field):
     if content == 1:
         return terms
     return {m: v // content for m, v in terms.items()}
-
-
-def _integral(terms):
-    """(int_terms, den): den > 0 is the least integer making den * terms integral."""
-    den = 1
-    ints = True
-    for c in terms.values():
-        if type(c) is not int:
-            ints = False
-            d = c.denominator
-            den = den * d // math.gcd(den, d)
-    if ints:
-        return terms, 1
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 # over Q the division loop strips the content of its partial remainder
@@ -295,7 +282,7 @@ def _reduce_terms(hterms, entries, packing, field):
     integral = not field.is_cyclotomic
     scale = 1
     if integral:
-        hterms, den = _integral(hterms)
+        hterms, den = integral_terms(hterms)
         scale = Fraction(1, den)
     negkey = packing.negkey
     guard = packing.guard

@@ -104,17 +104,6 @@ def _fold_terms(n: int) -> tuple:
     return tuple((i, -c) for i, c in enumerate(cyc[:totient(n)]) if c)
 
 
-def _shift_reduce(coeffs, n):
-    # multiply a basis vector by z, folding the overflow back in
-    phi = len(coeffs)
-    top = coeffs[phi - 1]
-    out = [0] + list(coeffs[: phi - 1])
-    if top:
-        for i, r in _fold_terms(n):
-            out[i] += top * r
-    return out
-
-
 class CycloNumber:
     """An element of Q(zeta_N) in the power basis modulo the N-th cyclotomic polynomial.
 
@@ -288,7 +277,7 @@ class CycloNumber:
         n, num = self.conductor, self._num
         if self.is_rational():
             return CycloNumber.from_rational(Fraction(self._den, num[0]), n)
-        prod = _power_basis_row(n, 0)
+        prod = _power_basis_rows(n, 1)[0]
         for k in range(2, n):
             if gcd(k, n) == 1:
                 prod = _mul_num(n, prod, _power_map(num, n, n, k))
@@ -324,16 +313,23 @@ def _reduced(conductor: int, num: tuple, den: int) -> CycloNumber:
     return x
 
 
-@lru_cache(maxsize=None)
-def _power_basis_row(n: int, k: int) -> tuple:
-    # z^k over the power basis, as integers (the modulus is monic integral)
-    phi = totient(n)
-    if k < phi:
-        row = [0] * phi
-        row[k] = 1
-        return tuple(row)
-    prev = _power_basis_row(n, k - 1)
-    return tuple(_shift_reduce(prev, n))
+_POWER_ROWS = {}  # conductor -> [z^0, z^1, ...] over its power basis
+
+
+def _power_basis_rows(n: int, count: int) -> list:
+    # z^0, ..., z^(count-1) over the power basis, as integers (the
+    # modulus is monic integral), with any more rows already built; each
+    # new row is z times the last, its overflow z^phi folded back in
+    rows = _POWER_ROWS.get(n)
+    if rows is None:
+        rows = _POWER_ROWS[n] = [(1,) + (0,) * (totient(n) - 1)]
+    while len(rows) < count:
+        last = rows[-1]
+        row = [0, *last[:-1]]
+        for i, r in _fold_terms(n):
+            row[i] += last[-1] * r
+        rows.append(tuple(row))
+    return rows
 
 
 def _mul_num(n: int, a: tuple, b: tuple) -> tuple:
@@ -362,9 +358,10 @@ def _power_map(num: tuple, n: int, m: int, step: int) -> tuple:
     # an embedding when step = m/n, a Galois automorphism when m = n;
     # z_m^m = 1 keeps the cached rows below m
     out = [0] * totient(m)
+    rows = _power_basis_rows(m, m)
     for i, c in enumerate(num):
         if c:
-            for j, r in enumerate(_power_basis_row(m, i * step % m)):
+            for j, r in enumerate(rows[i * step % m]):
                 if r:
                     out[j] += c * r
     return tuple(out)
@@ -379,7 +376,7 @@ def zeta(n: int, power: int = 1) -> CycloNumber:
         # Q(zeta_1) = Q(zeta_2) = Q
         value = 1 if n == 1 else (-1) ** k
         return CycloNumber.from_rational(value, n)
-    return CycloNumber(n, _power_basis_row(n, k))
+    return CycloNumber(n, _power_basis_rows(n, k + 1)[k])
 
 
 def embed(a: CycloNumber, conductor: int) -> CycloNumber:

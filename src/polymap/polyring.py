@@ -241,10 +241,20 @@ def _canonical(terms: dict) -> dict:
     return terms
 
 
-def _integral(terms: dict):
-    """(integer coefficients in term order, their common denominator) of Q terms."""
-    den = lcm(*[c.denominator for c in terms.values()])
-    return [c.numerator * (den // c.denominator) for c in terms.values()], den
+def integral_terms(terms: dict):
+    """(int_terms, den) of Q terms: den > 0 is the least integer making
+    den * terms integral, and int_terms, those integers, is `terms`
+    itself when every coefficient is an int."""
+    den = 1
+    ints = True
+    for c in terms.values():
+        if type(c) is not int:
+            ints = False
+            d = c.denominator
+            den = den * d // gcd(den, d)
+    if ints:
+        return terms, 1
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 def _kronecker(a: dict, b: dict, dims: list) -> dict:
@@ -252,15 +262,16 @@ def _kronecker(a: dict, b: dict, dims: list) -> dict:
     strides = [1] * len(dims)
     for i in range(len(dims) - 1, 0, -1):
         strides[i - 1] = strides[i] * dims[i]
-    (ints_a, den_a), (ints_b, den_b) = _integral(a), _integral(b)
+    (ints_a, den_a), (ints_b, den_b) = integral_terms(a), integral_terms(b)
     # whole bytes for the bound on a product coefficient and a sign bit
-    width = (len(b) * max(map(abs, ints_a)) * max(map(abs, ints_b))).bit_length() // 8 + 1
+    width = (len(b) * max(map(abs, ints_a.values()))
+             * max(map(abs, ints_b.values()))).bit_length() // 8 + 1
     packed = 1
-    for terms, ints in ((a, ints_a), (b, ints_b)):
+    for ints in (ints_a, ints_b):
         # two's-complement fields; a negative field borrows one from the next
-        top = width * sum(map(mul, map(max, zip(*terms)), strides))
+        top = width * sum(map(mul, map(max, zip(*ints)), strides))
         buf, borrow = bytearray(top + width), bytearray(top + width + 1)
-        for exps, c in zip(terms, ints):
+        for exps, c in ints.items():
             o = width * sum(map(mul, exps, strides))
             buf[o:o + width] = c.to_bytes(width, "little", signed=True)
             if c < 0:
@@ -775,10 +786,10 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return MultiPoly.zero(a.vars, a.field)
     rational = not a.field.is_cyclotomic
     if rational:
-        (ints_a, den_a), (ints_b, den_b) = _integral(a.terms), _integral(b.terms)
-        content = gcd(*ints_b)
-        rem = dict(zip(a.terms, ints_a))
-        bterms = dict(zip(b.terms, [c // content for c in ints_b]))
+        (ints_a, den_a), (ints_b, den_b) = integral_terms(a.terms), integral_terms(b.terms)
+        content = gcd(*ints_b.values())
+        rem = dict(ints_a)  # popped below, and may be a.terms itself
+        bterms = {e: c // content for e, c in ints_b.items()}
     else:
         rem, bterms = dict(a.terms), b.terms
     keyf = DEFAULT_ORDER.key
@@ -941,7 +952,7 @@ def _lanes(n: int):
 def _coordinates(p: MultiPoly) -> dict:
     """p times a common denominator: exponents -> integer power-basis coordinates."""
     if not p.field.is_cyclotomic:
-        return dict(zip(p.terms, [(c,) for c in _integral(p.terms)[0]]))
+        return {e: (c,) for e, c in integral_terms(p.terms)[0].items()}
     den = lcm(*[c._den for c in p.terms.values()])
     return {e: tuple(x * (den // c._den) for x in c._num) for e, c in p.terms.items()}
 

@@ -71,6 +71,13 @@ def test_zeta_power_form():
     assert zeta(60, 12) == embed(zeta(5), 60)
 
 
+def test_high_powers_of_a_large_conductor():
+    # z^1023 lies 512 shifts above the basis of Q(zeta_1024), deeper
+    # than a recursion of one frame per power can reach
+    assert zeta(1024, 1023) * zeta(1024) == 1
+    assert embed(zeta(512, 511), 1024) == zeta(1024, 1022)
+
+
 def test_embed_requires_divisibility():
     a = zeta(8)
     with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Reflection group catalog: enumeration, invariants, branch verification."""
 
+from dataclasses import replace
+
 import pytest
 
 from polymap import groebner
@@ -105,8 +107,22 @@ def test_small_exceptional_enumeration():
 
 
 def test_presentations_hold():
-    for no in (4, 7, 12, 16, 20):
+    for no in EXCEPTIONAL_TABLE:
         assert verify_presentation(exceptional_group(no)), no
+
+
+def test_perturbed_presentations_fail():
+    # S^2, T^3 and (ST)^p are Z^k1, Z^k2, Z^k3 with Z of order k, and ST
+    # is not scalar: an exponent off by one breaks a relation, and Z^k = 1
+    # fails for k = 7, which divides neither conductor (24 and 60)
+    for no in EXCEPTIONAL_TABLE:
+        rec = exceptional_group(no)
+        pres = rec.presentation
+        wrong = [replace(pres, **{name: getattr(pres, name) + d})
+                 for name in ("k1", "k2", "k3", "power") for d in (-1, 1)]
+        wrong.append(replace(pres, k=7))
+        for bad in wrong:
+            assert not verify_presentation(replace(rec, presentation=bad)), (no, bad)
 
 
 def test_center_order_equals_presentation_k():
