@@ -58,6 +58,7 @@ a "skipped-budget" check rather than a pass or a fail.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -526,6 +527,7 @@ def _buchberger(gens, budget, weights, packing, hf):
 
     entries: list[_Entry] = []
     active: list[_Entry] = []     # the live entries, smallest lead first
+    leads = []                    # with hf, their leads unpacked and sorted
     pairs: dict = {}
     # the smallest lcm comes first: by weighted degree when there is a
     # grading, then by the order, then by the pair; a popped pair that is
@@ -549,9 +551,13 @@ def _buchberger(gens, budget, weights, packing, hf):
             if divides(lead, e.lead_exp):
                 e.retired = True
                 stats["basis_size"] -= 1
+                if hf:
+                    del leads[bisect_left(leads, unpack(e.lead_exp))]
         active = [e for e in active if not e.retired]
         active.append(entry)
         active.sort(key=lambda e: negkey(e.lead_exp), reverse=True)
+        if hf:
+            insort(leads, unpack(lead))
 
     for terms, lead in sorted((_pack_terms(g, packing) for g in gens),
                               key=lambda tl: negkey(tl[1]), reverse=True):
@@ -574,8 +580,7 @@ def _buchberger(gens, budget, weights, packing, hf):
             check()
             degree = r[0]
             target = hf(degree)
-            count = _standard_count(sorted(unpack(e.lead_exp) for e in active),
-                                    weights, degree)
+            count = _standard_count(leads, weights, degree)
         if hf and count == target:
             # every lead of this degree is found, so the pair reduces to zero
             stats["hilbert_skipped"] += 1

@@ -230,15 +230,7 @@ class CycloNumber:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = CycloNumber.one(self.conductor)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return power_by_squaring(self, exponent) if exponent else CycloNumber.one(self.conductor)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -365,6 +357,25 @@ def _power_map(num: tuple, n: int, m: int, step: int) -> tuple:
                 if r:
                     out[j] += c * r
     return tuple(out)
+
+
+def power_by_squaring(base, exponent: int):
+    """base**exponent for exponent >= 1, for any type with `*`.
+
+    The result starts as base^(2^k) for the lowest set bit k of the
+    exponent, so no product is by one: exponent e costs floor(log2 e)
+    squarings and one product per further set bit."""
+    while not exponent & 1:
+        base = base * base
+        exponent >>= 1
+    result = base
+    exponent >>= 1
+    while exponent:
+        base = base * base
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+    return result
 
 
 def zeta(n: int, power: int = 1) -> CycloNumber:

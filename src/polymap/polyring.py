@@ -18,7 +18,8 @@ from itertools import product
 from math import gcd, lcm, prod
 from operator import mul, sub
 
-from .numberfield import CycloNumber, ConductorMismatch, common_conductor, embed
+from .numberfield import (CycloNumber, ConductorMismatch, common_conductor, embed,
+                          power_by_squaring)
 
 
 class RingMismatch(ValueError):
@@ -482,16 +483,9 @@ class MultiPoly:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.constant(1, self.vars, self.field)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if not exponent:
+            return MultiPoly.constant(1, self.vars, self.field)
+        return power_by_squaring(self, exponent)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, CycloNumber)):

@@ -5,8 +5,11 @@ family G(m, p, 2), and the nineteen exceptional groups numbered 4-22.
 Each entry carries exact generator matrices over a cyclotomic field,
 the expected order, invariant degrees, and (for the exceptional kinds)
 the central-extension presentation data.  Invariant pairs are built
-from a small set of seed polynomials and verified on the fly; the
-claimed branch curves of the quotient maps are stored alongside.
+from a small set of seed polynomials and verified on the fly: the
+multipliers of the root seeds under the base generators come from
+substitution, those of the covariant seeds from the Hessian and
+Jacobian rules.  The claimed branch curves of the quotient maps are
+stored alongside.
 
 Three catalog constants differ from their commonly printed forms; each
 was settled by an independent divisibility check of the claimed branch
@@ -23,10 +26,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .maps import PolyMap, branch_status, verify_branch
-from .numberfield import ConductorMismatch, CycloNumber, embed, zeta
+from .numberfield import (ConductorMismatch, CycloNumber, embed, power_by_squaring,
+                          zeta)
 from .parser import parse_poly
-from .polyring import (CyclotomicField, MultiPoly, common_field, jacobian_det,
-                       substitute)
+from .polyring import (CyclotomicField, MultiPoly, common_field, hessian_det,
+                       is_scalar_multiple, jacobian_det, substitute)
 
 VARS = ("x", "y")
 
@@ -86,15 +90,7 @@ class Matrix2:
     def __pow__(self, n: int) -> "Matrix2":
         if n < 0:
             return self.inverse() ** (-n)
-        out = Matrix2.identity(self.conductor)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power_by_squaring(self, n) if n else Matrix2.identity(self.conductor)
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -567,19 +563,58 @@ _PAIRS = {
     22: ("e12", 1, "f20", 1),
 }
 
+# the seeds that are covariants of others (Klein, Vorlesungen über das
+# Ikosaeder, 1884): one parent names its Hessian, two their Jacobian
+_COVARIANTS = {
+    "c8":  ("b6",),
+    "d12": ("b6", "c8"),
+    "f20": ("e12",),
+    "g30": ("e12", "f20"),
+}
+
+
 @lru_cache(maxsize=None)
 def _base_seed_scalars(family: str, seed_name: str):
     """Multipliers the base generators S1, T1 apply to a seed polynomial.
 
     Every seed spans a one-dimensional semi-invariant space of its
     family; scaling a generator by a root of unity then scales the
-    multiplier by (root)^deg, so one symbolic substitution per base
-    matrix covers every table row.  It runs in the field of the matrices
-    and the seed; the multipliers go into the family conductor.
+    multiplier by (root)^deg, so one multiplier per base matrix covers
+    every table row.  The multipliers go into the family conductor.
+
+    The root seeds a4, b6 and e12 are substituted into each base matrix,
+    in the field of the matrices and the seed.  The others are classical
+    covariants (Klein, *Vorlesungen über das Ikosaeder*, 1884):
+    c8 ∝ Hess(b6), d12 ∝ Jac(b6, c8), f20 ∝ Hess(e12) and
+    g30 ∝ Jac(e12, f20), each checked exactly as a scalar multiple.  For
+    g acting by f ↦ f∘g,
+
+        Hess(f∘g) = det(g)²·Hess(f)∘g,   Jac(f∘g, h∘g) = det(g)·Jac(f, h)∘g,
+
+    so from f∘g = χ_f·f and h∘g = χ_h·h the multipliers follow with no
+    substitution: χ_Hess = χ_f²/det(g)² and χ_Jac = χ_f·χ_h/det(g).
     """
+    n = _FAMILY_CONDUCTOR[family]
+    seed = invariant_seed(seed_name)
+    parents = _COVARIANTS.get(seed_name)
+    if parents:
+        if len(parents) == 1:
+            kind, covariant = "Hessian", hessian_det(invariant_seed(parents[0]))
+        else:
+            kind, covariant = "Jacobian", jacobian_det(*map(invariant_seed, parents))
+        if not is_scalar_multiple(seed, covariant):
+            raise ArithmeticError(
+                f"{seed_name} is not a multiple of the {kind} of {', '.join(parents)}")
+        out = []
+        for g, chis in zip(_base_matrices(family),
+                           zip(*(_base_seed_scalars(family, p) for p in parents))):
+            det_inv = embed(g.det(), n).inverse()
+            out.append((chis[0] * det_inv)**2 if len(chis) == 1
+                       else chis[0] * chis[1] * det_inv)
+        return tuple(out)
     s1, t1 = _base_matrices(family)
-    fld = common_field(CyclotomicField(s1.conductor), invariant_seed(seed_name).field)
-    seed = invariant_seed(seed_name).in_field(fld)
+    fld = common_field(CyclotomicField(s1.conductor), seed.field)
+    seed = seed.in_field(fld)
     out = []
     for g in (s1, t1):
         moved = substitute(seed, _action_images(g.embed(fld.conductor), fld))
@@ -588,7 +623,7 @@ def _base_seed_scalars(family: str, seed_name: str):
         if moved != seed * ratio:
             raise ArithmeticError(
                 f"{seed_name} is not semi-invariant under the {family} base group")
-        out.append(embed(ratio, _FAMILY_CONDUCTOR[family]))
+        out.append(embed(ratio, n))
     return tuple(out)
 
 
@@ -742,7 +777,9 @@ def classes_of_degree(d: int):
         if 2 * m * m % d:
             continue
         p = 2 * m * m // d
-        if m % p or (m, p) == (2, 2):
+        # G(2,2,2) is conjugate to Z_2xZ_2, and G(4,4,2) to G(2,1,2), the
+        # dihedral group of order 8
+        if m % p or (m, p) in ((2, 2), (4, 4)):
             continue
         out.append(imprimitive_group(m, p))
     for no, row in sorted(_EXCEPTIONAL.items()):

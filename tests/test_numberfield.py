@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from polymap.numberfield import (ConductorMismatch, CycloNumber,
                                  common_conductor, cyclotomic_polynomial,
-                                 divisors, embed, totient, zeta)
+                                 divisors, embed, power_by_squaring, totient,
+                                 zeta)
 
 
 def approx(a: CycloNumber) -> complex:
@@ -69,6 +70,12 @@ def test_zeta_power_form():
     assert zeta(24, 6) == embed(zeta(4), 24)
     assert zeta(24, 3) == embed(zeta(8), 24)
     assert zeta(60, 12) == embed(zeta(5), 60)
+    z = zeta(60, 7) + 1
+    assert z ** 0 == CycloNumber.one(60)
+    product = z ** 0
+    for e in range(1, 20):
+        product = product * z
+        assert z ** e == product and z ** -e == product.inverse()
 
 
 def test_high_powers_of_a_large_conductor():
@@ -76,6 +83,27 @@ def test_high_powers_of_a_large_conductor():
     # than a recursion of one frame per power can reach
     assert zeta(1024, 1023) * zeta(1024) == 1
     assert embed(zeta(512, 511), 1024) == zeta(1024, 1022)
+
+
+class _Counted:
+    """An integer that counts the products it takes part in."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return _Counted(self.value * other.value)
+
+
+def test_power_by_squaring_takes_no_product_by_one():
+    for e in range(1, 70):
+        _Counted.products = 0
+        assert power_by_squaring(_Counted(3), e).value == 3 ** e
+        # floor(log2 e) squarings, one product per set bit after the lowest
+        assert _Counted.products == e.bit_length() - 1 + bin(e).count("1") - 1, e
 
 
 def test_embed_requires_divisibility():

@@ -32,6 +32,14 @@ def test_ring_arithmetic():
     assert p - p == zero
     assert p * zero == zero
     assert (p * 1) == p and (p * 0).is_constant()
+    q = X * 2 - Y + 1
+    assert q ** 0 == MultiPoly.constant(1, ("x", "y"))
+    product = q ** 0
+    for e in range(1, 10):
+        product = product * q
+        assert q ** e == product
+    with pytest.raises(ValueError):
+        q ** -1
 
 
 def test_degrees():

@@ -1,15 +1,18 @@
 """Reflection group catalog: enumeration, invariants, branch verification."""
 
+import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from polymap import groebner
+from polymap import groebner, refgroups
 from polymap.maps import critical_ideal, is_proper, topological_degree, verify_branch
-from polymap.numberfield import zeta
+from polymap.numberfield import embed, zeta
 from polymap.parser import parse_poly
-from polymap.polyring import (MultiPoly, is_scalar_multiple, jacobian_det,
-                              squarefree_part)
+from polymap.polyring import (CyclotomicField, MultiPoly, common_field, hessian_det,
+                              is_scalar_multiple, jacobian_det, squarefree_part,
+                              substitute)
 from polymap.refgroups import (Matrix2, basic_invariants, build_group,
                                claimed_branch, classes_of_degree, cyclic_group,
                                default_table4_rows, enumerate_group,
@@ -73,6 +76,12 @@ def test_matrix_arithmetic():
     assert not (d ** 2).is_identity()
     assert d.det() == zeta(4).one(4)
     assert d.trace() == zeta(4) + zeta(4).inverse()
+    g = exceptional_group(16).generators[0]
+    assert g ** 0 == Matrix2.identity(60)
+    product = Matrix2.identity(60)
+    for e in range(1, 8):
+        product = product * g
+        assert g ** e == product and g ** -e == product.inverse()
 
 
 def test_cyclic_and_product_records():
@@ -240,7 +249,6 @@ def test_seed_invariance():
 
 
 def test_hessian_jacobian_reconstructions():
-    from polymap.polyring import hessian_det
     a4 = invariant_seed("a4")
     b6 = invariant_seed("b6")
     assert is_scalar_multiple(jacobian_det(a4, hessian_det(a4)), b6)
@@ -251,6 +259,78 @@ def test_hessian_jacobian_reconstructions():
     assert is_scalar_multiple(hessian_det(e12), invariant_seed("f20"))
     assert is_scalar_multiple(jacobian_det(e12, invariant_seed("f20")),
                               invariant_seed("g30"))
+
+
+# every (family, seed) pair that an exceptional row reads
+FAMILY_SEEDS = [("A4", "a4"), ("A4", "b6"), ("S4", "b6"), ("S4", "c8"),
+                ("S4", "d12"), ("A5", "e12"), ("A5", "f20"), ("A5", "g30")]
+
+
+def _substituted_scalars(family, seed_name):
+    """Oracle: the multipliers of S1 and T1 on a seed, by substituting each
+    base matrix into the seed and reading the ratio off one term."""
+    seed = invariant_seed(seed_name)
+    fld = common_field(CyclotomicField(refgroups._base_matrices(family)[0].conductor),
+                       seed.field)
+    seed = seed.in_field(fld)
+    out = []
+    for g in refgroups._base_matrices(family):
+        moved = substitute(seed, refgroups._action_images(g.embed(fld.conductor), fld))
+        exps = next(iter(seed.terms))
+        ratio = moved.coeff(exps) * seed.coeff(exps).inverse()
+        assert moved == seed * ratio, (family, seed_name)
+        out.append(embed(ratio, refgroups._FAMILY_CONDUCTOR[family]))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("family, seed_name", FAMILY_SEEDS)
+def test_seed_multipliers_match_substitution(family, seed_name):
+    assert refgroups._base_seed_scalars(family, seed_name) == \
+        _substituted_scalars(family, seed_name)
+
+
+def _random_form(rng, degree):
+    return MultiPoly(("x", "y"), {(i, degree - i): rng.randint(-9, 9)
+                                  for i in range(degree + 1)})
+
+
+def test_hessian_and_jacobian_are_covariant():
+    rng = random.Random(26)
+    for _ in range(3):
+        while True:
+            a, b, c, d = (Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                          for _ in range(4))
+            if a * d - b * c:
+                break
+        images = {"x": X * a + Y * b, "y": X * c + Y * d}
+        det = a * d - b * c
+        f, h = _random_form(rng, 5), _random_form(rng, 4)
+        fg, hg = substitute(f, images), substitute(h, images)
+        assert hessian_det(fg) == substitute(hessian_det(f), images) * det ** 2
+        assert jacobian_det(fg, hg) == substitute(jacobian_det(f, h), images) * det
+
+
+@pytest.fixture
+def cold_seed_caches():
+    refgroups.invariant_seed.cache_clear()
+    refgroups._base_seed_scalars.cache_clear()
+    yield
+    refgroups.invariant_seed.cache_clear()
+    refgroups._base_seed_scalars.cache_clear()
+
+
+@pytest.mark.parametrize("seed_name, text", [
+    # c8 with one coefficient changed: still of degree 8, not Hess(b6)
+    ("c8", "x^8 + 15*x^4*y^4 + y^8"),
+    # g30 replaced by e12^2*b6, also of degree 30: not Jac(e12, f20)
+    ("g30", "(x^11*y + 11*x^6*y^6 - x*y^11)^2*(x^5*y - x*y^5)"),
+], ids=["c8", "g30"])
+def test_a_seed_that_is_not_its_covariant_raises(cold_seed_caches, monkeypatch,
+                                                 seed_name, text):
+    monkeypatch.setitem(refgroups._SEEDS, seed_name, text)
+    family = "S4" if seed_name == "c8" else "A5"
+    with pytest.raises(ArithmeticError, match="not a multiple"):
+        refgroups._base_seed_scalars(family, seed_name)
 
 
 def test_basic_invariants_structure():
@@ -360,6 +440,8 @@ def test_classes_of_degree_frozen():
     assert len(two) == 1 and two[0] == cyclic_group(2)
     seven = classes_of_degree(7)
     assert len(seven) == 1 and seven[0] == cyclic_group(7)
+    # G(4,4,2) is conjugate to G(2,1,2) and is not listed again
+    assert [r.label for r in classes_of_degree(8)] == ["Z_8", "Z_2xZ_4", "G(2,1,2)"]
     labels = [r.label for r in classes_of_degree(24)]
     assert labels == ["Z_24", "Z_2xZ_12", "Z_3xZ_8", "Z_4xZ_6",
                       "G(6,3,2)", "G(12,12,2)", "G_4"]
