@@ -178,6 +178,7 @@ _EXCEPTIONAL = {
 
 _FAMILY_POWER = {"A4": 3, "S4": 4, "A5": 5}
 _FAMILY_CONDUCTOR = {"A4": 24, "S4": 24, "A5": 60}
+_FAMILY_ORDER = {"A4": 24, "S4": 48, "A5": 120}  # |<S1, T1>|
 
 
 def _scalar(text: str, conductor: int) -> CycloNumber:
@@ -229,7 +230,9 @@ def product_group(m: int, n: int) -> GroupRecord:
 
 
 def imprimitive_group(m: int, p: int) -> GroupRecord:
-    if m < 1 or p < 1 or m % p:
+    if m < 1 or p < 1:
+        raise ValueError("imprimitive group needs m, p >= 1")
+    if m % p:
         raise ValueError("imprimitive group needs p | m")
     one = CycloNumber.one(m)
     zero = CycloNumber.zero(m)
@@ -291,10 +294,11 @@ def parse_group_spec(text: str) -> GroupRecord:
 class _Arith:
     """Interned scalars with memoized pairwise products and sums.
 
-    The closure of `enumerate_group` multiplies thousands of matrices
-    whose entries repeat heavily; hashing entries down to small integers
-    makes it spend its time in dict lookups instead of cyclotomic
-    multiplication.
+    The exact closure of a base group (`_Base`) multiplies matrices whose
+    entries repeat heavily; hashing entries down to small integers makes
+    it spend its time in dict lookups instead of cyclotomic
+    multiplication.  A group's own closure multiplies no entries at all:
+    it steps integer pairs (b, j) over its base (see GroupElements).
     """
 
     __slots__ = ("values", "index", "muls", "adds")
@@ -343,36 +347,117 @@ def _mul_ids(ar: _Arith, m, n):
             ar.add(ar.mul(c, f), ar.mul(d, h)))
 
 
+def _closure(start, product, gens: int, label: str, order: int):
+    """Breadth-first closure of `start` under product(x, k) for the
+    generators k < gens: the numbering of the elements, in closure
+    order, and the step tables (see GroupElements).  Raises if it
+    overshoots twice `order`: the data or the arithmetic is wrong."""
+    index = {start: 0}
+    elements, parent, gen = [start], [None], [None]
+    step = [[] for _ in range(gens)]
+    # elements grows behind i: each new element is stepped in its turn,
+    # which is the breadth-first order
+    i = 0
+    while i < len(elements):
+        x = elements[i]
+        for k in range(gens):
+            prod = product(x, k)
+            j = index.get(prod)
+            if j is None:
+                j = index[prod] = len(elements)
+                elements.append(prod)
+                parent.append(i)
+                gen.append(k)
+                if len(elements) > 2 * order:
+                    raise RuntimeError(
+                        f"closure of {label} exceeded twice the expected order {order}")
+            step[k].append(j)
+        i += 1
+    return index, step, parent, gen
+
+
+def _roots_of_unity(n: int) -> list:
+    """The roots of unity of Q(zeta_n) as the powers w^0, w^1, ... of w:
+    zeta_n for even n, -zeta_n^((n+1)/2), of order 2n, for odd n."""
+    if n % 2 == 0:
+        return [zeta(n, j) for j in range(n)]
+    half = (n + 1) // 2
+    return [-zeta(n, j * half) if j % 2 else zeta(n, j * half) for j in range(2 * n)]
+
+
+class _Base:
+    """The exact closure B of matrix generators over Q(zeta_N).
+
+    `elements` are B's matrices as tuples of interned entry ids, in
+    closure order, with `_step`, `_parent` and `_gen` as in
+    GroupElements.  `roots[e]` is w^e, w as in `_roots_of_unity(N)`, and
+    `canon[x]` is the pair (c, e) with elements[x] = w^e·elements[c], c
+    the first, in closure order, of x's coset of B's scalar matrices.
+    """
+
+    __slots__ = ("gens", "arith", "index", "elements", "_step", "_parent",
+                 "_gen", "roots", "exponent", "canon")
+
+    def __init__(self, gens, conductor: int, label: str, order: int):
+        ar = self.arith = _Arith()
+        one = _mat_ids(ar, Matrix2.identity(conductor))
+        gen_ids = [_mat_ids(ar, g) for g in gens]
+        self.gens = gens
+        self.index, self._step, self._parent, self._gen = _closure(
+            one, lambda m, k: _mul_ids(ar, m, gen_ids[k]), len(gens), label, order)
+        self.elements = list(self.index)
+        self.roots = _roots_of_unity(conductor)
+        self.exponent = {w: e for e, w in enumerate(self.roots)}
+        scalars = [(a, self.exponent[ar.values[a]]) for a, b, c, d in self.elements
+                   if b == c == one[1] and a == d]
+        self.canon = [None] * len(self.elements)
+        for c, ids in enumerate(self.elements):
+            if self.canon[c] is None:
+                for w, e in scalars:
+                    self.canon[self.index[tuple(ar.mul(w, i) for i in ids)]] = (c, e)
+
+
+@lru_cache(maxsize=None)
+def _base_group(family: str) -> _Base:
+    """The binary polyhedral group <S1, T1> of a family, in its conductor."""
+    n = _FAMILY_CONDUCTOR[family]
+    return _Base(tuple(g.embed(n) for g in _base_matrices(family)), n, family,
+                 _FAMILY_ORDER[family])
+
+
 class GroupElements:
     """Complete element list of a catalog group, closed under product.
 
-    Elements are held as tuples of interned entry ids, numbered in
-    closure order with the identity as 0; iteration builds each Matrix2
-    on demand.  The closure also leaves the group's Cayley graph:
-    `_step[k][i]` numbers elements[i]·g_k for the k-th generator g_k,
-    and element i > 0 was first reached as elements[_parent[i]]·g_k
-    with k = `_gen[i]`.  Following the parents spells a generator word
-    for each element, so x·m is m's word applied to x through the
-    tables: list lookups, no field arithmetic.
+    Element i is the matrix w^j·b for the pair (b, j) = `_pairs[i]`: b
+    numbers an element of the base group B (`_Base`), which is <S1, T1>
+    for an exceptional row and the group itself otherwise, and w
+    generates the roots of unity of the group's field.  w^j·b = w^j'·b'
+    exactly when b^-1·b' = w^(j-j') is a scalar matrix of B, so with b
+    the first of its coset and j taken modulo the order of w (see
+    `_Base.canon`), equal matrices are equal pairs.  Pairs are numbered
+    in closure order with the identity as 0.  The closure also leaves
+    the group's Cayley graph: `_step[k][i]` numbers elements[i]·g_k for
+    the k-th generator g_k, and element i > 0 was first reached as
+    elements[_parent[i]]·g_k with k = `_gen[i]`.  Following the parents
+    spells a generator word for each element, so x·m is m's word applied
+    to x through the tables: list lookups, no field arithmetic.
     """
 
-    __slots__ = ("record", "_arith", "_index", "_step", "_parent", "_gen")
+    __slots__ = ("record", "_base", "_pairs", "_index", "_step", "_parent", "_gen")
 
-    def __init__(self, record, arith, index, step, parent, gen):
-        self.record = record
-        self._arith = arith
-        self._index = index
-        self._step = step
-        self._parent = parent
-        self._gen = gen
+    def __init__(self, record, base, index, step, parent, gen):
+        self.record, self._base, self._index = record, base, index
+        self._pairs = list(index)
+        self._step, self._parent, self._gen = step, parent, gen
 
     def __len__(self):
-        return len(self._index)
+        return len(self._pairs)
 
     def __iter__(self):
-        values = self._arith.values
-        for ids in self._index:
-            yield Matrix2(*(values[i] for i in ids))
+        base, ar = self._base, self._base.arith
+        for b, j in self._pairs:
+            w = ar.intern(base.roots[j])
+            yield Matrix2(*(ar.values[ar.mul(w, i)] for i in base.elements[b]))
 
     def _word(self, i: int) -> list:
         """The step tables whose composition, in order, is elements[i]."""
@@ -405,53 +490,55 @@ class GroupElements:
         return left
 
     def element_order(self, m: Matrix2) -> int:
-        """Order of a group element; ValueError if m is not in the group."""
+        """Order of a group element; ValueError if m is not in the group.
+
+        m = w^j·b with b in the base group exactly when w^-j·m is in it,
+        and every such j gives m's one canonical pair.
+        """
+        base, n = self._base, len(self._base.roots)
         try:
             entries = m.embed(self.record.conductor).entries()
         except ConductorMismatch:
-            entries = ()
-        ids = tuple(self._arith.index.get(e) for e in entries)
-        i = self._index.get(ids)
-        if i is None:
-            raise ValueError(f"{m!r} is not an element of {self.record.label}")
-        return len(self._powers(i))
+            entries, n = (), 0
+        for j in range(n):
+            w = base.roots[-j % n]
+            b = base.index.get(tuple(base.arith.index.get(e * w) for e in entries))
+            if b is not None:
+                c, e = base.canon[b]
+                if (c, (j + e) % n) in self._index:
+                    return len(self._powers(self._index[c, (j + e) % n]))
+                break
+        raise ValueError(f"{m!r} is not an element of {self.record.label}")
 
 
 def enumerate_group(record: GroupRecord) -> GroupElements:
     """Breadth-first closure of the generators, with its Cayley graph.
 
-    Every element is multiplied by every generator exactly once, and
-    each product's number is kept as a step table (see GroupElements).
-    Raises if the closure overshoots twice the expected order, which
-    can only mean the catalog data or the arithmetic is wrong.
+    Each generator g_k must be w^l_k times the k-th generator of the
+    record's base group (see GroupElements), checked exactly; else a
+    ValueError names the group.  The closure then steps integer pairs,
+    (b, j)·g_k = (B_step_k[b], j + l_k) in canonical form, with no field
+    arithmetic.  Raises if it overshoots twice the expected order.
     """
-    ar = _Arith()
-    one = _mat_ids(ar, Matrix2.identity(record.conductor))
-    gen_ids = [_mat_ids(ar, g) for g in record.generators]
-    index = {one: 0}
-    elements, parent, gen = [one], [None], [None]
-    step = [[] for _ in gen_ids]
-    cap = 2 * record.expected_order
-    # elements grows behind i: each new element is stepped in its turn,
-    # which is the breadth-first order
-    i = 0
-    while i < len(elements):
-        m = elements[i]
-        for k, g in enumerate(gen_ids):
-            prod = _mul_ids(ar, m, g)
-            j = index.get(prod)
-            if j is None:
-                j = index[prod] = len(elements)
-                elements.append(prod)
-                parent.append(i)
-                gen.append(k)
-                if len(elements) > cap:
-                    raise RuntimeError(
-                        f"closure of {record.label} exceeded twice the "
-                        f"expected order {record.expected_order}")
-            step[k].append(j)
-        i += 1
-    return GroupElements(record, ar, index, step, parent, gen)
+    pres = record.presentation
+    base = (_base_group(pres.family) if pres else
+            _Base(record.generators, record.conductor, record.label,
+                  record.expected_order))
+    n, moves = len(base.roots), []
+    for k, (g, h) in enumerate(zip(record.generators, base.gens)):
+        p = next(i for i, e in enumerate(h.entries()) if e)
+        l = base.exponent.get(g.entries()[p] * h.entries()[p].inverse())
+        if l is None or g != h.scaled(base.roots[l]):
+            raise ValueError(f"generator {k} of {record.label} is not a root of "
+                             f"unity times its base matrix")
+        moves.append([(c, e + l) for c, e in map(base.canon.__getitem__, base._step[k])])
+
+    def product(pair, k):
+        c, e = moves[k][pair[0]]
+        return c, (pair[1] + e) % n
+
+    return GroupElements(record, base, *_closure(
+        (0, 0), product, len(moves), record.label, record.expected_order))
 
 
 def fingerprint(els: GroupElements) -> dict:

@@ -154,7 +154,8 @@ def test_exceptional_fingerprints_frozen():
         assert list(fp["order_histogram"]) == sorted(histogram), no
 
 
-@pytest.mark.parametrize("spec", ["G4", "G(6,2,2)", "Z2xZ3"])
+@pytest.mark.parametrize("spec", ["G4", "G16", "G19", "G(6,2,2)", "G(3,1,2)",
+                                  "Z2xZ3"])
 def test_step_tables_name_the_exact_products(spec):
     rec = parse_group_spec(spec)
     els = enumerate_group(rec)
@@ -164,6 +165,31 @@ def test_step_tables_name_the_exact_products(spec):
         assert len(step) == len(elements)
         for m, j in zip(elements, step):
             assert elements[j] == m * g
+
+
+def test_pair_closure_matches_the_exact_matrix_closure():
+    # the exact closure of the full generators, as the base closure runs
+    # it, must leave the same Cayley graph as the closure over pairs
+    # (b, j) on the binary polyhedral base
+    for no in EXCEPTIONAL_TABLE:
+        rec = exceptional_group(no)
+        exact = refgroups._Base(rec.generators, rec.conductor, rec.label,
+                                rec.expected_order)
+        els = enumerate_group(rec)
+        assert els._step == exact._step, no
+        assert els._parent == exact._parent, no
+        assert els._gen == exact._gen, no
+
+
+def test_generators_off_the_base_group_are_rejected():
+    # 2·S is no root of unity times S1 (its closure is infinite); T and
+    # diag(s11, s11) are no scalar multiples of S1 = diag(i, -i) at all,
+    # though s11 is S's first entry
+    rec = exceptional_group(4)
+    s, t = rec.generators
+    for gens in ((s.scaled(2), t), (t, t), (Matrix2.diagonal(s.a, s.a), t)):
+        with pytest.raises(ValueError, match="G_4"):
+            enumerate_group(replace(rec, generators=gens))
 
 
 def test_element_order_rejects_matrices_outside_the_group():
@@ -178,10 +204,20 @@ def test_element_order_rejects_matrices_outside_the_group():
         with pytest.raises(ValueError, match="G_4"):
             els.element_order(m)
     assert els.element_order(Matrix2(-one, zero, zero, -one)) == 2
+    # zeta_24 times an element of the base group <S1, T1>, but not in G_4
+    with pytest.raises(ValueError, match="G_4"):
+        els.element_order(Matrix2.diagonal(zeta(24), zeta(24)))
+    # Q(zeta_3) has the six roots of unity -zeta_3^(2j); G(3,1,2) holds
+    # the scalars zeta_3^k but not -1
+    els = enumerate_group(imprimitive_group(3, 1))
+    w = zeta(3)
+    assert els.element_order(Matrix2.diagonal(w, w)) == 3
+    with pytest.raises(ValueError, match="G[(]3,1,2[)]"):
+        els.element_order(Matrix2.diagonal(-w.one(3), -w.one(3)))
 
 
 @pytest.mark.parametrize("spec", ["G4", "G5", "G8", "G12", "G(6,2,2)",
-                                  "G(8,4,2)", "Z2xZ3", "G(2,2,2)"])
+                                  "G(8,4,2)", "G(3,1,2)", "Z2xZ3", "G(2,2,2)"])
 def test_fingerprint_matches_per_element_oracles(spec):
     els = enumerate_group(parse_group_spec(spec))
     elements = list(els)
@@ -189,6 +225,7 @@ def test_fingerprint_matches_per_element_oracles(spec):
     for g in elements:
         k = next(k for k in range(1, len(elements) + 1) if (g ** k).is_identity())
         histogram[k] = histogram.get(k, 0) + 1
+        assert els.element_order(g) == k
     center = sum(1 for m in elements
                  if all(m * g == g * m for g in elements))
     fp = fingerprint(els)
@@ -233,8 +270,11 @@ def test_parse_group_spec():
 def test_build_group_validation():
     with pytest.raises(ValueError):
         build_group("exceptional", 23)
-    with pytest.raises(ValueError):
-        build_group("imprimitive", 6, 4)  # p must divide m
+    with pytest.raises(ValueError, match="p [|] m"):
+        build_group("imprimitive", 6, 4)
+    for m, p in ((0, 1), (2, 0), (-2, 1)):
+        with pytest.raises(ValueError, match="m, p >= 1"):
+            build_group("imprimitive", m, p)
     with pytest.raises(ValueError):
         build_group("cyclic", 0)
 
