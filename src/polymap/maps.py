@@ -6,15 +6,26 @@ planes.  Properness and topological degree are both read from one
 basis of the graph ideal <s - f1, t - f2> under a block order with
 (x, y) first; the branch locus comes from eliminating the source
 variables from the graph ideal over the critical locus.
+
+Before any Groebner basis, a map sheds its target-side shears
+(`_target_reduced`): while the top form of one component is c times a
+power of the other's, that multiple of the power is subtracted, and
+the triangular target automorphism that does so is kept both ways.
+Every plane automorphism is a product of affine and triangular maps
+(Jung 1942; van der Kulk 1953), so a map post-composed with a shear
+loses it here.  Properness, degree and dominance do not change under a
+target automorphism, and the branch ideal moves with it, so every
+answer is the one the unreduced map gives.  A budget counts the pairs
+of the reduced map's bases, and so does a budget stop's report.
 """
 
 from __future__ import annotations
 
 from .groebner import (ResourceBudgetExceeded, buchberger, elimination_ideal,
-                       staircase_count)
+                       interreduce, staircase_count)
 from .polyring import (MultiPoly, QQ, RingMismatch, block_order, common_field,
                        divides, field_inverse, is_scalar_multiple, is_squarefree,
-                       jacobian_det, primitive_normalize, squarefree_part,
+                       jacobian_det, monic, primitive_normalize, squarefree_part,
                        substitute)
 
 SOURCE_VARS = ("x", "y")
@@ -199,6 +210,57 @@ def make_family(name: str, **params) -> PolyMap:
 # ---------------------------------------------------------------------------
 # basic geometry
 
+def _identity(field) -> tuple:
+    """The identity of the plane, as the components (x, y)."""
+    return tuple(MultiPoly.variable(v, SOURCE_VARS, field) for v in SOURCE_VARS)
+
+
+def _top_extremes(p: MultiPoly, degree: int) -> tuple:
+    """The exponents of x in the first and last monomials of p's top form."""
+    xs = [e[0] for e in p.terms if sum(e) == degree]
+    return max(xs), min(xs)
+
+
+def _target_reduced(f: PolyMap) -> tuple:
+    """(g, to, back): f with its target-side shears stripped.
+
+    While the lower-degree component f_lo has degree d >= 1 dividing the
+    other's degree k*d, and the top form of f_hi is c times that of
+    f_lo^k, f_hi becomes f_hi - c*f_lo^k.  `to` and `back` are the
+    triangular target automorphisms, as component pairs in (x, y), with
+    g = to(f1, f2) and f = back(g1, g2); each step has Jacobian
+    determinant 1, so g's Jacobian is f's.  A map that admits no step
+    comes back as itself with identity `to` and `back`.
+    """
+    comps = list(f.components())
+    identity = _identity(f.field)
+    to, back = list(identity), list(identity)
+    while True:
+        degrees = [c.total_degree() for c in comps]
+        lo = 0 if degrees[0] <= degrees[1] else 1
+        hi = 1 - lo
+        if degrees[lo] < 1 or degrees[hi] % degrees[lo]:
+            break
+        k = degrees[hi] // degrees[lo]
+        # a power's extreme monomials are k times its base's, so a
+        # mismatch rules the step out before any coefficient arithmetic
+        first, last = _top_extremes(comps[lo], degrees[lo])
+        if _top_extremes(comps[hi], degrees[hi]) != (k * first, k * last):
+            break
+        c = (comps[hi].terms[(k * first, degrees[hi] - k * first)]
+             * field_inverse(comps[lo].terms[(first, degrees[lo] - first)]) ** k)
+        reduced = comps[hi] - comps[lo] ** k * c
+        if reduced.total_degree() >= degrees[hi]:
+            break
+        comps[hi] = reduced
+        to[hi] = to[hi] - to[lo] ** k * c
+        # back . (the step's inverse), which adds c*u_lo^k to u_hi
+        undo = {SOURCE_VARS[hi]: identity[hi] + identity[lo] ** k * c}
+        back = [substitute(b, undo) for b in back]
+    g = f if comps == list(f.components()) else PolyMap(*comps)
+    return g, tuple(to), tuple(back)
+
+
 def _graph_generators(f: PolyMap) -> list:
     """s - f1 and t - f2 over (x, y, s, t)."""
     allv = SOURCE_VARS + TARGET_VARS
@@ -214,8 +276,10 @@ def _graph_basis_leads(f: PolyMap, budget=None) -> list:
     the (x, y)-parts of these exponents describe that fiber.  Elements
     whose leading monomial avoids x and y generate the polynomial
     relations between f1 and f2; f is dominant exactly when there are none.
+    The basis is that of f with its target-side shears stripped, which
+    changes none of these properties.
     """
-    leads = buchberger(_graph_generators(f),
+    leads = buchberger(_graph_generators(_target_reduced(f)[0]),
                        block_order(SOURCE_VARS + TARGET_VARS, SOURCE_VARS), budget).leads
     if any(not any(e[:len(SOURCE_VARS)]) for e in leads):
         raise ValueError("map is not dominant (algebraically dependent components)")
@@ -264,23 +328,48 @@ def critical_ideal(f: PolyMap) -> MultiPoly:
     return jacobian_det(f.f1, f.f2)
 
 
+def _nonzero_jacobian(f: PolyMap) -> MultiPoly:
+    J = critical_ideal(f)
+    if not J.terms:
+        raise ValueError("map is not dominant (identically zero Jacobian)")
+    return J
+
+
+def _eliminated_branch(g: PolyMap, J: MultiPoly, budget) -> list:
+    """The branch ideal's reduced basis for g, whose Jacobian determinant is J.
+
+    For g1, g2 homogeneous of degrees d1, d2 the quotient is
+    k[x, y]/(J) graded by (1, 1, d1, d2), the weights the engine
+    derives, and its Hilbert function min(D + 1, deg J) drives the
+    elimination.
+    """
+    gens = [J.extended(SOURCE_VARS + TARGET_VARS), *_graph_generators(g)]
+    top = J.total_degree()
+    homogeneous = all(len({sum(e) for e in c.terms}) == 1 for c in g.components())
+    return elimination_ideal(gens, SOURCE_VARS, budget,
+                             (lambda D: min(D + 1, top)) if homogeneous else None)
+
+
 def branch_ideal(f: PolyMap, budget=None) -> list:
     """Generators of the branch ideal in the target variables (s, t).
 
     Eliminates the source variables from <J_f, s - f1, t - f2>; each
-    generator comes back content-normalized with a fixed sign.  For f1, f2
-    homogeneous of degrees d1, d2 the quotient is k[x, y]/(J_f) graded by
-    (1, 1, d1, d2), the weights the engine derives, and its Hilbert
-    function min(D + 1, deg J_f) drives the elimination.
+    generator comes back content-normalized with a fixed sign.  The
+    elimination runs for g = to . f, f with its target-side shears
+    stripped: the branch ideal of f is that of g with `to` substituted
+    into each generator.  Several generators are reduced again in
+    k[s, t], under the same budget, so the answer is f's reduced basis.
     """
-    J = critical_ideal(f)
-    if not J.terms:
-        raise ValueError("map is not dominant (identically zero Jacobian)")
-    gens = [J.extended(SOURCE_VARS + TARGET_VARS), *_graph_generators(f)]
-    top = J.total_degree()
-    homogeneous = all(len({sum(e) for e in c.terms}) == 1 for c in f.components())
-    return elimination_ideal(gens, SOURCE_VARS, budget,
-                             (lambda D: min(D + 1, top)) if homogeneous else None)
+    g, to, _ = _target_reduced(f)
+    gens = _eliminated_branch(g, _nonzero_jacobian(g), budget)
+    if to == _identity(g.field):
+        return gens
+    images = dict(zip(TARGET_VARS, (c.rename(TARGET_VARS) for c in to)))
+    moved = [substitute(q, images) for q in gens]
+    if len(moved) > 1:
+        moved = interreduce(buchberger(moved, budget=budget)).basis
+    # the engine's canonical multiple: primitive over Q, monic over Q(zeta_N)
+    return [primitive_normalize(monic(q)) for q in moved]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +395,11 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
     on the reduced critical locus, i.e. be divisible by the squarefree
     part of J_f.  Tier two: the claim itself must be squarefree.  Tier
     three (optional, budgeted): the eliminated branch ideal must be
-    principal with the claim as generator, up to a unit.
+    principal with the claim as generator, up to a unit.  Tiers one and
+    three work on g = to . f, f with its target-side shears stripped,
+    and on the claim moved to g's target, claim . back: its pullback
+    along g is claim . f, and g's branch ideal is generated by it
+    exactly when f's is generated by the claim.
 
     Returns the tier report: `substitution_divisible`,
     `claimed_squarefree`, `elimination` ("pass", "fail", "skipped-budget"
@@ -316,19 +409,23 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
     """
     field = common_field(f.field, claimed.field)
     claim = claimed.in_field(field).rename(SOURCE_VARS)
-    fl = PolyMap(f.f1.in_field(field), f.f2.in_field(field))
-    J = critical_ideal(fl)
-    if not J.terms:
-        raise ValueError("map is not dominant (identically zero Jacobian)")
-    pullback = substitute(claim, {"x": fl.f1, "y": fl.f2})
+    # claim . f is (claim . back) . g, built without f's high-degree powers
+    g, _, back = _target_reduced(PolyMap(f.f1.in_field(field), f.f2.in_field(field)))
+    J = _nonzero_jacobian(g)
+    moved = claim
+    if back != _identity(field):
+        moved = substitute(claim, dict(zip(SOURCE_VARS, back)))
+    pullback = substitute(moved, {"x": g.f1, "y": g.f2})
     tiers = {"substitution_divisible": divides(squarefree_part(J), pullback),
              "claimed_squarefree": is_squarefree(claim),
              "elimination": "not-run"}
     if run_elimination:
         try:
-            gens = branch_ideal(fl, budget)
+            # f's branch ideal is principal on the claim exactly when g's
+            # is principal on claim . back
+            gens = _eliminated_branch(g, J, budget)
             if len(gens) == 1 and is_scalar_multiple(
-                    gens[0], primitive_normalize(claim)):
+                    gens[0], primitive_normalize(moved)):
                 tiers["elimination"] = "pass"
             else:
                 tiers["elimination"] = "fail"
