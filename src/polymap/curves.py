@@ -165,7 +165,7 @@ def distinguish_by_milnor(f: PolyMap, g: PolyMap, budget=None):
         if not is_proper(h, budget):
             raise PreconditionError(f"{label} map is not proper")
         J = critical_ideal(h)
-        if not J.terms or J.is_constant():
+        if J.is_constant():
             raise PreconditionError(f"{label} map has no critical curve")
         values.append(_total_milnor(squarefree_part(J), budget))
     if values[0] == values[1]:

@@ -64,9 +64,8 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import mul
 
-from .polyring import (DegRevLex, MonomialOrder, MultiPoly, block_order,
-                       common_field, field_inverse, integral_terms,
-                       primitive_normalize)
+from .polyring import (DegRevLex, MonomialOrder, MultiPoly, block_order, field_inverse,
+                       integral_terms, primitive_normalize)
 
 
 class ResourceBudgetExceeded(RuntimeError):
@@ -107,15 +106,14 @@ class ComputationBudget:
 
 @dataclass
 class IdealBasis:
-    """Generators together with a computed Groebner basis, the leading
-    exponent of each basis element in basis order, and run statistics.
+    """A computed Groebner basis, never empty, the leading exponent of
+    each basis element in basis order, and run statistics.
 
     `buchberger` gives the minimal basis, smallest lead first, each
     element primitive over Q and monic over Q(zeta_N); `interreduce`
     turns it into the reduced basis with the same leads.
     """
 
-    generators: list
     order: MonomialOrder
     basis: list
     leads: list
@@ -123,13 +121,7 @@ class IdealBasis:
 
     @property
     def vars(self):
-        src = self.basis if self.basis else self.generators
-        return src[0].vars
-
-    @property
-    def field(self):
-        src = self.basis if self.basis else self.generators
-        return src[0].field
+        return self.basis[0].vars
 
 
 def _exp_divides(a, b):
@@ -269,8 +261,8 @@ def _reduce_terms(hterms, entries, packing, field):
     runs from the leading term down.  The partial remainder's monomials
     wait in a heap on their negated keys; a monomial that cancels stays
     there and is skipped when it comes up.  Over Q the division is
-    fraction-free, as in `polyring._bareiss_det`: the
-    partial remainder is kept in integers; a step with leading
+    fraction-free, as in Bareiss elimination: the partial remainder
+    is kept in integers; a step with leading
     coefficient c against a reducer's lc multiplies it, and the terms
     already moved to the remainder, by |lc|/gcd(c, lc) and subtracts an
     integer multiple of the reducer, and the content is stripped every
@@ -488,7 +480,7 @@ def buchberger(generators, order: MonomialOrder = None,
     basis, leads, stats = _packed(
         lambda packing: _buchberger(gens, budget, weights, packing, hilbert),
         len(ring.vars), order)
-    return IdealBasis(list(generators), order, basis, leads, stats=stats)
+    return IdealBasis(order, basis, leads, stats=stats)
 
 
 def _standard_count(leads, weights, degree):
@@ -627,11 +619,11 @@ def _interreduce(entries, ring, packing):
     return out, [packing.unpack(k.lead_exp) for k in entries]
 
 
-def _unpacked(ring, terms, packing, field=None):
+def _unpacked(ring, terms, packing):
     """The MultiPoly of a packed term dict, in the ring of `ring`."""
     unpack = packing.unpack
     return MultiPoly(ring.vars, {unpack(m): c for m, c in terms.items()},
-                     field or ring.field, _clean=True)
+                     ring.field, _clean=True)
 
 
 def _entries(basis: IdealBasis, packing):
@@ -651,25 +643,7 @@ def interreduce(basis: IdealBasis) -> IdealBasis:
     reduced, leads = _packed(
         lambda packing: _interreduce(_entries(basis, packing), basis.basis[0], packing),
         len(basis.vars), basis.order)
-    return IdealBasis(basis.generators, basis.order, reduced, leads, stats=dict(basis.stats))
-
-
-def normal_form(p: MultiPoly, basis: IdealBasis) -> MultiPoly:
-    """Remainder of p under full division by a computed basis."""
-    if not p.terms:
-        return p
-    field = common_field(p.field, basis.field)
-
-    def divide(packing):
-        entries = _entries(basis, packing)
-        pack = packing.pack
-        terms, scale = _reduce_terms({pack(e): c for e, c in p.in_field(field).terms.items()},
-                                     entries, packing, field)
-        if scale != 1:
-            terms = {m: c * scale for m, c in terms.items()}
-        return _unpacked(p, terms, packing, field)
-
-    return _packed(divide, len(p.vars), basis.order)
+    return IdealBasis(basis.order, reduced, leads, stats=dict(basis.stats))
 
 
 def elimination_ideal(generators, eliminate, budget=None, hilbert=None) -> list:
@@ -691,7 +665,7 @@ def elimination_ideal(generators, eliminate, budget=None, hilbert=None) -> list:
     if len(basis) > 1:
         # a Groebner basis of the intersection; reduced among themselves,
         # these elements are its reduced basis
-        basis = interreduce(IdealBasis(gens, gb.order, basis, [gb.leads[k] for k in free])).basis
+        basis = interreduce(IdealBasis(gb.order, basis, [gb.leads[k] for k in free])).basis
     return [primitive_normalize(g.restricted(keep)) for g in basis]
 
 

@@ -122,12 +122,6 @@ class PlaneAutomorphism:
             raise ValueError("shear polynomial must avoid the sheared variable")
         return cls((x + p, y), (x - p, y))
 
-    @classmethod
-    def translation(cls, a, b, field=QQ):
-        x = MultiPoly.variable("x", SOURCE_VARS, field)
-        y = MultiPoly.variable("y", SOURCE_VARS, field)
-        return cls((x + a, y + b), (x - a, y - b))
-
     def then(self, other: "PlaneAutomorphism") -> "PlaneAutomorphism":
         """Composition self followed by other."""
         fw = tuple(substitute(c, {"x": self.forward[0], "y": self.forward[1]})
@@ -135,9 +129,6 @@ class PlaneAutomorphism:
         inv = tuple(substitute(c, {"x": other.inverse[0], "y": other.inverse[1]})
                     for c in self.inverse)
         return PlaneAutomorphism(fw, inv)
-
-    def as_map(self) -> PolyMap:
-        return PolyMap(self.forward[0], self.forward[1])
 
     def __repr__(self):
         from .parser import format_map

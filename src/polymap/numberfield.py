@@ -398,7 +398,3 @@ def embed(a: CycloNumber, conductor: int) -> CycloNumber:
     if conductor == n:
         return a
     return _reduced(conductor, _power_map(a._num, n, conductor, conductor // n), a._den)
-
-
-def common_conductor(m: int, n: int) -> int:
-    return m * n // gcd(m, n)

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from operator import add
 
-from .numberfield import CycloNumber, common_conductor, zeta
+from .numberfield import CycloNumber, zeta
 from .polyring import CyclotomicField, MultiPoly, QQ, DegRevLex
 
 # the last alternative catches any character outside the grammar
@@ -60,7 +61,7 @@ def _field_of(tokens):
 
     Q(zeta_1) and Q(zeta_2) are Q: their roots, 1 and -1, are rational.
     """
-    n = None
+    n = 1
     for k, (_, value, _) in enumerate(tokens):
         c = None
         if value == "i":
@@ -69,13 +70,8 @@ def _field_of(tokens):
             # a zero or fractional conductor is left for the parser to report
             c = int(tokens[k + 2][1]) if tokens[k + 2][1].isdigit() else None
         if c:
-            n = c if n is None else common_conductor(n, c)
-    return QQ if n is None or n <= 2 else CyclotomicField(n)
-
-
-def infer_field(text: str):
-    """Coefficient field implied by the constants in the text (Q by default)."""
-    return _field_of(_tokenize(text))
+            n = lcm(n, c)
+    return QQ if n <= 2 else CyclotomicField(n)
 
 
 class _Parser:

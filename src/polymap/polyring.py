@@ -5,8 +5,8 @@ coefficients.  A polynomial is pinned to an ordered variable tuple and
 a coefficient field; operations across different rings raise
 RingMismatch rather than guessing an embedding.
 
-Monomial orders are separate objects (lex, degrevlex, block
-elimination) so the same polynomial can be read under several orders.
+Monomial orders are separate objects (degrevlex, block elimination)
+so the same polynomial can be read under several orders.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from itertools import product
 from math import gcd, lcm, prod
 from operator import mul, sub
 
-from .numberfield import (CycloNumber, ConductorMismatch, common_conductor, embed,
-                          power_by_squaring)
+from .numberfield import CycloNumber, ConductorMismatch, embed, power_by_squaring
 
 
 class RingMismatch(ValueError):
@@ -119,7 +118,7 @@ def common_field(f1, f2):
         return f2
     if not f2.is_cyclotomic:
         return f1
-    return CyclotomicField(common_conductor(f1.conductor, f2.conductor))
+    return CyclotomicField(lcm(f1.conductor, f2.conductor))
 
 
 def field_inverse(c):
@@ -147,13 +146,6 @@ class MonomialOrder:
 
     def __repr__(self):
         return self.name
-
-
-class Lex(MonomialOrder):
-    name = "lex"
-
-    def key(self, exps):
-        return exps
 
 
 class DegRevLex(MonomialOrder):
@@ -681,12 +673,6 @@ def substitute(p: MultiPoly, images: dict) -> MultiPoly:
     return result
 
 
-def evaluate(p: MultiPoly, point: dict):
-    """Value of p at a point given coordinate-wise as field constants."""
-    images = {v: MultiPoly.constant(c, p.vars, p.field) for v, c in point.items()}
-    return substitute(p, images).constant_value()
-
-
 # ---------------------------------------------------------------------------
 # normalization helpers
 
@@ -835,75 +821,6 @@ def divides(b: MultiPoly, a: MultiPoly) -> bool:
         return True
     except ExactDivisionError:
         return False
-
-
-# ---------------------------------------------------------------------------
-# univariate views (for resultants)
-
-def _as_univariate(p: MultiPoly, name: str) -> dict:
-    """Coefficients of p as a polynomial in one variable; values keep the full ring."""
-    i = p.vars.index(name)
-    out = {}
-    for exps, coeff in p.terms.items():
-        d = exps[i]
-        base = exps[:i] + (0,) + exps[i + 1:]
-        bucket = out.setdefault(d, {})
-        bucket[base] = coeff
-    return {d: MultiPoly(p.vars, t, p.field, _clean=True) for d, t in out.items()}
-
-
-# ---------------------------------------------------------------------------
-# resultants (fraction-free Bareiss on the Sylvester matrix)
-
-def sylvester_matrix(a: MultiPoly, b: MultiPoly, name: str):
-    """Sylvester matrix of a and b in the named variable, a-rows above b-rows."""
-    da, db = a.degree_in(name), b.degree_in(name)
-    if da <= 0 and db <= 0:
-        raise ValueError("both inputs are constant in the chosen variable")
-    if not a.terms or not b.terms:
-        raise ValueError("resultant of the zero polynomial")
-    ua, ub = _as_univariate(a, name), _as_univariate(b, name)
-    zero = MultiPoly.zero(a.vars, a.field)
-    size = da + db
-    rows = []
-    acoeffs = [ua.get(da - j, zero) for j in range(da + 1)]
-    bcoeffs = [ub.get(db - j, zero) for j in range(db + 1)]
-    for i in range(db):
-        rows.append([zero] * i + acoeffs + [zero] * (size - i - da - 1))
-    for i in range(da):
-        rows.append([zero] * i + bcoeffs + [zero] * (size - i - db - 1))
-    return rows
-
-
-def _bareiss_det(rows):
-    """Fraction-free determinant of a square matrix of polynomials."""
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    m = [list(r) for r in rows]
-    ring = m[0][0]
-    sign = 1
-    prev = MultiPoly.constant(1, ring.vars, ring.field)
-    for k in range(n - 1):
-        if not m[k][k].terms:
-            pivot_row = next((r for r in range(k + 1, n) if m[r][k].terms), None)
-            if pivot_row is None:
-                return MultiPoly.zero(ring.vars, ring.field)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_div(num, prev) if prev.terms else num
-            m[i][k] = MultiPoly.zero(ring.vars, ring.field)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-def resultant(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
-    """Resultant of a and b in the named variable, by fraction-free elimination."""
-    return _bareiss_det(sylvester_matrix(a, b, name))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .maps import PolyMap, branch_status, verify_branch
-from .numberfield import (ConductorMismatch, CycloNumber, embed, power_by_squaring,
-                          zeta)
+from .numberfield import CycloNumber, embed, power_by_squaring, zeta
 from .parser import parse_poly
 from .polyring import (CyclotomicField, MultiPoly, common_field, hessian_det,
                        is_scalar_multiple, jacobian_det, substitute)
@@ -89,23 +88,11 @@ class Matrix2:
 
     def __pow__(self, n: int) -> "Matrix2":
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("exponent must be a nonnegative integer")
         return power_by_squaring(self, n) if n else Matrix2.identity(self.conductor)
 
     def det(self):
         return self.a * self.d - self.b * self.c
-
-    def trace(self):
-        return self.a + self.d
-
-    def inverse(self) -> "Matrix2":
-        inv = self.det().inverse()
-        return Matrix2(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
-
-    def is_identity(self) -> bool:
-        one = CycloNumber.one(self.conductor)
-        zero = CycloNumber.zero(self.conductor)
-        return (self.a, self.b, self.c, self.d) == (one, zero, zero, one)
 
     def key(self):
         # the conductor first: keys of different conductors then differ
@@ -395,17 +382,17 @@ class _Base:
     the first, in closure order, of x's coset of B's scalar matrices.
     """
 
-    __slots__ = ("gens", "arith", "index", "elements", "_step", "_parent",
-                 "_gen", "roots", "exponent", "canon")
+    __slots__ = ("gens", "arith", "elements", "_step", "_parent", "_gen", "roots",
+                 "exponent", "canon")
 
     def __init__(self, gens, conductor: int, label: str, order: int):
         ar = self.arith = _Arith()
         one = _mat_ids(ar, Matrix2.identity(conductor))
         gen_ids = [_mat_ids(ar, g) for g in gens]
         self.gens = gens
-        self.index, self._step, self._parent, self._gen = _closure(
+        index, self._step, self._parent, self._gen = _closure(
             one, lambda m, k: _mul_ids(ar, m, gen_ids[k]), len(gens), label, order)
-        self.elements = list(self.index)
+        self.elements = list(index)
         self.roots = _roots_of_unity(conductor)
         self.exponent = {w: e for e, w in enumerate(self.roots)}
         scalars = [(a, self.exponent[ar.values[a]]) for a, b, c, d in self.elements
@@ -414,7 +401,7 @@ class _Base:
         for c, ids in enumerate(self.elements):
             if self.canon[c] is None:
                 for w, e in scalars:
-                    self.canon[self.index[tuple(ar.mul(w, i) for i in ids)]] = (c, e)
+                    self.canon[index[tuple(ar.mul(w, i) for i in ids)]] = (c, e)
 
 
 @lru_cache(maxsize=None)
@@ -443,11 +430,10 @@ class GroupElements:
     to x through the tables: list lookups, no field arithmetic.
     """
 
-    __slots__ = ("record", "_base", "_pairs", "_index", "_step", "_parent", "_gen")
+    __slots__ = ("record", "_base", "_pairs", "_step", "_parent", "_gen")
 
     def __init__(self, record, base, index, step, parent, gen):
-        self.record, self._base, self._index = record, base, index
-        self._pairs = list(index)
+        self.record, self._base, self._pairs = record, base, list(index)
         self._step, self._parent, self._gen = step, parent, gen
 
     def __len__(self):
@@ -488,27 +474,6 @@ class GroupElements:
         for j in range(1, len(self._parent)):
             left.append(self._step[self._gen[j]][left[self._parent[j]]])
         return left
-
-    def element_order(self, m: Matrix2) -> int:
-        """Order of a group element; ValueError if m is not in the group.
-
-        m = w^j·b with b in the base group exactly when w^-j·m is in it,
-        and every such j gives m's one canonical pair.
-        """
-        base, n = self._base, len(self._base.roots)
-        try:
-            entries = m.embed(self.record.conductor).entries()
-        except ConductorMismatch:
-            entries, n = (), 0
-        for j in range(n):
-            w = base.roots[-j % n]
-            b = base.index.get(tuple(base.arith.index.get(e * w) for e in entries))
-            if b is not None:
-                c, e = base.canon[b]
-                if (c, (j + e) % n) in self._index:
-                    return len(self._powers(self._index[c, (j + e) % n]))
-                break
-        raise ValueError(f"{m!r} is not an element of {self.record.label}")
 
 
 def enumerate_group(record: GroupRecord) -> GroupElements:
@@ -798,17 +763,14 @@ _CLAIMED_EXCEPTIONAL = {
 
 def claimed_branch(record: GroupRecord) -> MultiPoly:
     """The branch curve the catalog asserts for the group's quotient map."""
+    if record.expected_order == 1:
+        return MultiPoly.constant(1, VARS)  # the trivial quotient branches nowhere
     x = MultiPoly.variable("x", VARS)
     y = MultiPoly.variable("y", VARS)
     if record.kind == "cyclic":
-        m, = record.params
-        if m < 2:
-            raise ValueError("the trivial quotient has no branch curve")
         return y
     if record.kind == "product":
         m, n = record.params
-        if m < 2 and n < 2:
-            raise ValueError("the trivial quotient has no branch curve")
         if m < 2:
             return y
         if n < 2:

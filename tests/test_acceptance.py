@@ -9,6 +9,7 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import resultant
 from polymap.curves import (CONIC_TWO_POINTS, LINE, classify_low_degree_curve,
                             distinguish_by_milnor, milnor_at_origin)
 from polymap.groebner import elimination_ideal
@@ -17,8 +18,7 @@ from polymap.maps import (PlaneAutomorphism, PolyMap, branch_ideal, compose,
                           make_family, topological_degree)
 from polymap.parser import format_poly, parse_map, parse_poly
 from polymap.polyring import (MultiPoly, QQ, divides, hessian_det,
-                              is_scalar_multiple, jacobian_det, resultant,
-                              substitute)
+                              is_scalar_multiple, jacobian_det, substitute)
 from polymap.refgroups import (basic_invariants, claimed_branch,
                                classes_of_degree, cyclic_group,
                                default_table4_rows, enumerate_group,
@@ -168,15 +168,19 @@ def test_acceptance_06_group_catalog():
 
 
 def test_acceptance_07_involution_counts():
-    from polymap.refgroups import imprimitive_group
+    from polymap.refgroups import Matrix2, imprimitive_group
+
+    def involutions(record):
+        els = list(enumerate_group(record))
+        one = Matrix2.identity(els[0].conductor)
+        return sum(1 for g in els if g * g == one != g)
+
     ok = True
     for m, p in ((2, 1), (4, 1), (6, 1), (6, 3), (8, 1)):
-        els = enumerate_group(imprimitive_group(m, p))
-        count = sum(1 for g in els if els.element_order(g) == 2)
+        count = involutions(imprimitive_group(m, p))
         ok = ok and count == m + 3
     for m, p in ((2, 1), (4, 1), (6, 1), (8, 1), (8, 2)):
-        els = enumerate_group(imprimitive_group(2 * m, 4 * p))
-        count = sum(1 for g in els if els.element_order(g) == 2)
+        count = involutions(imprimitive_group(2 * m, 4 * p))
         want = 2 * m + 3 if m % 4 == 0 else 2 * m + 1
         ok = ok and count == want
     _report(7, "involution-counts", ok)

@@ -1,7 +1,8 @@
 """Source hygiene: every module of the package and of the test suite uses
 each name it imports, every module-level private name is read somewhere
-else in the package, and no package module imports another's private
-name."""
+else in the package, every public function, class and method of the
+package is read by the package or the benchmark, and no package module
+imports another's private name."""
 
 import ast
 from pathlib import Path
@@ -102,3 +103,60 @@ def test_checker_sees_a_private_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_private_name(path):
     assert private_imports(path.read_text()) == []
+
+
+def unread_public_names(sources: dict, readers: dict) -> list:
+    """Public top-level functions and classes of `sources`, and public
+    methods of their classes, that no statement outside the definition
+    itself reads.
+
+    Reads are matched by name, as `unreferenced_privates` matches them,
+    in `sources` and in the further modules `readers`, which define
+    nothing checked.  Returns (module, line, name), a method named
+    `Class.method`.
+    """
+    defined = []           # (module, defining node, name)
+    reads = {}             # name -> (module, line) of each read
+    for module, source in {**sources, **readers}.items():
+        tree = ast.parse(source)
+        if module in sources:
+            for stmt in tree.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    if not stmt.name.startswith("_"):
+                        defined.append((module, stmt, stmt.name))
+                if isinstance(stmt, ast.ClassDef):
+                    defined += [(module, node, f"{stmt.name}.{node.name}") for node in stmt.body
+                                if isinstance(node, ast.FunctionDef)
+                                and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                reads.setdefault(node.id, []).append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((module, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    reads.setdefault(alias.name, []).append((module, node.lineno))
+
+    def read_outside(module, node, name):
+        return any(m != module or not node.lineno <= line <= node.end_lineno
+                   for m, line in reads.get(name.rpartition(".")[2], []))
+
+    return sorted((module, node.lineno, name) for module, node, name in defined
+                  if not read_outside(module, node, name))
+
+
+def test_checker_sees_an_unread_public_name():
+    sources = {"a": "def used():\n    pass\n\n\ndef unused():\n    return unused()\n\n\n"
+                    "class K:\n    def m(self):\n        return self.m()\n\n"
+                    "    def n(self):\n        return used()\n",
+               "b": "from .a import K\n"}
+    assert unread_public_names(sources, {"bench": "K().n()\n"}) == [
+        ("a", 5, "unused"), ("a", 10, "K.m")]
+
+
+def test_every_public_name_is_read():
+    # the package's __init__ only re-exports, so its reads do not count
+    sources = {p.name: p.read_text() for p in MODULES}
+    bench = {f"perfbench/{p.name}": p.read_text()
+             for p in sorted((TESTS.parent / "perfbench").glob("*.py"))}
+    assert unread_public_names(sources, bench) == []

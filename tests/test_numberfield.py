@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymap.numberfield import (ConductorMismatch, CycloNumber,
-                                 common_conductor, cyclotomic_polynomial,
-                                 divisors, embed, power_by_squaring, totient,
-                                 zeta)
+from polymap.numberfield import (ConductorMismatch, CycloNumber, cyclotomic_polynomial,
+                                 divisors, embed, power_by_squaring, totient, zeta)
 
 
 def approx(a: CycloNumber) -> complex:
@@ -117,7 +115,6 @@ def test_same_conductor_policy():
         zeta(3) + zeta(4)
     with pytest.raises(ConductorMismatch):
         zeta(3) * zeta(4)
-    assert common_conductor(3, 4) == 12
     assert embed(zeta(3), 12) + embed(zeta(4), 12) == zeta(12, 4) + zeta(12, 3)
 
 

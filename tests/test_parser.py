@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymap.numberfield import zeta
-from polymap.parser import (PolyParseError, format_map, format_poly,
-                            infer_field, parse_map, parse_poly)
+from polymap.parser import PolyParseError, format_map, format_poly, parse_map, parse_poly
 from polymap.polyring import CyclotomicField, MultiPoly, QQ
 
 
@@ -31,7 +30,7 @@ def test_precedence_and_grouping():
                            ("-(x + y)^2", "-x^2 - 2*x*y - y^2"),
                            ("(x - y)^0 + (x - y)^1", "x - y + 1"),
                            ("(1/2*x + i)*(1/2*x - i)", "1/4*x^2 + 1")]:
-        assert parse_poly(text) == parse_poly(expanded, field=infer_field(text))
+        assert parse_poly(text) == parse_poly(expanded, field=parse_poly(text).field)
 
 
 def test_implicit_multiplication_is_rejected():
@@ -136,13 +135,13 @@ def test_format_map_frozen():
 
 
 def test_infer_field():
-    assert infer_field("x^2 + y") is QQ
-    assert infer_field("zeta(12)*x").conductor == 12
-    assert infer_field("i*x + zeta(3)").conductor == 12
-    assert infer_field("zeta(2)*x + y") is QQ
+    assert parse_poly("x^2 + y").field is QQ
+    assert parse_poly("zeta(12)*x").field.conductor == 12
+    assert parse_poly("i*x + zeta(3)").field.conductor == 12
+    assert parse_poly("zeta(2)*x + y").field is QQ
     assert parse_poly("zeta(2)*x + y") == parse_poly("-x + y")
     with pytest.raises(PolyParseError) as exc:
-        infer_field("x $ y")
+        parse_poly("x $ y")
     assert exc.value.position == 2
 
 

@@ -8,17 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from oracles import Lex, resultant, sylvester_matrix
 from polymap import groebner, polyring
 from polymap.numberfield import CycloNumber, totient, zeta
 from polymap.parser import parse_poly
 from polymap.polyring import (BlockOrder, CyclotomicField, DegRevLex,
-                              ExactDivisionError, Lex, MultiPoly,
+                              ExactDivisionError, MultiPoly,
                               QQ, RingMismatch, _product, block_order, common_field,
-                              derivative, divides, evaluate, exact_div,
+                              derivative, divides, exact_div,
                               gcd_poly, hessian_det, is_scalar_multiple,
                               is_squarefree, jacobian_det, monic, primitive_normalize,
-                              resultant, squarefree_part,
-                              substitute, sylvester_matrix)
+                              squarefree_part, substitute)
 
 X = MultiPoly.variable("x", ("x", "y"))
 Y = MultiPoly.variable("y", ("x", "y"))
@@ -75,7 +76,8 @@ def test_substitute_and_evaluate():
     p = parse_poly("x^2 + y")
     q = substitute(p, {"x": Y, "y": X * Y})
     assert q == Y ** 2 + X * Y
-    assert evaluate(p, {"x": Fraction(2), "y": Fraction(3)}) == 7
+    point = {"x": MultiPoly.constant(2, p.vars), "y": MultiPoly.constant(3, p.vars)}
+    assert substitute(p, point).constant_value() == 7
 
 
 def test_jacobian_and_hessian():
@@ -290,7 +292,7 @@ def substitutions(draw):
 
     p may be zero or constant; targets have two or three variables; a
     variable of p is left out of `images` only when the target ring has
-    it; an image may be a constant, as `evaluate` passes them.
+    it; an image may be a constant, as a point evaluation passes them.
     """
     field = draw(st.sampled_from(SUB_FIELDS))
     source = draw(st.sampled_from((("x", "y"), ("x", "y", "z"))))
@@ -323,7 +325,7 @@ def test_evaluate_matches_term_by_term(case):
     p, values = case
     point = dict(zip(p.vars, values))
     images = {v: MultiPoly.constant(c, p.vars, p.field) for v, c in point.items()}
-    assert evaluate(p, point) == _term_by_term(p, images).constant_value()
+    assert substitute(p, images).constant_value() == _term_by_term(p, images).constant_value()
 
 
 @pytest.mark.parametrize("field", SUB_FIELDS)
@@ -519,7 +521,7 @@ def _pseudo_rem(a, b, name):
 
 def _content_primitive(p, name):
     """Content (gcd of coefficients) and primitive part of p in the named variable."""
-    coeffs = list(polyring._as_univariate(p, name).values())
+    coeffs = list(oracles._as_univariate(p, name).values())
     cont = coeffs[0]
     for c in coeffs[1:]:
         cont = _prs_gcd_poly(cont, c)

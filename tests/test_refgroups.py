@@ -71,17 +71,17 @@ EXCEPTIONAL_FINGERPRINTS = {
 def test_matrix_arithmetic():
     i = Matrix2.identity(4)
     d = Matrix2.diagonal(zeta(4), zeta(4).inverse())
-    assert d * d.inverse() == i
-    assert (d ** 4).is_identity()
-    assert not (d ** 2).is_identity()
+    assert d ** 4 == i
+    assert d ** 2 != i
     assert d.det() == zeta(4).one(4)
-    assert d.trace() == zeta(4) + zeta(4).inverse()
     g = exceptional_group(16).generators[0]
     assert g ** 0 == Matrix2.identity(60)
     product = Matrix2.identity(60)
     for e in range(1, 8):
         product = product * g
-        assert g ** e == product and g ** -e == product.inverse()
+        assert g ** e == product
+    with pytest.raises(ValueError):
+        g ** -1
 
 
 def test_cyclic_and_product_records():
@@ -192,46 +192,24 @@ def test_generators_off_the_base_group_are_rejected():
             enumerate_group(replace(rec, generators=gens))
 
 
-def test_element_order_rejects_matrices_outside_the_group():
-    els = enumerate_group(exceptional_group(4))
-    one, zero = zeta(24).one(24), zeta(24).zero(24)
-    # finite order 12, but not in G_4
-    outside = Matrix2.diagonal(zeta(12), zeta(12).one(12))
-    assert (outside ** 12).is_identity()
-    # infinite order
-    shear = Matrix2(one, one, zero, one)
-    for m in (outside, shear):
-        with pytest.raises(ValueError, match="G_4"):
-            els.element_order(m)
-    assert els.element_order(Matrix2(-one, zero, zero, -one)) == 2
-    # zeta_24 times an element of the base group <S1, T1>, but not in G_4
-    with pytest.raises(ValueError, match="G_4"):
-        els.element_order(Matrix2.diagonal(zeta(24), zeta(24)))
-    # Q(zeta_3) has the six roots of unity -zeta_3^(2j); G(3,1,2) holds
-    # the scalars zeta_3^k but not -1
-    els = enumerate_group(imprimitive_group(3, 1))
-    w = zeta(3)
-    assert els.element_order(Matrix2.diagonal(w, w)) == 3
-    with pytest.raises(ValueError, match="G[(]3,1,2[)]"):
-        els.element_order(Matrix2.diagonal(-w.one(3), -w.one(3)))
-
-
 @pytest.mark.parametrize("spec", ["G4", "G5", "G8", "G12", "G(6,2,2)",
-                                  "G(8,4,2)", "G(3,1,2)", "Z2xZ3", "G(2,2,2)"])
+                                  "G(8,4,2)", "G(3,1,2)", "Z2xZ3", "G(2,2,2)",
+                                  "Z_1", "Z_1xZ_1"])
 def test_fingerprint_matches_per_element_oracles(spec):
     els = enumerate_group(parse_group_spec(spec))
     elements = list(els)
+    one = elements[0]
+    assert one == Matrix2.identity(one.conductor)
     histogram = {}
     for g in elements:
-        k = next(k for k in range(1, len(elements) + 1) if (g ** k).is_identity())
+        k = next(k for k in range(1, len(elements) + 1) if g ** k == one)
         histogram[k] = histogram.get(k, 0) + 1
-        assert els.element_order(g) == k
     center = sum(1 for m in elements
                  if all(m * g == g * m for g in elements))
     fp = fingerprint(els)
     assert fp["order_histogram"] == histogram
     assert fp["center_order"] == center
-    if spec in ("Z2xZ3", "G(2,2,2)"):
+    if spec in ("Z2xZ3", "G(2,2,2)", "Z_1", "Z_1xZ_1"):
         # abelian and reducible: the whole group is central
         assert center == len(elements)
 
@@ -243,15 +221,18 @@ def test_conjugate_imprimitive_groups_share_fingerprints():
 
 
 def test_involution_counts():
+    def involutions(record):
+        els = list(enumerate_group(record))
+        one = Matrix2.identity(els[0].conductor)
+        return sum(1 for g in els if g * g == one != g)
+
     # m even, p odd: m + 3 involutions
     for m, p in ((2, 1), (4, 1), (6, 1), (6, 3), (8, 1)):
-        els = enumerate_group(imprimitive_group(m, p))
-        count = sum(1 for g in els if els.element_order(g) == 2)
+        count = involutions(imprimitive_group(m, p))
         assert count == m + 3, (m, p)
     # G(2m, 4p, 2): 2m + 3 when 4 | m, else 2m + 1
     for m, p in ((2, 1), (4, 1), (6, 1), (8, 1), (8, 2)):
-        els = enumerate_group(imprimitive_group(2 * m, 4 * p))
-        count = sum(1 for g in els if els.element_order(g) == 2)
+        count = involutions(imprimitive_group(2 * m, 4 * p))
         want = 2 * m + 3 if m % 4 == 0 else 2 * m + 1
         assert count == want, (m, p)
 
@@ -402,8 +383,9 @@ def test_claimed_branch_frozen():
         X * (Y ** 2 - X ** 2 * 4)
     assert claimed_branch(exceptional_group(4)) == \
         parse_poly("x^3 + (-24*zeta(6) + 12)*y^2")
-    with pytest.raises(ValueError):
-        claimed_branch(cyclic_group(1))
+    # the trivial quotient is the identity map, branched nowhere
+    assert claimed_branch(cyclic_group(1)) == MultiPoly.constant(1, ("x", "y"))
+    assert claimed_branch(product_group(1, 1)) == MultiPoly.constant(1, ("x", "y"))
 
 
 def test_verify_table4_divisibility_rows():
@@ -436,7 +418,7 @@ def test_table4_cheap_tiers_build_no_basis(monkeypatch):
 
 
 def test_verify_table4_full_rows():
-    for spec in ("Z_3", "G(3,3,2)", "G4"):
+    for spec in ("Z_3", "G(3,3,2)", "G4", "Z_1", "Z_1xZ_1"):
         report = verify_table4_row(parse_group_spec(spec), tier="full")
         assert report["ok"] and report["tiers"]["elimination"] == "pass", spec
 
