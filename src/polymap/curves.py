@@ -5,31 +5,19 @@ algebra, dim C{x,y}/(F_x, F_y), which for two generators is the
 intersection multiplicity of F_x = 0 and F_y = 0 there; Fulton's
 algorithm computes it from the two curves alone, with no standard
 basis.  Summed over all singular points of the reduced critical curve
-it is one global quotient dimension, and together with properness it
-separates maps whose critical curves have different singularities.
+it is one global quotient dimension per map; equivalent maps have
+equal totals, so different totals prove two proper maps inequivalent.
+Every answer is a plain value: an int, math.inf or a class name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .groebner import buchberger, quotient_dimension
 from .maps import PolyMap, critical_ideal, is_proper
 from .polyring import (MultiPoly, derivative, gcd_poly, primitive_normalize,
                        squarefree_part)
-
-
-@dataclass(frozen=True)
-class MilnorResult:
-    value: object  # int, or math.inf for a non-isolated singularity
-    isolated: bool
-
-    def __int__(self):
-        if not self.isolated:
-            raise ValueError("non-isolated singularity has no finite Milnor number")
-        return self.value
 
 
 def _intersection_multiplicity(F: MultiPoly, G: MultiPoly):
@@ -66,17 +54,16 @@ def _intersection_multiplicity(F: MultiPoly, G: MultiPoly):
     return total
 
 
-def milnor_at_origin(F: MultiPoly) -> MilnorResult:
-    """Milnor number of the curve F = 0 at the origin.
+def milnor_at_origin(F: MultiPoly):
+    """Milnor number of the curve F = 0 at the origin: an int, or
+    math.inf at a non-isolated critical point.
 
     dim C{x,y}/(F_x, F_y) is the intersection multiplicity of the two
-    partials at the origin.  A smooth point gives 0; a non-isolated
-    critical point comes back with value inf and isolated=False.
+    partials at the origin, so a smooth point gives 0.
     """
     if (0,) * len(F.vars) in F.terms:
         raise ValueError("curve does not pass through the origin")
-    mu = _intersection_multiplicity(*(derivative(F, v) for v in F.vars))
-    return MilnorResult(mu, mu != math.inf)
+    return _intersection_multiplicity(*(derivative(F, v) for v in F.vars))
 
 
 LINE = "line"
@@ -87,7 +74,7 @@ NOT_APPLICABLE = "not-applicable"
 
 
 def classify_low_degree_curve(F: MultiPoly) -> str:
-    """Classify a degree <= 2 plane curve up to biholomorphism.
+    """Classify a degree <= 2 curve in (x, y) up to biholomorphism.
 
     Smooth conics are separated by how many points their projective
     closure puts on the line at infinity: one (the curve is a copy of
@@ -100,45 +87,15 @@ def classify_low_degree_curve(F: MultiPoly) -> str:
         return NOT_APPLICABLE
     if deg == 1:
         return LINE
-    xi = F.vars.index("x")
-    yi = F.vars.index("y")
-
-    def pick(ex, ey):
-        e = [0] * len(F.vars)
-        e[xi], e[yi] = ex, ey
-        return F.coeff(tuple(e))
-
-    half = Fraction(1, 2)
-    a, b, c = pick(2, 0), pick(1, 1), pick(0, 2)
-    d, e, f = pick(1, 0), pick(0, 1), pick(0, 0)
-    m = [[a, b * half, d * half],
-         [b * half, c, e * half],
-         [d * half, e * half, f]]
-    det = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-           - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-           + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+    a, b, c, d, e, f = (F.coeff(ij) for ij in
+                        ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
+    # twice the conic's symmetric matrix [[2a, b, d], [b, 2c, e], [d, e, 2f]]
+    det = (2 * a * (4 * c * f - e * e) - b * (2 * b * f - d * e)
+           + d * (b * e - 2 * c * d))
     if not det:
         return DEGENERATE_CONIC
     disc = b * b - 4 * a * c
     return CONIC_TWO_POINTS if disc else CONIC_ONE_POINT
-
-
-class PreconditionError(ValueError):
-    """A distinguishing argument was asked for outside its hypotheses."""
-
-
-@dataclass(frozen=True)
-class NonEquivalenceCertificate:
-    """Witness that two maps cannot be equivalent.
-
-    Equivalent maps have critical curves that match under a polynomial
-    change of coordinates, so the sums of the Milnor numbers over the
-    singular points of those curves must agree.
-    """
-
-    milnor_first: int
-    milnor_second: int
-    reason: str = "critical curves have different total Milnor numbers"
 
 
 def _total_milnor(F: MultiPoly, budget=None) -> int:
@@ -153,21 +110,21 @@ def _total_milnor(F: MultiPoly, budget=None) -> int:
         buchberger([g for g in gens if g.terms], budget=budget))
 
 
-def distinguish_by_milnor(f: PolyMap, g: PolyMap, budget=None):
-    """Certificate of non-equivalence from critical-curve Milnor numbers.
+def distinguish_by_milnor(*maps: PolyMap, budget=None) -> list:
+    """Total Milnor number of each map's reduced critical curve, in
+    input order.
 
-    Both maps must be proper with a critical curve.  Each curve is
-    reduced and scored by its total Milnor number; equal totals prove
-    nothing and come back as None.
+    Equivalent maps have critical curves that match under a polynomial
+    change of coordinates, so different totals prove two maps
+    inequivalent; equal totals prove nothing.  Every map must be proper
+    with a critical curve, or a ValueError names its position.
     """
-    values = []
-    for label, h in (("first", f), ("second", g)):
+    totals = []
+    for k, h in enumerate(maps, 1):
         if not is_proper(h, budget):
-            raise PreconditionError(f"{label} map is not proper")
+            raise ValueError(f"map {k} is not proper")
         J = critical_ideal(h)
         if J.is_constant():
-            raise PreconditionError(f"{label} map has no critical curve")
-        values.append(_total_milnor(squarefree_part(J), budget))
-    if values[0] == values[1]:
-        return None
-    return NonEquivalenceCertificate(values[0], values[1])
+            raise ValueError(f"map {k} has no critical curve")
+        totals.append(_total_milnor(squarefree_part(J), budget))
+    return totals

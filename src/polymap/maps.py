@@ -35,15 +35,14 @@ TARGET_VARS = ("s", "t")
 class PolyMap:
     """A polynomial map (x, y) -> (f1(x, y), f2(x, y))."""
 
-    __slots__ = ("f1", "f2", "name")
+    __slots__ = ("f1", "f2")
 
-    def __init__(self, f1: MultiPoly, f2: MultiPoly, name: str = ""):
+    def __init__(self, f1: MultiPoly, f2: MultiPoly):
         if f1.vars != SOURCE_VARS or f2.vars != SOURCE_VARS:
             raise RingMismatch("map components must live in the (x, y) plane")
         field = common_field(f1.field, f2.field)
         object.__setattr__(self, "f1", f1.in_field(field))
         object.__setattr__(self, "f2", f2.in_field(field))
-        object.__setattr__(self, "name", name)
 
     def __setattr__(self, *a):
         raise AttributeError("PolyMap is immutable")
@@ -65,8 +64,7 @@ class PolyMap:
 
     def __repr__(self):
         from .parser import format_map
-        label = f" {self.name}" if self.name else ""
-        return f"PolyMap{label}({format_map(self.f1, self.f2)})"
+        return f"PolyMap({format_map(self.f1, self.f2)})"
 
 
 class PlaneAutomorphism:
@@ -172,30 +170,30 @@ def make_family(name: str, **params) -> PolyMap:
     x = MultiPoly.variable("x", SOURCE_VARS)
     y = MultiPoly.variable("y", SOURCE_VARS)
     if name == "whitney":
-        return PolyMap(x, y**3 + x * y, name="whitney")
+        return PolyMap(x, y**3 + x * y)
     if name == "power":
         if d < 1:
             raise ValueError("power family needs d >= 1")
-        return PolyMap(x, y**d, name=f"power(d={d})")
+        return PolyMap(x, y**d)
     if name == "product":
         if m < 1 or n < 1:
             raise ValueError("product family needs m, n >= 1")
-        return PolyMap(x**m, y**n, name=f"product(m={m},n={n})")
+        return PolyMap(x**m, y**n)
     if name == "pinch":
         if d < 2:
             raise ValueError("pinch family needs d >= 2")
-        return PolyMap(x + y + x * y, x**(d - 1) * y, name=f"pinch(d={d})")
+        return PolyMap(x + y + x * y, x**(d - 1) * y)
     if name == "shifted_power":
         if d < 3 or n < 1:
             raise ValueError("shifted_power family needs d >= 3, n >= 1")
-        return PolyMap(x, y**d - d * x**n * y, name=f"shifted_power(d={d},n={n})")
+        return PolyMap(x, y**d - d * x**n * y)
     if name == "semi_separate":
         if not is_monic_in_y(q):
             raise ValueError("semi_separate family needs q monic in y")
-        return PolyMap(x.in_field(q.field), q, name="semi_separate")
+        return PolyMap(x.in_field(q.field), q)
     if p.uses_variable("y") or q.uses_variable("x"):
         raise ValueError("separate components must be univariate in x and y")
-    return PolyMap(p, q, name="separate")
+    return PolyMap(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,8 @@ def power_by_squaring(base, exponent: int):
     The result starts as base^(2^k) for the lowest set bit k of the
     exponent, so no product is by one: exponent e costs floor(log2 e)
     squarings and one product per further set bit."""
+    if exponent < 1:
+        raise ValueError(f"exponent must be at least 1, got {exponent}")
     while not exponent & 1:
         base = base * base
         exponent >>= 1

@@ -732,7 +732,7 @@ def basic_invariants(record: GroupRecord):
 
 def quotient_map(record: GroupRecord) -> PolyMap:
     """The orbit map of a catalog group: both basic invariants at once."""
-    return PolyMap(*basic_invariants(record), name=f"quotient({record.label})")
+    return PolyMap(*basic_invariants(record))
 
 
 # claimed branch curves in target-plane coordinates (x, y); three of the

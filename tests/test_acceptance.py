@@ -113,17 +113,12 @@ def test_acceptance_04_milnor_and_certificates():
     ok = True
     for d in range(2, 6):
         for n in range(2, 6):
-            res = milnor_at_origin(Y ** d - X ** n)
-            ok = ok and res.isolated and res.value == (d - 1) * (n - 1)
+            ok = ok and milnor_at_origin(Y ** d - X ** n) == (d - 1) * (n - 1)
     for d in (3, 4, 5):
-        for n in range(2, 5):
-            for m in range(n + 1, 5):
-                f = make_family("shifted_power", d=d, n=n)
-                g = make_family("shifted_power", d=d, n=m)
-                cert = distinguish_by_milnor(f, g)
-                ok = ok and cert is not None
-                ok = ok and cert.milnor_first == (d - 2) * (n - 1)
-                ok = ok and cert.milnor_second == (d - 2) * (m - 1)
+        # one total per map: n = 2, 3, 4 give pairwise different totals
+        maps = [make_family("shifted_power", d=d, n=n) for n in range(2, 5)]
+        ok = ok and distinguish_by_milnor(*maps) == [(d - 2) * (n - 1)
+                                                     for n in range(2, 5)]
     _report(4, "milnor-certificates", ok)
 
 

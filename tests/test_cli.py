@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from polymap import cli
+from polymap import cli, curves, groebner, maps
 from polymap.cli import main
 from polymap.polyring import MultiPoly
 
@@ -333,6 +333,32 @@ def test_verify_theorem_b(capsys):
     mus = {c["details"]["milnor_first"] for c in doc["checks"]
            if c["name"].startswith("distinguish")}
     assert mus <= {1, 2, 3}
+
+
+def test_verify_theorem_b_builds_each_maps_bases_once(capsys, monkeypatch):
+    # a graph basis and a total-Milnor basis for each of the maps
+    # n = 2..6; comparing their ten pairs builds nothing more
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return groebner.buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(maps, "buchberger", counted)
+    monkeypatch.setattr(curves, "buchberger", counted)
+    code, _, _ = run(capsys, "--json", "verify-theorem-b",
+                     "--d", "3", "--n-max", "6")
+    assert code == 0 and len(calls) == 10
+
+
+def test_verify_theorem_b_reports_both_totals_of_a_failing_pair(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "distinguish_by_milnor",
+                        lambda *maps, budget=None: [1] * len(maps))
+    code, out, _ = run(capsys, "--json", "verify-theorem-b", "--n-max", "3")
+    assert code == 1
+    assert json.loads(out)["checks"][-1] == {
+        "name": "distinguish(d=3,n=2,m=3)", "status": "fail",
+        "details": {"milnor_first": 1, "milnor_second": 1}}
 
 
 def test_verify_table4_divisibility(capsys):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from polymap.curves import (CONIC_ONE_POINT, CONIC_TWO_POINTS,
                             DEGENERATE_CONIC, LINE, NOT_APPLICABLE,
-                            NonEquivalenceCertificate, PreconditionError,
                             _intersection_multiplicity, _total_milnor,
                             classify_low_degree_curve, distinguish_by_milnor,
                             milnor_at_origin)
@@ -28,32 +27,26 @@ def test_milnor_grid_frozen():
     # mu(y^d - x^n) = (d-1)(n-1)
     for d in range(2, 6):
         for n in range(2, 6):
-            res = milnor_at_origin(Y ** d - X ** n)
-            assert res.isolated and res.value == (d - 1) * (n - 1)
-            assert int(res) == (d - 1) * (n - 1)
+            assert milnor_at_origin(Y ** d - X ** n) == (d - 1) * (n - 1)
 
 
 def test_milnor_smooth_point():
-    res = milnor_at_origin(Y - X ** 2)
-    assert res.value == 0 and res.isolated
+    assert milnor_at_origin(Y - X ** 2) == 0
     # the partials of x are the unit 1 and 0
-    assert milnor_at_origin(X) == res
+    assert milnor_at_origin(X) == 0
 
 
 def test_milnor_node_and_cusp():
-    assert milnor_at_origin(Y ** 2 - X ** 2 - X ** 3).value == 1
-    assert milnor_at_origin(Y ** 2 - X ** 3).value == 2
-    assert milnor_at_origin(parse_poly("y^2 - zeta(3)*x^3")).value == 2
+    assert milnor_at_origin(Y ** 2 - X ** 2 - X ** 3) == 1
+    assert milnor_at_origin(Y ** 2 - X ** 3) == 2
+    assert milnor_at_origin(parse_poly("y^2 - zeta(3)*x^3")) == 2
     # tangential unit factors do not change the local count
-    assert milnor_at_origin((Y ** 2 - X ** 3) * (X + 1)).value == 2
+    assert milnor_at_origin((Y ** 2 - X ** 3) * (X + 1)) == 2
 
 
 def test_milnor_non_isolated():
     # the partials 0 and 2y share the line y = 0
-    res = milnor_at_origin(Y ** 2)
-    assert not res.isolated and res.value == math.inf
-    with pytest.raises(ValueError):
-        int(res)
+    assert milnor_at_origin(Y ** 2) == math.inf
 
 
 def test_milnor_requires_vanishing():
@@ -99,7 +92,7 @@ def test_milnor_with_a_unit_partial_is_immediate():
     # dF/dy has constant term 5/2, a unit at the origin, so Fulton's loop
     # stops before its first step
     started = time.monotonic()
-    assert milnor_at_origin(parse_poly(SMOOTH_ORIGIN)).value == 0
+    assert milnor_at_origin(parse_poly(SMOOTH_ORIGIN)) == 0
     assert time.monotonic() - started < 0.1
 
 
@@ -134,7 +127,7 @@ def test_milnor_matches_truncation(terms):
     # two curves of degree <= d - 1 with no common component through the
     # origin meet there at most (d - 1)^2 times, so a finite mu is below n
     n = (F.total_degree() - 1) ** 2 + 1
-    mu = milnor_at_origin(F).value
+    mu = milnor_at_origin(F)
     truncated = truncated_dimension(gens, n)
     if mu == math.inf:
         assert truncated_dimension(gens, n + 1) > truncated
@@ -152,7 +145,7 @@ def test_milnor_frozen_curves(curve, mu, stable):
     # the first two took Mora's tangent-cone algorithm past 5 s; the
     # last two took a homogenized local standard basis 350 s and 7.2 s
     F = parse_poly(curve)
-    assert milnor_at_origin(F).value == mu
+    assert milnor_at_origin(F) == mu
     gens = jacobian(F)
     assert truncated_dimension(gens, stable) == mu
     assert truncated_dimension(gens, stable + 1) == mu
@@ -170,8 +163,8 @@ def test_total_milnor_sums_local_milnor_numbers(curve, points, total):
     # the same move as `milnor --at a,b`: the point (a, b) goes to the origin
     local = [milnor_at_origin(substitute(curve, {"x": X + a, "y": Y + b}))
              for a, b in points]
-    assert all(m.isolated and m.value > 0 for m in local)
-    assert _total_milnor(curve) == sum(m.value for m in local) == total
+    assert all(0 < m < math.inf for m in local)
+    assert _total_milnor(curve) == sum(local) == total
 
 
 def test_classify_conics_frozen():
@@ -202,11 +195,12 @@ def test_theorem_a_cofactors_classify():
 def test_distinguish_by_milnor_certificates():
     f = make_family("shifted_power", d=3, n=2)
     g = make_family("shifted_power", d=3, n=3)
-    cert = distinguish_by_milnor(f, g)
-    assert isinstance(cert, NonEquivalenceCertificate)
-    assert (cert.milnor_first, cert.milnor_second) == (1, 2)
-    # equal invariants: no certificate
-    assert distinguish_by_milnor(f, f) is None
+    assert distinguish_by_milnor(f, g) == [1, 2]
+    # equal totals prove nothing, but they are still reported
+    assert distinguish_by_milnor(f, f) == [1, 1]
+    # one total per map, in input order, for any number of maps
+    h = make_family("shifted_power", d=3, n=4)
+    assert distinguish_by_milnor(h, f, g) == [3, 1, 2]
 
 
 def test_distinguish_grid():
@@ -215,28 +209,36 @@ def test_distinguish_grid():
             for m in range(n + 1, 5):
                 f = make_family("shifted_power", d=d, n=n)
                 g = make_family("shifted_power", d=d, n=m)
-                cert = distinguish_by_milnor(f, g)
-                assert cert.milnor_first == (d - 2) * (n - 1)
-                assert cert.milnor_second == (d - 2) * (m - 1)
+                assert distinguish_by_milnor(f, g) == [(d - 2) * (n - 1),
+                                                       (d - 2) * (m - 1)]
 
 
 def test_distinguish_preconditions():
     improper = PolyMap(*parse_map("(x + x^2*y, y)"))
     whitney = make_family("whitney")
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValueError, match="^map 1 is not proper$"):
         distinguish_by_milnor(improper, whitney)
     # the critical curve 3y^2 reduces to the smooth line y = 0, and
     # whitney's parabola is smooth too: 0 against 0 proves nothing
     pure = PolyMap(*parse_map("(x, y^3)"))
-    assert distinguish_by_milnor(pure, whitney) is None
+    assert distinguish_by_milnor(pure, whitney) == [0, 0]
+
+
+def test_distinguish_names_the_map_that_fails_a_precondition():
+    whitney = make_family("whitney")
+    improper = PolyMap(*parse_map("(x + x^2*y, y)"))
+    with pytest.raises(ValueError, match="^map 2 is not proper$"):
+        distinguish_by_milnor(whitney, improper, whitney)
+    # an automorphism is proper with a constant Jacobian
+    shear = PolyMap(*parse_map("(x, y + x^2)"))
+    with pytest.raises(ValueError, match="^map 2 has no critical curve$"):
+        distinguish_by_milnor(whitney, shear, whitney)
 
 
 def test_distinguish_far_singularities():
     # f's critical curve y^3 = x^2 (x - 1)^2 has cusps at (0, 0) and (1, 0)
     f = PolyMap(X, Y ** 4 - (X - 1) ** 2 * X ** 2 * Y * 4)
-    cert = distinguish_by_milnor(f, make_family("shifted_power", d=4, n=2))
-    assert (cert.milnor_first, cert.milnor_second) == (4, 2)
-    assert cert.reason == "critical curves have different total Milnor numbers"
+    assert distinguish_by_milnor(f, make_family("shifted_power", d=4, n=2)) == [4, 2]
 
 
 def random_automorphism(rng, shear_degree=2):
@@ -259,15 +261,13 @@ def test_distinguish_is_invariant_under_automorphisms(d, n, seed):
     f = compose(base, pre=random_automorphism(rng),
                 post=random_automorphism(rng))
     g = make_family("shifted_power", d=d, n=n + 1)
-    cert = distinguish_by_milnor(f, g)
-    assert cert.milnor_first == (d - 2) * (n - 1)
-    assert cert.milnor_second == (d - 2) * n
+    assert distinguish_by_milnor(f, g) == [(d - 2) * (n - 1), (d - 2) * n]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 5), st.integers(2, 5))
 def test_milnor_formula_random(d, n):
-    assert milnor_at_origin(Y ** d - X ** n).value == (d - 1) * (n - 1)
+    assert milnor_at_origin(Y ** d - X ** n) == (d - 1) * (n - 1)
 
 
 @settings(max_examples=20, deadline=None)
@@ -277,4 +277,4 @@ def test_milnor_invariant_under_linear_change(a, b, c):
     from polymap.polyring import substitute
     F = Y ** 2 - X ** 3
     G = substitute(F, {"x": X + Y * c, "y": Y * 1})
-    assert milnor_at_origin(G).value == 2
+    assert milnor_at_origin(G) == 2

@@ -104,6 +104,13 @@ def test_power_by_squaring_takes_no_product_by_one():
         assert _Counted.products == e.bit_length() - 1 + bin(e).count("1") - 1, e
 
 
+@pytest.mark.parametrize("exponent", [0, -1])
+def test_power_by_squaring_rejects_exponents_below_one(exponent):
+    # the callers answer exponent 0 themselves; the loop would never end
+    with pytest.raises(ValueError):
+        power_by_squaring(3, exponent)
+
+
 def test_embed_requires_divisibility():
     a = zeta(8)
     with pytest.raises(ValueError):
