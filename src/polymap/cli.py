@@ -6,6 +6,12 @@ computation runs out of budget reports one skipped-budget check with
 the limit hit and the engine's counters, and exits 0.  The JSON rendering is
 deterministic (no timing, stable ordering) so golden tests can compare
 bytes; the human rendering appends elapsed time.
+
+argparse reads every map, polynomial, group spec, point and budget with
+its reader, so handlers compute on the objects they are handed.  An
+argument that cannot be read is a usage error (exit 2, with the reader's
+message); exit 1 is left for a command that rejects what it read, or a
+check that fails.
 """
 
 from __future__ import annotations
@@ -79,16 +85,14 @@ def _render_map(f: PolyMap) -> str:
     return format_map(f.f1, f.f2)
 
 
-def _target_poly_text(p: MultiPoly) -> str:
-    # branch output lives on the target plane; print it in x, y
-    if p.vars == ("s", "t"):
-        p = p.rename(("x", "y"))
-    return format_poly(p)
-
-
-def _read_map(text: str) -> PolyMap:
-    f1, f2 = parse_map(text)
-    return PolyMap(f1, f2)
+def _argument(read):
+    """An argparse type from a reader: its ValueError is a usage error."""
+    def convert(text):
+        try:
+            return read(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
 def _pair_budget(text: str) -> ComputationBudget:
@@ -98,8 +102,7 @@ def _pair_budget(text: str) -> ComputationBudget:
     except ValueError:
         limit = -1
     if limit < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}")
+        raise ValueError(f"must be a non-negative integer, got {text!r}")
     return ComputationBudget(max_pair_reductions=limit)
 
 
@@ -108,8 +111,7 @@ def _point(text: str) -> tuple:
     try:
         a, b = (Fraction(p.strip()) for p in text.split(","))
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(
-            f"expects two comma-separated rationals, got {text!r}") from None
+        raise ValueError(f"expects two comma-separated rationals, got {text!r}") from None
     return a, b
 
 
@@ -117,35 +119,32 @@ def _point(text: str) -> tuple:
 # subcommand handlers; each returns [Check]
 
 def _cmd_proper(args):
-    f = _read_map(args.map)
-    ok = is_proper(f, args.budget)
+    ok = is_proper(args.map, args.budget)
     return [Check("proper", PASS,
-                  {"map": _render_map(f),
+                  {"map": _render_map(args.map),
                    "result": "proper" if ok else "not proper"})]
 
 
 def _cmd_degree(args):
-    f = _read_map(args.map)
-    d = topological_degree(f, args.budget)
+    d = topological_degree(args.map, args.budget)
     return [Check("degree", PASS,
-                  {"map": _render_map(f), "degree": d})]
+                  {"map": _render_map(args.map), "degree": d})]
 
 
 def _cmd_branch(args):
-    f = _read_map(args.map)
-    if args.claimed is None:
+    f, claim = args.map, args.claimed
+    if claim is None:
         gens = branch_ideal(f, args.budget)
         return [Check("branch", PASS,
                       {"map": _render_map(f),
-                       "generators": [_target_poly_text(g) for g in gens]})]
-    claim = parse_poly(args.claimed)
+                       "generators": [format_poly(g) for g in gens]})]
     tiers = verify_branch(f, claim, run_elimination=True, budget=args.budget)
     return [Check("branch-claim", branch_status(tiers),
                   {"map": _render_map(f), "claimed": format_poly(claim), **tiers})]
 
 
 def _cmd_milnor(args):
-    F = parse_poly(args.poly)
+    F = args.poly
     if args.at is not None:
         a, b = args.at
         x = MultiPoly.variable("x", F.vars, F.field)
@@ -161,8 +160,8 @@ def _cmd_milnor(args):
 
 
 def _cmd_distinguish(args):
-    first, second = distinguish_by_milnor(
-        _read_map(args.first), _read_map(args.second), budget=args.budget)
+    first, second = distinguish_by_milnor(args.first, args.second,
+                                          budget=args.budget)
     if first == second:
         details = {"certificate": None, "result": "inconclusive"}
     else:
@@ -175,9 +174,6 @@ def _cmd_distinguish(args):
 def _cmd_family(args):
     # make_family reports a parameter left at None as missing
     params = {key: getattr(args, key) for key in ("d", "n", "m", "p", "q")}
-    for key in ("p", "q"):
-        if params[key] is not None:
-            params[key] = parse_poly(params[key])
     f = make_family(args.name, **params)
     details = {"map": _render_map(f),
                "jacobian": format_poly(critical_ideal(f)),
@@ -186,7 +182,7 @@ def _cmd_family(args):
 
 
 def _cmd_group(args):
-    record = parse_group_spec(args.spec)
+    record = args.spec
     checks = []
     base = {"group": record.label, "order": record.expected_order,
             "degrees": list(record.degrees), "conductor": record.conductor}
@@ -341,38 +337,41 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = top.add_subparsers(dest="command", metavar="command")
 
+    plane_map = _argument(lambda text: PolyMap(*parse_map(text)))
+    poly = _argument(parse_poly)
+
     def common(p, budget=True):
         # accepted after the subcommand too; SUPPRESS keeps a pre-subcommand
         # --json from being clobbered by the subparser default
         p.add_argument("--json", action="store_true",
                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         if budget:
-            p.add_argument("--budget", type=_pair_budget, default=None,
+            p.add_argument("--budget", type=_argument(_pair_budget), default=None,
                            help="bound on Groebner pair reductions")
 
     p = sub.add_parser("proper", help="decide properness of a map")
-    p.add_argument("map")
+    p.add_argument("map", type=plane_map)
     common(p)
     p.set_defaults(handler=_cmd_proper)
 
     p = sub.add_parser("degree", help="topological degree of a proper map")
-    p.add_argument("map")
+    p.add_argument("map", type=plane_map)
     p.add_argument("--seed", type=int, default=0,
                    help="accepted and ignored: the degree is exact")
     common(p)
     p.set_defaults(handler=_cmd_degree)
 
     p = sub.add_parser("branch", help="branch locus generators of a map")
-    p.add_argument("map")
-    p.add_argument("--claimed", default=None,
+    p.add_argument("map", type=plane_map)
+    p.add_argument("--claimed", type=poly, default=None,
                    help="verify this claimed branch curve instead; attach a "
                         "curve that starts with '-' as --claimed=-x+y")
     common(p)
     p.set_defaults(handler=_cmd_branch)
 
     p = sub.add_parser("milnor", help="Milnor number of a curve at a point")
-    p.add_argument("poly")
-    p.add_argument("--at", type=_point, default=None, metavar="a,b",
+    p.add_argument("poly", type=poly)
+    p.add_argument("--at", type=_argument(_point), default=None, metavar="a,b",
                    help="evaluate at (a, b) instead of the origin; attach a "
                         "point that starts with '-' as --at=-1,2")
     common(p, budget=False)
@@ -380,8 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distinguish",
                        help="non-equivalence certificate from Milnor numbers")
-    p.add_argument("first")
-    p.add_argument("second")
+    p.add_argument("first", type=plane_map)
+    p.add_argument("second", type=plane_map)
     common(p)
     p.set_defaults(handler=_cmd_distinguish)
 
@@ -390,13 +389,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
-    p.add_argument("--p", default=None, help="polynomial parameter")
-    p.add_argument("--q", default=None, help="polynomial parameter")
+    p.add_argument("--p", type=poly, default=None, help="polynomial parameter")
+    p.add_argument("--q", type=poly, default=None, help="polynomial parameter")
     common(p)
     p.set_defaults(handler=_cmd_family)
 
     p = sub.add_parser("group", help="inspect a reflection-group catalog entry")
-    p.add_argument("spec", help="e.g. G4, G(6,2,2), Z_5, Z_2xZ_3")
+    p.add_argument("spec", type=_argument(parse_group_spec),
+                   help="e.g. G4, G(6,2,2), Z_5, Z_2xZ_3")
     p.add_argument("--fingerprint", action="store_true")
     p.add_argument("--invariants", action="store_true")
     p.add_argument("--quotient", action="store_true")
@@ -444,7 +444,7 @@ def main(argv=None) -> int:
     if env and "budget" in vars(args) and args.budget is None:
         try:
             args.budget = _pair_budget(env)
-        except argparse.ArgumentTypeError as exc:
+        except ValueError as exc:
             print(f"polymap: POLYMAP_BUDGET {exc}", file=sys.stderr)
             return 2
     started = time.time()

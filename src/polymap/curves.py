@@ -106,8 +106,7 @@ def _total_milnor(F: MultiPoly, budget=None) -> int:
     singular point with its Milnor number and nothing else.
     """
     gens = [derivative(F, v) for v in F.vars] + [F * F]
-    return quotient_dimension(
-        buchberger([g for g in gens if g.terms], budget=budget))
+    return quotient_dimension(buchberger(gens, budget=budget))
 
 
 def distinguish_by_milnor(*maps: PolyMap, budget=None) -> list:

@@ -652,9 +652,6 @@ def elimination_ideal(generators, eliminate, budget=None, hilbert=None) -> list:
     if not gens:
         raise ValueError("no nonzero generators")
     variables = gens[0].vars
-    for v in eliminate:
-        if v not in variables:
-            raise ValueError(f"unknown variable {v!r}")
     gb = buchberger(gens, block_order(variables, tuple(eliminate)), budget, hilbert)
     keep = tuple(v for v in variables if v not in eliminate)
     elim_idx = [variables.index(v) for v in eliminate]

@@ -5,7 +5,9 @@ target plane carries the variables (s, t) so graph ideals can mix both
 planes.  Properness and topological degree are both read from one
 basis of the graph ideal <s - f1, t - f2> under a block order with
 (x, y) first; the branch locus comes from eliminating the source
-variables from the graph ideal over the critical locus.
+variables from the graph ideal over the critical locus.  A curve on
+the target plane, a branch generator or a claim, is written in (x, y)
+like the catalog's claims and the command line's.
 
 Before any Groebner basis, a map sheds its target-side shears
 (`_target_reduced`): while the top form of one component is c times a
@@ -188,7 +190,7 @@ def make_family(name: str, **params) -> PolyMap:
             raise ValueError("shifted_power family needs d >= 3, n >= 1")
         return PolyMap(x, y**d - d * x**n * y)
     if name == "semi_separate":
-        if not is_monic_in_y(q):
+        if not _is_monic_in(q, "y"):
             raise ValueError("semi_separate family needs q monic in y")
         return PolyMap(x.in_field(q.field), q)
     if p.uses_variable("y") or q.uses_variable("x"):
@@ -296,11 +298,6 @@ def _is_monic_in(q: MultiPoly, var: str) -> bool:
     return len(lead) == 1 and not any(lead[0][:i] + lead[0][i + 1:])
 
 
-def is_monic_in_y(q: MultiPoly) -> bool:
-    """Whether q = y^d + (lower y-degree, coefficients in x) with unit lead."""
-    return _is_monic_in(q, "y")
-
-
 def topological_degree(f: PolyMap, budget=None) -> int:
     """Number of points, with multiplicity, in the fiber over a generic point.
 
@@ -325,7 +322,8 @@ def _nonzero_jacobian(f: PolyMap) -> MultiPoly:
 
 
 def _eliminated_branch(g: PolyMap, J: MultiPoly, budget) -> list:
-    """The branch ideal's reduced basis for g, whose Jacobian determinant is J.
+    """The branch ideal's reduced basis for g, whose Jacobian determinant is J,
+    in (x, y) read as coordinates on the target plane.
 
     For g1, g2 homogeneous of degrees d1, d2 the quotient is
     k[x, y]/(J) graded by (1, 1, d1, d2), the weights the engine
@@ -335,25 +333,26 @@ def _eliminated_branch(g: PolyMap, J: MultiPoly, budget) -> list:
     gens = [J.extended(SOURCE_VARS + TARGET_VARS), *_graph_generators(g)]
     top = J.total_degree()
     homogeneous = all(len({sum(e) for e in c.terms}) == 1 for c in g.components())
-    return elimination_ideal(gens, SOURCE_VARS, budget,
-                             (lambda D: min(D + 1, top)) if homogeneous else None)
+    return [q.rename(SOURCE_VARS) for q in elimination_ideal(
+        gens, SOURCE_VARS, budget, (lambda D: min(D + 1, top)) if homogeneous else None)]
 
 
 def branch_ideal(f: PolyMap, budget=None) -> list:
-    """Generators of the branch ideal in the target variables (s, t).
+    """Generators of the branch ideal, in (x, y) read as coordinates on
+    the target plane, as claims and `verify_branch` take them.
 
     Eliminates the source variables from <J_f, s - f1, t - f2>; each
     generator comes back content-normalized with a fixed sign.  The
     elimination runs for g = to . f, f with its target-side shears
     stripped: the branch ideal of f is that of g with `to` substituted
-    into each generator.  Several generators are reduced again in
-    k[s, t], under the same budget, so the answer is f's reduced basis.
+    into each generator.  Several generators are reduced again, under
+    the same budget, so the answer is f's reduced basis.
     """
     g, to, _ = _target_reduced(f)
     gens = _eliminated_branch(g, _nonzero_jacobian(g), budget)
     if to == _identity(g.field):
         return gens
-    images = dict(zip(TARGET_VARS, (c.rename(TARGET_VARS) for c in to)))
+    images = dict(zip(SOURCE_VARS, to))
     moved = [substitute(q, images) for q in gens]
     if len(moved) > 1:
         moved = interreduce(buchberger(moved, budget=budget)).basis

@@ -219,12 +219,6 @@ class CycloNumber:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             return NotImplemented

@@ -451,12 +451,6 @@ class MultiPoly:
                     del terms[exps]
         return MultiPoly(self.vars, terms, self.field, _clean=True)
 
-    def __rsub__(self, other):
-        other = self._coerce_operand(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __neg__(self):
         return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()},
                          self.field, _clean=True)

@@ -247,11 +247,16 @@ def exceptional_group(no: int) -> GroupRecord:
 
 
 def build_group(kind: str, *params) -> GroupRecord:
-    ctors = {"cyclic": cyclic_group, "product": product_group,
-             "imprimitive": imprimitive_group, "exceptional": exceptional_group}
+    ctors = {"cyclic": (cyclic_group, 1), "product": (product_group, 2),
+             "imprimitive": (imprimitive_group, 2),
+             "exceptional": (exceptional_group, 1)}
     if kind not in ctors:
         raise ValueError(f"unknown group kind {kind!r}")
-    return ctors[kind](*params)
+    ctor, arity = ctors[kind]
+    if len(params) != arity:
+        raise ValueError(f"{kind} group takes {arity} parameter{'s' * (arity > 1)}, "
+                         f"got {len(params)}")
+    return ctor(*params)
 
 
 _SPEC_FORMS = [

@@ -145,9 +145,64 @@ def test_computation_failure_exits_one(capsys):
     assert code == 1 and err.strip()
 
 
-def test_parse_failure_exits_one(capsys):
-    code, _, err = run(capsys, "proper", "(x + , y)")
-    assert code == 1 and "polymap:" in err
+def test_parse_failure_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["proper", "(x + , y)"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: polymap proper")
+    assert err.endswith("argument map: unexpected ',' (at position 5)\n")
+
+
+# every argument read by a reader, with an unreadable value and the
+# reader's message, position included
+UNREADABLE = [
+    (("proper", "(x +"), "map: unexpected end of input (at position 4)"),
+    (("degree", "(x, y^)"), "map: expected 'number', found ')' (at position 6)"),
+    (("branch", "(x, z)"), "map: unknown variable 'z' (at position 4)"),
+    (("branch", "(x, y^3 + x*y)", "--claimed", "x +"),
+     "--claimed: unexpected end of input (at position 3)"),
+    (("milnor", "y^2 - x^"), "poly: expected 'number', found '' (at position 8)"),
+    (("distinguish", "(x,", "(x, y)"), "first: unexpected end of input (at position 3)"),
+    (("distinguish", "(x, y)", "(x,"), "second: unexpected end of input (at position 3)"),
+    (("family", "separate", "--p", "x^", "--q", "y"),
+     "--p: expected 'number', found '' (at position 2)"),
+    (("family", "separate", "--p", "x", "--q", "y +"),
+     "--q: unexpected end of input (at position 3)"),
+    (("group", "H17"), "spec: could not read group spec 'H17'"),
+    (("group", "G23"), "spec: exceptional groups are numbered 4 through 22"),
+    (("group", "G(0,1,2)"), "spec: imprimitive group needs m, p >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNREADABLE,
+                         ids=[" ".join(argv) for argv, _ in UNREADABLE])
+def test_unreadable_argument_is_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("usage: polymap " + argv[0])
+    assert err.endswith(f"error: argument {message}\n")
+
+
+# readable input that a command rejects: exit 1 with the command's message
+REJECTED = [
+    (("family", "whitney", "--d", "7"), "whitney family takes no parameter d"),
+    (("verify-theorem-a", "--d", "2"), "verify-theorem-a needs d >= 3"),
+    (("verify-theorem-b", "--n-max", "0"), "verify-theorem-b needs --n-max >= 1"),
+    (("classes", "--degree", "1"), "the census starts at degree 2"),
+    (("milnor", "x^2+y^2", "--at=1,0"), "curve does not pass through (1, 0)"),
+    (("proper", "(x, x)"), "map is not dominant (algebraically dependent components)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED,
+                         ids=[" ".join(argv) for argv, _ in REJECTED])
+def test_rejected_input_exits_one(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err == f"polymap: {message}\n"
 
 
 def test_milnor_at_smooth_point_needs_no_pair(capsys, monkeypatch):

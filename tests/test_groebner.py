@@ -85,6 +85,13 @@ def test_elimination_agrees_with_resultant():
     assert is_scalar_multiple(out[0].extended(("x", "y")), r)
 
 
+def test_elimination_rejects_what_it_cannot_eliminate():
+    with pytest.raises(ValueError, match="no nonzero generators"):
+        elimination_ideal([X - X, MultiPoly.zero(("x", "y"))], ("x",))
+    with pytest.raises(ValueError, match="unknown variable 'z'"):
+        elimination_ideal([X * Y - 1], ("x", "z"))
+
+
 def test_elimination_with_several_eliminants_is_pinned():
     # the eliminants of the minimal basis, reduced among themselves, must
     # give the reduced basis of I ∩ k[s, t, u]; these values were recorded

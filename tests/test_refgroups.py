@@ -1,6 +1,7 @@
 """Reflection group catalog: enumeration, invariants, branch verification."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -134,6 +135,18 @@ def test_perturbed_presentations_fail():
             assert not verify_presentation(replace(rec, presentation=bad)), (no, bad)
 
 
+def test_presentation_of_a_non_exceptional_group_raises():
+    with pytest.raises(ValueError, match="exceptional groups only"):
+        verify_presentation(cyclic_group(4))
+
+
+def test_an_overshooting_closure_raises():
+    # Z_6 recorded with order 2: the closure stops once it passes 4 elements
+    with pytest.raises(RuntimeError,
+                       match="closure of Z_6 exceeded twice the expected order 2"):
+        enumerate_group(replace(cyclic_group(6), expected_order=2))
+
+
 def test_center_order_equals_presentation_k():
     # each exceptional group is irreducible, so by Schur's lemma its center
     # is its scalar matrices: a second count, independent of commutation
@@ -258,6 +271,9 @@ def test_build_group_validation():
             build_group("imprimitive", m, p)
     with pytest.raises(ValueError):
         build_group("cyclic", 0)
+    # a spec of the wrong arity is unreadable, not a TypeError
+    with pytest.raises(ValueError, match="cyclic group takes 1 parameter, got 2"):
+        parse_group_spec("cyclic(1,2)")
 
 
 def test_seed_invariance():
@@ -332,12 +348,16 @@ def test_hessian_and_jacobian_are_covariant():
 
 
 @pytest.fixture
-def cold_seed_caches():
-    refgroups.invariant_seed.cache_clear()
-    refgroups._base_seed_scalars.cache_clear()
+def cold_invariant_caches():
+    # basic_invariants keys its cache on the compared fields of a record,
+    # so a record with corrupted generators would hit a warm entry
+    caches = (refgroups.invariant_seed, refgroups._base_seed_scalars,
+              refgroups.basic_invariants)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    refgroups.invariant_seed.cache_clear()
-    refgroups._base_seed_scalars.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("seed_name, text", [
@@ -346,12 +366,41 @@ def cold_seed_caches():
     # g30 replaced by e12^2*b6, also of degree 30: not Jac(e12, f20)
     ("g30", "(x^11*y + 11*x^6*y^6 - x*y^11)^2*(x^5*y - x*y^5)"),
 ], ids=["c8", "g30"])
-def test_a_seed_that_is_not_its_covariant_raises(cold_seed_caches, monkeypatch,
+def test_a_seed_that_is_not_its_covariant_raises(cold_invariant_caches, monkeypatch,
                                                  seed_name, text):
     monkeypatch.setitem(refgroups._SEEDS, seed_name, text)
     family = "S4" if seed_name == "c8" else "A5"
     with pytest.raises(ArithmeticError, match="not a multiple"):
         refgroups._base_seed_scalars(family, seed_name)
+
+
+def test_a_seed_that_is_not_semi_invariant_raises(cold_invariant_caches, monkeypatch):
+    # a4 without its y^4 term is no eigenvector of T1
+    monkeypatch.setitem(refgroups._SEEDS, "a4", "x^4 + (4*zeta(6) - 2)*x^2*y^2")
+    with pytest.raises(ArithmeticError,
+                       match="a4 is not semi-invariant under the A4 base group"):
+        refgroups._base_seed_scalars("A4", "a4")
+
+
+@pytest.mark.parametrize("no, pair, message", [
+    # G_5 fixes a4^3 but scales a4 by a cube root of unity
+    (5, ("b6", 1, "a4", 1), "a4^1 is not G_5-invariant"),
+    (4, ("a4", 1, "a4", 1), "G_4 invariants are dependent"),
+    # b6^2 is G_4-invariant, but of degree 12, not 6
+    (4, ("a4", 1, "b6", 2), "G_4 degrees do not multiply to |G|"),
+], ids=["not-invariant", "dependent", "degrees"])
+def test_a_corrupted_invariant_pair_raises(cold_invariant_caches, monkeypatch,
+                                           no, pair, message):
+    monkeypatch.setitem(refgroups._PAIRS, no, pair)
+    with pytest.raises(ArithmeticError, match=re.escape(message)):
+        basic_invariants(exceptional_group(no))
+
+
+def test_a_component_off_the_generators_raises(cold_invariant_caches):
+    # diag(zeta_3, 1) moves the x of Z_3's pair (x, y^3)
+    rec = replace(cyclic_group(3), generators=(Matrix2.diagonal(zeta(3), 1),))
+    with pytest.raises(ArithmeticError, match="component not Z_3-invariant"):
+        basic_invariants(rec)
 
 
 def test_basic_invariants_structure():
@@ -467,7 +516,7 @@ def test_classes_of_degree_frozen():
     labels = [r.label for r in classes_of_degree(24)]
     assert labels == ["Z_24", "Z_2xZ_12", "Z_3xZ_8", "Z_4xZ_6",
                       "G(6,3,2)", "G(12,12,2)", "G_4"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the census starts at degree 2"):
         classes_of_degree(1)
 
 
