@@ -12,7 +12,9 @@ like the catalog's claims and the command line's.
 Before any Groebner basis, a map sheds its target-side shears
 (`_target_reduced`): while the top form of one component is c times a
 power of the other's, that multiple of the power is subtracted, and
-the triangular target automorphism that does so is kept both ways.
+the step is recorded.  Only the callers that move a curve between the
+two targets build the triangular target automorphism from the steps:
+`branch_ideal` the forward way, `verify_branch` the inverse.
 Every plane automorphism is a product of affine and triangular maps
 (Jung 1942; van der Kulk 1953), so a map post-composed with a shear
 loses it here.  Properness, degree and dominance do not change under a
@@ -213,19 +215,19 @@ def _top_extremes(p: MultiPoly, degree: int) -> tuple:
 
 
 def _target_reduced(f: PolyMap) -> tuple:
-    """(g, to, back): f with its target-side shears stripped.
+    """(g, steps): f with its target-side shears stripped.
 
     While the lower-degree component f_lo has degree d >= 1 dividing the
     other's degree k*d, and the top form of f_hi is c times that of
-    f_lo^k, f_hi becomes f_hi - c*f_lo^k.  `to` and `back` are the
-    triangular target automorphisms, as component pairs in (x, y), with
-    g = to(f1, f2) and f = back(g1, g2); each step has Jacobian
-    determinant 1, so g's Jacobian is f's.  A map that admits no step
-    comes back as itself with identity `to` and `back`.
+    f_lo^k, f_hi becomes f_hi - c*f_lo^k, and the step (hi, k, c) is
+    recorded.  Each step is a triangular target automorphism of
+    Jacobian determinant 1, so g's Jacobian is f's; `_target_to` and
+    `_target_back` build the composite automorphism from the steps for
+    the callers that move curves between the two targets.  A map that
+    admits no step comes back as itself with no steps.
     """
     comps = list(f.components())
-    identity = _identity(f.field)
-    to, back = list(identity), list(identity)
+    steps = []
     while True:
         degrees = [c.total_degree() for c in comps]
         lo = 0 if degrees[0] <= degrees[1] else 1
@@ -244,12 +246,27 @@ def _target_reduced(f: PolyMap) -> tuple:
         if reduced.total_degree() >= degrees[hi]:
             break
         comps[hi] = reduced
-        to[hi] = to[hi] - to[lo] ** k * c
+        steps.append((hi, k, c))
+    return (PolyMap(*comps) if steps else f), steps
+
+
+def _target_to(steps, field) -> tuple:
+    """`to`, as components in (x, y): the target automorphism with g = to . f."""
+    to = list(_identity(field))
+    for hi, k, c in steps:
+        to[hi] = to[hi] - to[1 - hi] ** k * c
+    return tuple(to)
+
+
+def _target_back(steps, field) -> tuple:
+    """`back`, as components in (x, y): the inverse of `to`, so f = back . g."""
+    identity = _identity(field)
+    back = identity
+    for hi, k, c in steps:
         # back . (the step's inverse), which adds c*u_lo^k to u_hi
-        undo = {SOURCE_VARS[hi]: identity[hi] + identity[lo] ** k * c}
-        back = [substitute(b, undo) for b in back]
-    g = f if comps == list(f.components()) else PolyMap(*comps)
-    return g, tuple(to), tuple(back)
+        undo = {SOURCE_VARS[hi]: identity[hi] + identity[1 - hi] ** k * c}
+        back = tuple(substitute(b, undo) for b in back)
+    return back
 
 
 def _graph_generators(f: PolyMap) -> list:
@@ -348,11 +365,11 @@ def branch_ideal(f: PolyMap, budget=None) -> list:
     into each generator.  Several generators are reduced again, under
     the same budget, so the answer is f's reduced basis.
     """
-    g, to, _ = _target_reduced(f)
+    g, steps = _target_reduced(f)
     gens = _eliminated_branch(g, _nonzero_jacobian(g), budget)
-    if to == _identity(g.field):
+    if not steps:
         return gens
-    images = dict(zip(SOURCE_VARS, to))
+    images = dict(zip(SOURCE_VARS, _target_to(steps, g.field)))
     moved = [substitute(q, images) for q in gens]
     if len(moved) > 1:
         moved = interreduce(buchberger(moved, budget=budget)).basis
@@ -398,11 +415,11 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
     field = common_field(f.field, claimed.field)
     claim = claimed.in_field(field).rename(SOURCE_VARS)
     # claim . f is (claim . back) . g, built without f's high-degree powers
-    g, _, back = _target_reduced(PolyMap(f.f1.in_field(field), f.f2.in_field(field)))
+    g, steps = _target_reduced(PolyMap(f.f1.in_field(field), f.f2.in_field(field)))
     J = _nonzero_jacobian(g)
     moved = claim
-    if back != _identity(field):
-        moved = substitute(claim, dict(zip(SOURCE_VARS, back)))
+    if steps:
+        moved = substitute(claim, dict(zip(SOURCE_VARS, _target_back(steps, field))))
     pullback = substitute(moved, {"x": g.f1, "y": g.f2})
     tiers = {"substitution_divisible": divides(squarefree_part(J), pullback),
              "claimed_squarefree": is_squarefree(claim),

@@ -8,15 +8,18 @@ tighter than `+`/`-`; a sign binds looser than `^`, so `-x^2` reads
 as `-(x^2)`.  A map is two polynomials separated by a comma, with or
 without one pair of parentheses around them.
 
-Each text is tokenized once; the field is read off the tokens and one
+Each text is tokenized, the field is read off the tokens and one
 recursive-descent parser walks them, so every error position counts
-from the start of the text.  Each grammar rule returns a fresh term
-dict {exponents: coefficient} that its caller owns: a sum merges its
-terms into the first one's dict in place, a product or power of single
-terms adds or scales exponents, and only products and powers of sums
-(or of zero) go through `MultiPoly` arithmetic.  Each component becomes one `MultiPoly`
-at the end.  Nesting deeper than the interpreter's stack is a parse
-error at the token reached.
+from the start of the text.  A printed term over the parser's
+variables, such as `11664*x^5*y`, is one token that the grammar reads
+as one factor; any other text goes through the grammar's small tokens.
+Each grammar rule returns a fresh term dict {exponents: coefficient}
+that its caller owns: a sum merges its terms into the first one's dict
+in place, a product or power of single terms adds or scales exponents,
+and only products and powers of sums (or of zero) go through
+`MultiPoly` arithmetic.  Each component becomes one `MultiPoly` at the
+end.  Nesting deeper than the interpreter's stack is a parse error at
+the token reached.
 """
 
 from __future__ import annotations
@@ -30,8 +33,16 @@ from .numberfield import CycloNumber, zeta
 from .polyring import CyclotomicField, MultiPoly, QQ, DegRevLex
 
 # the last alternative catches any character outside the grammar
-_TOKEN = re.compile(r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<op>[-+*^(),])|(?P<bad>\S))")
+_TOKENS = (r"(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+           r"|(?P<op>[-+*^(),])|(?P<bad>\S)")
+# a printed term, [coef*]v^e*...: a coefficient without leading zeros
+# (so never 0) and names with integer exponents, not followed by what
+# would join its last piece to a longer token or raise it to a power
+_FACTOR = r"[A-Za-z_][A-Za-z_0-9]*(?:\^\d+)?"
+_TERM = (r"(?P<term>(?:[1-9]\d*(?:/[1-9]\d*)?\*)?" + _FACTOR + r"(?:\*" + _FACTOR + r")*"
+         r"(?![A-Za-z_\d/]|\s*\^))")
+_PLAIN = re.compile(r"\s*(?:" + _TOKENS + ")")
+_TERMS = re.compile(r"\s*(?:" + _TERM + "|" + _TOKENS + ")")
 
 _ORDER = DegRevLex()
 
@@ -44,16 +55,53 @@ class PolyParseError(ValueError):
         self.position = position
 
 
-def _tokenize(text: str) -> list:
-    """(kind, text, position) triples; an operator's kind is the operator."""
+def _tokenize(text: str, variables=None, offset=0) -> list:
+    """(kind, text, position) triples; an operator's kind is the operator.
+
+    Given the parser's variables, a printed term over them is one
+    (term, text of its first piece, position, (exponents, coefficient))
+    token.  A term right after `^` or `zeta(`, where only a number may
+    stand, or with a name that is no variable, is split into the
+    general grammar's tokens instead.
+    """
     tokens = []
-    for m in _TOKEN.finditer(text):
+    for m in (_PLAIN if variables is None else _TERMS).finditer(text):
         kind = m.lastgroup
         value = m.group(kind)
+        start = m.start(kind) + offset
+        if kind == "term":
+            last = tokens[-1][0] if tokens else None
+            if last == "^" or last == "(" and len(tokens) > 1 and tokens[-2][1] == "zeta":
+                term = None   # only a number may stand here
+            else:
+                term = _read_term(value, variables)
+            if term is None:
+                tokens += _tokenize(value, offset=start)
+            else:
+                tokens.append(("term", value.partition("*")[0].partition("^")[0],
+                               start, term))
+            continue
         if kind == "bad":
-            raise PolyParseError(f"unexpected character {value!r}", m.start(kind))
-        tokens.append((value if kind == "op" else kind, value, m.start(kind)))
+            raise PolyParseError(f"unexpected character {value!r}", start)
+        tokens.append((value if kind == "op" else kind, value, start))
     return tokens
+
+
+def _read_term(text: str, variables):
+    """(exponents, coefficient) of a printed term, or None if a name in
+    it is not one of the variables (`i` and `zeta` never are)."""
+    pieces = text.split("*")
+    coeff = 1
+    if pieces[0][0].isdigit():
+        first = pieces.pop(0)
+        coeff = Fraction(first) if "/" in first else int(first)
+    exps = [0] * len(variables)
+    for piece in pieces:
+        name, _, e = piece.partition("^")
+        if name == "i" or name == "zeta" or name not in variables:
+            return None
+        exps[variables.index(name)] += int(e) if e else 1
+    return tuple(exps), coeff
 
 
 def _field_of(tokens):
@@ -62,7 +110,8 @@ def _field_of(tokens):
     Q(zeta_1) and Q(zeta_2) are Q: their roots, 1 and -1, are rational.
     """
     n = 1
-    for k, (_, value, _) in enumerate(tokens):
+    for k, tok in enumerate(tokens):
+        value = tok[1]
         c = None
         if value == "i":
             c = 4
@@ -76,11 +125,13 @@ def _field_of(tokens):
 
 class _Parser:
     def __init__(self, text, variables, field):
-        self.toks = _tokenize(text)
+        self.vars = tuple(variables)
+        if len(set(self.vars)) != len(self.vars):
+            raise ValueError(f"repeated variable name in {self.vars}")
+        self.toks = _tokenize(text, self.vars)
         self.field = _field_of(self.toks) if field is None else field
         self.toks.append(("end", "", len(text)))
         self.pos = 0
-        self.vars = tuple(variables)
         self.const_exps = (0,) * len(self.vars)
         self.units = {v: tuple(int(w == v) for w in self.vars) for v in self.vars}
         self.one = self.field.one
@@ -186,8 +237,12 @@ class _Parser:
         return (self.wrap(base) ** n).terms
 
     def atom(self) -> dict:
-        kind, text, pos = self.toks[self.pos]
+        tok = self.toks[self.pos]
         self.pos += 1
+        if tok[0] == "term":
+            exps, coeff = tok[3]
+            return {exps: self.field.coerce(coeff)}
+        kind, text, pos = tok
         if kind == "number":
             try:
                 value = Fraction(text) if "/" in text else int(text)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from polymap.groebner import (ComputationBudget, ResourceBudgetExceeded,
                               buchberger, elimination_ideal, staircase_count)
-from polymap.maps import (PlaneAutomorphism, PolyMap, _target_reduced, branch_ideal,
-                          branch_status, compose, critical_ideal,
+from polymap.maps import (PlaneAutomorphism, PolyMap, _target_back, _target_reduced,
+                          _target_to, branch_ideal, branch_status, compose, critical_ideal,
                           _is_monic_in, integral_relation_check, is_proper,
                           make_family, topological_degree, verify_branch)
 from polymap.numberfield import zeta
@@ -374,15 +374,38 @@ def test_stripped_shears_transport_a_non_principal_branch_ideal():
     assert verify_branch(f, claim) == _unreduced_tiers(f, claim, gens)
 
 
-def test_target_reduction_records_both_ways():
-    f = compose(make_family("whitney"), pre=_automorphism(random.Random(3)),
-                post=_automorphism(random.Random(4)))
-    g, to, back = _target_reduced(f)
-    assert max(c.total_degree() for c in g.components()) < max(
-        c.total_degree() for c in f.components())
+def _assert_transports(f, g, steps):
+    # to . f = g, back . g = f, and to . back is the identity
+    to, back = _target_to(steps, f.field), _target_back(steps, f.field)
     assert tuple(substitute(c, {"x": f.f1, "y": f.f2}) for c in to) == g.components()
     assert tuple(substitute(c, {"x": g.f1, "y": g.f2}) for c in back) == f.components()
     assert tuple(substitute(c, {"x": back[0], "y": back[1]}) for c in to) == (X, Y)
+
+
+def test_target_reduction_records_both_ways():
+    f = compose(make_family("whitney"), pre=_automorphism(random.Random(3)),
+                post=_automorphism(random.Random(4)))
+    g, steps = _target_reduced(f)
+    assert steps
+    assert max(c.total_degree() for c in g.components()) < max(
+        c.total_degree() for c in f.components())
+    _assert_transports(f, g, steps)
+
+
+def test_target_reduction_undoes_three_shears():
+    # (x^2 + y, y^3 + x) admits no step (3 is no multiple of 2); three
+    # target shears, each on the other component, come off one per step,
+    # the last one first
+    base = pmap("(x^2 + y, y^3 + x)")
+    post = (PlaneAutomorphism.triangular(X**2, lower=True)
+            .then(PlaneAutomorphism.triangular(Y**2))
+            .then(PlaneAutomorphism.triangular(2 * X**3, lower=True)))
+    f = compose(base, post=post)
+    assert [c.total_degree() for c in f.components()] == [8, 24]
+    g, steps = _target_reduced(f)
+    assert g == base
+    assert [(hi, k) for hi, k, _ in steps] == [(1, 3), (0, 2), (1, 2)]
+    _assert_transports(f, g, steps)
 
 
 def _readme_example_maps():
@@ -408,9 +431,8 @@ def test_target_reduction_leaves_irreducible_maps_alone():
     examples = _readme_example_maps()
     assert len(examples) == 9
     for f in [quotient_map(rec) for rec in default_table4_rows()] + examples:
-        g, to, back = _target_reduced(f)
-        identity = (X.in_field(f.field), Y.in_field(f.field))
-        assert g is f and to == identity and back == identity, f
+        g, steps = _target_reduced(f)
+        assert g is f and steps == [], f
 
 
 def test_branch_of_sheared_pinch_finishes_under_budget():

@@ -29,7 +29,9 @@ def test_precedence_and_grouping():
                            ("x*-(y - 1)", "x - x*y"), ("(x + 1)*(x - 1)", "x^2 - 1"),
                            ("-(x + y)^2", "-x^2 - 2*x*y - y^2"),
                            ("(x - y)^0 + (x - y)^1", "x - y + 1"),
-                           ("(1/2*x + i)*(1/2*x - i)", "1/4*x^2 + 1")]:
+                           ("(1/2*x + i)*(1/2*x - i)", "1/4*x^2 + 1"),
+                           # a printed term right after "^" reads as pieces
+                           ("x ^ 2*y^3", "x^2*y^3"), ("(x + 1)^2*y", "x^2*y + 2*x*y + y")]:
         assert parse_poly(text) == parse_poly(expanded, field=parse_poly(text).field)
 
 
@@ -55,6 +57,18 @@ FROZEN_ERRORS = [
     ("zeta(0)", "conductor must be positive", 5),
     ("zeta(3/2)", "conductor must be an integer", 5),
     ("1/0", "zero denominator", 0),
+    # inputs that start like a printed term
+    ("2*x^3 y", "unexpected 'y'", 6),
+    ("x^2^3", "unexpected '^'", 3),
+    ("3*x^1/2", "exponent must be a nonnegative integer", 4),
+    ("1/00*x", "zero denominator", 0),
+    ("2*xy", "unknown variable 'xy'", 2),
+    ("2*x^3*z", "unknown variable 'z'", 6),
+    ("2*x^3(", "unexpected '('", 5),
+    ("2*x^3*", "unexpected end of input", 6),
+    ("zeta(2*x)", "expected ')', found '*'", 6),
+    ("x^2 3*x*y", "unexpected '3'", 4),
+    ("1 x^2*y", "unexpected 'x'", 2),
 ]
 
 
@@ -98,6 +112,13 @@ def test_custom_variables():
     p = parse_poly("u^2 - s*t", variables=("u", "s", "t"))
     assert p.vars == ("u", "s", "t")
     assert p.coeff((2, 0, 0)) == 1 and p.coeff((0, 1, 1)) == -1
+    # i is zeta(4) even where it is named as a variable
+    q = parse_poly("2*i*x", variables=("x", "i"))
+    assert q.field.conductor == 4 and q.terms == {(1, 0): q.field.coerce(2 * zeta(4))}
+    # a repeated name would leave an exponent's variable ambiguous
+    for text in ("x^2", "x ^ 2"):
+        with pytest.raises(ValueError, match="repeated variable name"):
+            parse_poly(text, variables=("x", "x"))
 
 
 def test_map_parsing_both_shapes():
@@ -215,6 +236,19 @@ def test_round_trip_random_rational(terms):
     assert parse_poly(format_poly(p)) == p
 
 
+def _spaced(text):
+    return text.replace("*", " * ").replace("^", " ^ ")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(expo, coef, min_size=0, max_size=7))
+def test_spaced_operators_parse_alike(terms):
+    # with spaces around "*" and "^" the grammar reads every printed term
+    # but a lone variable piece by piece, which checks the term token
+    p = MultiPoly(("x", "y"), terms, QQ)
+    assert parse_poly(_spaced(format_poly(p))) == parse_poly(format_poly(p)) == p
+
+
 @pytest.mark.parametrize("first, second", zip(FROZEN_SAMPLES, FROZEN_SAMPLES[1:]))
 def test_map_round_trip_frozen(first, second):
     f1, f2 = parse_map(f"{first}, {second}")
@@ -288,6 +322,9 @@ def _canonical_over_q(p):
     ("-(1/3)*3*y", {(0, 1): -1}),
     ("(x + 1/2)^2*4", {(2, 0): 4, (1, 0): 4, (0, 0): 1}),
     ("(1/2*x + 1/2)*(2*x - 2)", {(2, 0): 1, (0, 0): -1}),
+    # a zero coefficient gives no term
+    ("0*x + y", {(0, 1): 1}),
+    ("00*x", {}),
 ])
 def test_integral_rational_coefficients_are_ints(text, terms):
     # MultiPoly equality cannot tell Fraction(2, 1) from 2; the types can
