@@ -4,10 +4,15 @@ A PolyMap is a pair of polynomials in the source variables (x, y); its
 target plane carries the variables (s, t) so graph ideals can mix both
 planes.  Properness and topological degree are both read from one
 basis of the graph ideal <s - f1, t - f2> under a block order with
-(x, y) first; the branch locus comes from eliminating the source
-variables from the graph ideal over the critical locus.  A curve on
-the target plane, a branch generator or a claim, is written in (x, y)
-like the catalog's claims and the command line's.
+(x, y) first.  The branch curve comes from eliminating the source
+variables from the graph ideal together with F, the squarefree part
+of the Jacobian determinant J, built once per map; tier one of
+`verify_branch` divides by the same F.  This gives the ideal of the
+branch curve, the radical of the elimination over J, and for a proper
+map the two are equal.  F is the cheaper input: a reflection-group
+quotient map's J carries each mirror e_H - 1 times, F each once.  A
+curve on the target plane, a branch generator or a claim, is written
+in (x, y) like the catalog's claims and the command line's.
 
 Before any Groebner basis, a map sheds its target-side shears
 (`_target_reduced`): while the top form of one component is c times a
@@ -338,35 +343,44 @@ def _nonzero_jacobian(f: PolyMap) -> MultiPoly:
     return J
 
 
-def _eliminated_branch(g: PolyMap, J: MultiPoly, budget) -> list:
-    """The branch ideal's reduced basis for g, whose Jacobian determinant is J,
-    in (x, y) read as coordinates on the target plane.
+def _eliminated_branch(g: PolyMap, F: MultiPoly, budget) -> list:
+    """The reduced basis of g's branch ideal, in (x, y) read as
+    coordinates on the target plane, for F g's reduced critical curve.
 
-    For g1, g2 homogeneous of degrees d1, d2 the quotient is
-    k[x, y]/(J) graded by (1, 1, d1, d2), the weights the engine
-    derives, and its Hilbert function min(D + 1, deg J) drives the
-    elimination.
+    Eliminates x and y from <F, s - g1, t - g2>.  Its zero set is the
+    image of V(F) = V(J), and the eliminated ideal is the ideal of that
+    image, the radical of the elimination over J (Cox, Little & O'Shea,
+    *Ideals, Varieties, and Algorithms*, §3.2 and §4.4).  For a proper
+    map the two are equal; they differ only where a critical curve with
+    a repeated factor collapses to a point.  For g1, g2 homogeneous of
+    degrees d1, d2 the quotient is k[x, y]/(F) graded by (1, 1, d1, d2),
+    the weights the engine derives, and its Hilbert function
+    min(D + 1, deg F) drives the elimination.
     """
-    gens = [J.extended(SOURCE_VARS + TARGET_VARS), *_graph_generators(g)]
-    top = J.total_degree()
+    gens = [F.extended(SOURCE_VARS + TARGET_VARS), *_graph_generators(g)]
+    top = F.total_degree()
     homogeneous = all(len({sum(e) for e in c.terms}) == 1 for c in g.components())
     return [q.rename(SOURCE_VARS) for q in elimination_ideal(
         gens, SOURCE_VARS, budget, (lambda D: min(D + 1, top)) if homogeneous else None)]
 
 
 def branch_ideal(f: PolyMap, budget=None) -> list:
-    """Generators of the branch ideal, in (x, y) read as coordinates on
-    the target plane, as claims and `verify_branch` take them.
+    """Generators of the ideal of f's branch curve, in (x, y) read as
+    coordinates on the target plane, as claims and `verify_branch` take
+    them.
 
-    Eliminates the source variables from <J_f, s - f1, t - f2>; each
-    generator comes back content-normalized with a fixed sign.  The
-    elimination runs for g = to . f, f with its target-side shears
-    stripped: the branch ideal of f is that of g with `to` substituted
-    into each generator.  Several generators are reduced again, under
-    the same budget, so the answer is f's reduced basis.
+    Eliminates the source variables from <F, s - f1, t - f2>, with F the
+    squarefree part of J_f, so the answer is the radical of the
+    elimination over J_f (`_eliminated_branch`; the two agree for every
+    proper map).  Each generator comes back content-normalized with a
+    fixed sign.  The elimination runs for g = to . f, f with its
+    target-side shears stripped: the branch ideal of f is that of g with
+    `to` substituted into each generator.  Several generators are
+    reduced again, under the same budget, so the answer is f's reduced
+    basis.
     """
     g, steps = _target_reduced(f)
-    gens = _eliminated_branch(g, _nonzero_jacobian(g), budget)
+    gens = _eliminated_branch(g, squarefree_part(_nonzero_jacobian(g)), budget)
     if not steps:
         return gens
     images = dict(zip(SOURCE_VARS, _target_to(steps, g.field)))
@@ -397,14 +411,15 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
 
     The claimed polynomial is written in (x, y) read as coordinates on
     the target plane.  Tier one: the pullback of the claim must vanish
-    on the reduced critical locus, i.e. be divisible by the squarefree
-    part of J_f.  Tier two: the claim itself must be squarefree.  Tier
-    three (optional, budgeted): the eliminated branch ideal must be
-    principal with the claim as generator, up to a unit.  Tiers one and
-    three work on g = to . f, f with its target-side shears stripped,
-    and on the claim moved to g's target, claim . back: its pullback
-    along g is claim . f, and g's branch ideal is generated by it
-    exactly when f's is generated by the claim.
+    on the reduced critical locus, i.e. be divisible by F, the
+    squarefree part of J_f.  Tier two: the claim itself must be
+    squarefree.  Tier three (optional, budgeted): the branch ideal,
+    eliminated over the same F as in `branch_ideal`, must be principal
+    with the claim as generator, up to a unit.  F is built once and
+    serves tiers one and three.  Both work on g = to . f, f with its
+    target-side shears stripped, and on the claim moved to g's target,
+    claim . back: its pullback along g is claim . f, and g's branch
+    ideal is generated by it exactly when f's is generated by the claim.
 
     Returns the tier report: `substitution_divisible`,
     `claimed_squarefree`, `elimination` ("pass", "fail", "skipped-budget"
@@ -416,19 +431,19 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
     claim = claimed.in_field(field).rename(SOURCE_VARS)
     # claim . f is (claim . back) . g, built without f's high-degree powers
     g, steps = _target_reduced(PolyMap(f.f1.in_field(field), f.f2.in_field(field)))
-    J = _nonzero_jacobian(g)
+    F = squarefree_part(_nonzero_jacobian(g))
     moved = claim
     if steps:
         moved = substitute(claim, dict(zip(SOURCE_VARS, _target_back(steps, field))))
     pullback = substitute(moved, {"x": g.f1, "y": g.f2})
-    tiers = {"substitution_divisible": divides(squarefree_part(J), pullback),
+    tiers = {"substitution_divisible": divides(F, pullback),
              "claimed_squarefree": is_squarefree(claim),
              "elimination": "not-run"}
     if run_elimination:
         try:
             # f's branch ideal is principal on the claim exactly when g's
             # is principal on claim . back
-            gens = _eliminated_branch(g, J, budget)
+            gens = _eliminated_branch(g, F, budget)
             if len(gens) == 1 and is_scalar_multiple(
                     gens[0], primitive_normalize(moved)):
                 tiers["elimination"] = "pass"

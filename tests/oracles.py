@@ -3,13 +3,16 @@
 Each function here is plain and slow on purpose and no command of the
 package runs it: the lex order that the engine's orders are checked
 beside, resultants by fraction-free elimination on the Sylvester
-matrix, and the normal form by textbook multivariate division.
+matrix, the normal form by textbook multivariate division, and the
+branch elimination over the whole Jacobian determinant.
 `normal_form` goes back to the package with the Milnor spectrum of
 ROADMAP item 2, whose multiplication matrices will be its first
 runtime caller.
 """
 
-from polymap.polyring import MonomialOrder, MultiPoly, exact_div, field_inverse
+from polymap.groebner import elimination_ideal
+from polymap.polyring import (MonomialOrder, MultiPoly, exact_div, field_inverse,
+                              jacobian_det)
 
 
 class Lex(MonomialOrder):
@@ -40,6 +43,23 @@ def normal_form(p: MultiPoly, basis) -> MultiPoly:
             lead = MultiPoly.monomial(c, e, p.vars, p.field)
             rem, p = rem + lead, p - lead
     return rem
+
+
+def jacobian_branch(f) -> list:
+    """k[s, t] ∩ <J, s - f1, t - f2> for the map f as given, J its
+    Jacobian determinant, in (x, y) read as coordinates on the target
+    plane: one plain elimination, with no shear stripped and no Hilbert
+    function.
+
+    `maps.branch_ideal` eliminates over the squarefree part of J instead,
+    so it returns the radical of this ideal; the two agree for every
+    proper map.
+    """
+    allv = ("x", "y", "s", "t")
+    gens = [jacobian_det(f.f1, f.f2).extended(allv)]
+    gens += [MultiPoly.variable(v, allv, f.field) - c.extended(allv)
+             for v, c in zip(("s", "t"), f.components())]
+    return [q.rename(("x", "y")) for q in elimination_ideal(gens, ("x", "y"))]
 
 
 def _as_univariate(p: MultiPoly, name: str) -> dict:

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import jacobian_branch
+from polymap import maps
 from polymap.groebner import (ComputationBudget, ResourceBudgetExceeded,
                               buchberger, elimination_ideal, staircase_count)
 from polymap.maps import (PlaneAutomorphism, PolyMap, _target_back, _target_reduced,
@@ -123,10 +125,66 @@ def test_branch_of_power_map():
     assert gens == [Y]
 
 
+def test_branch_over_the_squarefree_part_equals_the_elimination_over_J_on_table4():
+    # every quotient map is proper, so eliminating over F = sqf(J) gives
+    # the generators of the elimination over J itself, G_21 and G_22
+    # included; J carries each mirror e_H - 1 times, so on 30 rows J != F
+    rows = default_table4_rows()
+    assert len(rows) == 43 and {"G_21", "G_22"} <= {rec.label for rec in rows}
+    repeated = 0
+    for rec in rows:
+        f = quotient_map(rec)
+        repeated += not is_squarefree(critical_ideal(f))
+        assert branch_ideal(f) == jacobian_branch(f), rec.label
+    assert repeated == 30
+
+
+def test_branch_over_the_squarefree_part_equals_the_elimination_over_J_under_automorphisms():
+    # proper maps whose Jacobians have repeated factors, composed on both
+    # sides with an affine map and a quadratic shear: the oracle eliminates
+    # the composite as given, branch_ideal its shear-stripped form over F.
+    # (Larger bases such as Z_3xZ_3 are left out: eliminating most of their
+    # composites as given stalls in one reduction, the ungraded-input defect.)
+    rows = {rec.label: rec for rec in default_table4_rows()}
+    bases = [make_family("power", d=3), make_family("power", d=4),
+             quotient_map(rows["Z_2xZ_4"]), quotient_map(rows["Z_2xZ_3"])]
+    rng = random.Random(7)
+    for base in bases:
+        assert not is_squarefree(critical_ideal(base))
+        for _ in range(4):
+            f = compose(base, pre=_automorphism(rng), post=_automorphism(rng))
+            assert branch_ideal(f) == jacobian_branch(f), f
+
+
+def test_branch_of_a_collapsed_repeated_critical_curve_is_the_radical():
+    # (x, x^2*y) collapses its critical line x = 0, where J = x^2, to the
+    # origin: the branch ideal is the origin's, the radical of the
+    # elimination over J
+    f = pmap("(x, x^2*y)")
+    assert branch_ideal(f) == [Y, X]
+    assert jacobian_branch(f) == [Y, X ** 2]
+    tiers = verify_branch(f, X)
+    assert tiers["substitution_divisible"] and tiers["elimination"] == "fail"
+    assert branch_status(tiers) == "fail"
+
+
+def test_verify_branch_builds_the_squarefree_part_once(monkeypatch):
+    # tier one and the elimination share one F, also when the map sheds
+    # a target shear first
+    calls = []
+    real = maps.squarefree_part
+    monkeypatch.setattr(maps, "squarefree_part", lambda p: calls.append(p) or real(p))
+    f = pmap("(x, y^3 + x^4)")
+    assert _target_reduced(f)[1]
+    tiers = verify_branch(f, parse_poly("y - x^4"))
+    assert branch_status(tiers) == "pass" and tiers["elimination"] == "pass"
+    assert calls == [3 * Y ** 2]
+
+
 @pytest.mark.parametrize("field", [QQ, CyclotomicField(3)], ids=["Q", "Q(zeta_3)"])
 def test_homogeneous_branch_matches_the_plain_elimination(field):
     # the Hilbert-driven elimination of branch_ideal gives the generators
-    # of an elimination that reduces every pair
+    # of an elimination of the same ideal that reduces every pair
     rng = random.Random(7)
     coeffs = [0, 1, -1, 2, -3] + ([zeta(3), 1 - zeta(3) * 2] if field.is_cyclotomic else [])
     allv = ("x", "y", "s", "t")
@@ -138,7 +196,7 @@ def test_homogeneous_branch_matches_the_plain_elimination(field):
         J = critical_ideal(f)
         if not f.f1.terms or not f.f2.terms or not J.terms:
             continue
-        gens = [J.extended(allv),
+        gens = [squarefree_part(J).extended(allv),
                 MultiPoly.variable("s", allv, f.field) - f.f1.extended(allv),
                 MultiPoly.variable("t", allv, f.field) - f.f2.extended(allv)]
         plain = elimination_ideal(gens, ("x", "y"))
@@ -318,13 +376,6 @@ def _unreduced_graph(f):
             for v, c in zip(("s", "t"), f.components())]
 
 
-def _unreduced_branch(f):
-    """The branch ideal of f by one elimination, in (x, y) on the target."""
-    J = critical_ideal(f)
-    gens = elimination_ideal([J.extended(ALL_VARS), *_unreduced_graph(f)], ("x", "y"))
-    return [q.rename(("x", "y")) for q in gens]
-
-
 def _unreduced_tiers(f, claim, branch):
     J = critical_ideal(f)
     pullback = substitute(claim, {"x": f.f1, "y": f.f2})
@@ -356,7 +407,7 @@ def test_stripped_shears_give_the_unreduced_answers(base):
     assert is_proper(f) == all(any(e[i] and not any(e[:i] + e[i + 1:]) for e in leads)
                                for i in range(2))
     assert topological_degree(f) == staircase_count([e[:2] for e in leads], 2)
-    branch = _unreduced_branch(f)
+    branch = jacobian_branch(f)
     assert branch_ideal(f) == branch
     claim = branch[0]
     for c in (claim, claim + X.in_field(claim.field)):
@@ -369,7 +420,7 @@ def test_stripped_shears_transport_a_non_principal_branch_ideal():
     f = pmap("(x + x^2*y^2, x*y + 1)")
     assert [c.total_degree() for c in _target_reduced(f)[0].components()] == [2, 1]
     gens = branch_ideal(f)
-    assert gens == _unreduced_branch(f) and len(gens) == 2
+    assert gens == jacobian_branch(f) and len(gens) == 2
     claim = parse_poly("x")
     assert verify_branch(f, claim) == _unreduced_tiers(f, claim, gens)
 
