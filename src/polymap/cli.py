@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .curves import (CONIC_TWO_POINTS, classify_low_degree_curve,
                      distinguish_by_milnor, milnor_at_origin)
-from .groebner import ComputationBudget, ResourceBudgetExceeded
+from .groebner import ComputationBudget, ResourceBudgetExceeded, under_budget
 from .maps import (PlaneAutomorphism, PolyMap, branch_ideal, branch_status,
                    compose, critical_ideal, integral_relation_check, is_proper,
                    make_family, topological_degree, verify_branch)
@@ -119,14 +119,14 @@ def _point(text: str) -> tuple:
 # subcommand handlers; each returns [Check]
 
 def _cmd_proper(args):
-    ok = is_proper(args.map, args.budget)
+    ok = is_proper(args.map)
     return [Check("proper", PASS,
                   {"map": _render_map(args.map),
                    "result": "proper" if ok else "not proper"})]
 
 
 def _cmd_degree(args):
-    d = topological_degree(args.map, args.budget)
+    d = topological_degree(args.map)
     return [Check("degree", PASS,
                   {"map": _render_map(args.map), "degree": d})]
 
@@ -134,11 +134,11 @@ def _cmd_degree(args):
 def _cmd_branch(args):
     f, claim = args.map, args.claimed
     if claim is None:
-        gens = branch_ideal(f, args.budget)
+        gens = branch_ideal(f)
         return [Check("branch", PASS,
                       {"map": _render_map(f),
                        "generators": [format_poly(g) for g in gens]})]
-    tiers = verify_branch(f, claim, run_elimination=True, budget=args.budget)
+    tiers = verify_branch(f, claim, run_elimination=True)
     return [Check("branch-claim", branch_status(tiers),
                   {"map": _render_map(f), "claimed": format_poly(claim), **tiers})]
 
@@ -160,8 +160,7 @@ def _cmd_milnor(args):
 
 
 def _cmd_distinguish(args):
-    first, second = distinguish_by_milnor(args.first, args.second,
-                                          budget=args.budget)
+    first, second = distinguish_by_milnor(args.first, args.second)
     if first == second:
         details = {"certificate": None, "result": "inconclusive"}
     else:
@@ -177,7 +176,7 @@ def _cmd_family(args):
     f = make_family(args.name, **params)
     details = {"map": _render_map(f),
                "jacobian": format_poly(critical_ideal(f)),
-               "proper": is_proper(f, args.budget)}
+               "proper": is_proper(f)}
     return [Check(f"family:{args.name}", PASS, details)]
 
 
@@ -243,7 +242,7 @@ def _row_identifier(record) -> str:
 def _cmd_verify_table4(args):
     checks = []
     for record in default_table4_rows():
-        report = verify_table4_row(record, tier=args.tier, budget=args.budget)
+        report = verify_table4_row(record, tier=args.tier)
         checks.append(Check(_row_identifier(record), report["status"],
                             {"group": record.label, **report["tiers"]}))
     return checks
@@ -300,20 +299,18 @@ def _cmd_verify_theorem_b(args):
     if args.n_max < 1:
         raise ValueError("verify-theorem-b needs --n-max >= 1")
     d = args.d
+    maps = {n: make_family("shifted_power", d=d, n=n) for n in range(1, args.n_max + 1)}
     checks = []
-    for n in range(1, args.n_max + 1):
-        f = make_family("shifted_power", d=d, n=n)
-        J = critical_ideal(f)
-        mu = milnor_at_origin(J)
+    for n, f in maps.items():
+        mu = milnor_at_origin(critical_ideal(f))
         expected = (d - 2) * (n - 1)
         checks.append(Check(f"milnor(d={d},n={n})",
                             PASS if mu == expected else FAIL,
                             {"milnor": mu, "expected": expected}))
     # one total per map, and none when there is no pair to compare
     ns = range(2, args.n_max + 1)
-    maps = [make_family("shifted_power", d=d, n=n) for n in ns]
-    totals = dict(zip(ns, distinguish_by_milnor(*maps, budget=args.budget)
-                      if len(maps) > 1 else []))
+    totals = dict(zip(ns, distinguish_by_milnor(*(maps[n] for n in ns))
+                      if len(ns) > 1 else []))
     for n in ns:
         for m in range(n + 1, args.n_max + 1):
             checks.append(Check(f"distinguish(d={d},n={n},m={m})",
@@ -374,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at", type=_argument(_point), default=None, metavar="a,b",
                    help="evaluate at (a, b) instead of the origin; attach a "
                         "point that starts with '-' as --at=-1,2")
-    common(p, budget=False)
+    common(p)
     p.set_defaults(handler=_cmd_milnor)
 
     p = sub.add_parser("distinguish",
@@ -449,7 +446,10 @@ def main(argv=None) -> int:
             return 2
     started = time.time()
     try:
-        checks = args.handler(args)
+        # the one place a budget is set: every basis the handler builds,
+        # at any depth, counts against it
+        with under_budget(getattr(args, "budget", None)):
+            checks = args.handler(args)
     except ResourceBudgetExceeded as exc:
         checks = [Check(args.command, SKIPPED, exc.details)]
     except (ValueError, ArithmeticError, RuntimeError) as exc:

@@ -98,7 +98,7 @@ def classify_low_degree_curve(F: MultiPoly) -> str:
     return CONIC_TWO_POINTS if disc else CONIC_ONE_POINT
 
 
-def _total_milnor(F: MultiPoly, budget=None) -> int:
+def _total_milnor(F: MultiPoly) -> int:
     """Sum of the Milnor numbers of the reduced curve F = 0.
 
     F^2 lies in (F_x, F_y) at every point of the curve (Briancon-Skoda),
@@ -106,10 +106,10 @@ def _total_milnor(F: MultiPoly, budget=None) -> int:
     singular point with its Milnor number and nothing else.
     """
     gens = [derivative(F, v) for v in F.vars] + [F * F]
-    return quotient_dimension(buchberger(gens, budget=budget))
+    return quotient_dimension(buchberger(gens))
 
 
-def distinguish_by_milnor(*maps: PolyMap, budget=None) -> list:
+def distinguish_by_milnor(*maps: PolyMap) -> list:
     """Total Milnor number of each map's reduced critical curve, in
     input order.
 
@@ -120,10 +120,10 @@ def distinguish_by_milnor(*maps: PolyMap, budget=None) -> list:
     """
     totals = []
     for k, h in enumerate(maps, 1):
-        if not is_proper(h, budget):
+        if not is_proper(h):
             raise ValueError(f"map {k} is not proper")
         J = critical_ideal(h)
         if J.is_constant():
             raise ValueError(f"map {k} has no critical curve")
-        totals.append(_total_milnor(squarefree_part(J), budget))
+        totals.append(_total_milnor(squarefree_part(J)))
     return totals

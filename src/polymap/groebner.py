@@ -1,4 +1,4 @@
-"""Global Groebner bases with an explicit computation budget.
+"""Global Groebner bases under an ambient computation budget.
 
 There is one engine: Buchberger's algorithm with the Gebauer-Moeller
 pair criteria, its pairs in a heap from which pruned ones are dropped
@@ -49,16 +49,19 @@ fix the staircase, are those of the reduced basis, but no tail is
 reduced.  A caller that prints the basis reduces what it prints with
 `interreduce`; `elimination_ideal` reduces only its eliminants.
 
-The engine takes a ComputationBudget and checks it before each pair
-reduction.  Exceeding the limit raises ResourceBudgetExceeded, whose
-stats say how far the computation got; the command line reports it as
-a "skipped-budget" check rather than a pass or a fail.
+The budget is ambient, so no function takes one: inside `under_budget`
+every basis, the gcd fallback of `polyring` included, checks it before
+each pair reduction.  Exceeding the limit raises ResourceBudgetExceeded,
+whose stats say how far the computation got; the command line sets the
+budget once per command and reports a stop as "skipped-budget".
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -89,9 +92,9 @@ class ResourceBudgetExceeded(RuntimeError):
 class ComputationBudget:
     """Limits for each basis computation; None means unlimited.
 
-    One budget is passed through every engine a command runs, and each
-    basis computation counts against it from zero.  A computation stops
-    before its (max_pair_reductions + 1)-th pair reduction.
+    One budget bounds every basis built under it (`under_budget`), each
+    counting from zero and stopping before its (max_pair_reductions +
+    1)-th pair reduction.
     """
 
     max_pair_reductions: int | None = None
@@ -102,6 +105,19 @@ class ComputationBudget:
                 and stats["pair_reductions"] >= self.max_pair_reductions):
             raise ResourceBudgetExceeded(
                 f"pair-reduction budget {self.max_pair_reductions} exceeded", dict(stats))
+
+
+_BUDGET = ContextVar("budget", default=ComputationBudget())
+
+
+@contextmanager
+def under_budget(budget: ComputationBudget | None):
+    """Bound every basis built in the block by `budget` (None: unlimited)."""
+    token = _BUDGET.set(budget or ComputationBudget())
+    try:
+        yield
+    finally:
+        _BUDGET.reset(token)
 
 
 @dataclass
@@ -456,8 +472,7 @@ def _grading(gens):
     return tuple(x // content for x in w)
 
 
-def buchberger(generators, order: MonomialOrder = None,
-               budget: ComputationBudget = None, hilbert=None) -> IdealBasis:
+def buchberger(generators, order: MonomialOrder = None, hilbert=None) -> IdealBasis:
     """Minimal Groebner basis of the generated ideal under a global monomial order.
 
     The leads are those of the reduced basis; `interreduce` gives the
@@ -467,7 +482,7 @@ def buchberger(generators, order: MonomialOrder = None,
     """
     if order is None:
         order = DegRevLex()
-    budget = budget or ComputationBudget()
+    budget = _BUDGET.get()
     gens = [g for g in generators if g.terms]
     if not gens:
         raise ValueError("no nonzero generators")
@@ -646,13 +661,13 @@ def interreduce(basis: IdealBasis) -> IdealBasis:
     return IdealBasis(basis.order, reduced, leads, stats=dict(basis.stats))
 
 
-def elimination_ideal(generators, eliminate, budget=None, hilbert=None) -> list:
+def elimination_ideal(generators, eliminate, hilbert=None) -> list:
     """Generators of the ideal's intersection with the subring without `eliminate`."""
     gens = [g for g in generators if g.terms]
     if not gens:
         raise ValueError("no nonzero generators")
     variables = gens[0].vars
-    gb = buchberger(gens, block_order(variables, tuple(eliminate)), budget, hilbert)
+    gb = buchberger(gens, block_order(variables, tuple(eliminate)), hilbert)
     keep = tuple(v for v in variables if v not in eliminate)
     elim_idx = [variables.index(v) for v in eliminate]
     # the eliminated block comes first in the order, so an element whose

@@ -24,8 +24,8 @@ Every plane automorphism is a product of affine and triangular maps
 (Jung 1942; van der Kulk 1953), so a map post-composed with a shear
 loses it here.  Properness, degree and dominance do not change under a
 target automorphism, and the branch ideal moves with it, so every
-answer is the one the unreduced map gives.  A budget counts the pairs
-of the reduced map's bases, and so does a budget stop's report.
+answer is the one the unreduced map gives.  The command's budget
+counts the pairs of the reduced map's bases, and so does a stop's report.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ def _graph_generators(f: PolyMap) -> list:
             for v, c in zip(TARGET_VARS, f.components())]
 
 
-def _graph_basis_leads(f: PolyMap, budget=None) -> list:
+def _graph_basis_leads(f: PolyMap) -> list:
     """Leading exponents, over (x, y, s, t), of the graph ideal's block-order basis.
 
     The basis of <s - f1, t - f2> with (x, y) eliminated first
@@ -293,19 +293,19 @@ def _graph_basis_leads(f: PolyMap, budget=None) -> list:
     changes none of these properties.
     """
     leads = buchberger(_graph_generators(_target_reduced(f)[0]),
-                       block_order(SOURCE_VARS + TARGET_VARS, SOURCE_VARS), budget).leads
+                       block_order(SOURCE_VARS + TARGET_VARS, SOURCE_VARS)).leads
     if any(not any(e[:len(SOURCE_VARS)]) for e in leads):
         raise ValueError("map is not dominant (algebraically dependent components)")
     return leads
 
 
-def is_proper(f: PolyMap, budget=None) -> bool:
+def is_proper(f: PolyMap) -> bool:
     """Whether f is proper, i.e. the coordinate ring is finite over the image.
 
     Finite exactly when the graph basis has leading monomials that are
     pure powers of x and of y, free of the target variables.
     """
-    leads = _graph_basis_leads(f, budget)
+    leads = _graph_basis_leads(f)
     return all(any(e[i] and not any(e[:i] + e[i + 1:]) for e in leads)
                for i in range(len(SOURCE_VARS)))
 
@@ -320,14 +320,14 @@ def _is_monic_in(q: MultiPoly, var: str) -> bool:
     return len(lead) == 1 and not any(lead[0][:i] + lead[0][i + 1:])
 
 
-def topological_degree(f: PolyMap, budget=None) -> int:
+def topological_degree(f: PolyMap) -> int:
     """Number of points, with multiplicity, in the fiber over a generic point.
 
     Counts the standard monomials of the (x, y)-parts of the graph
     basis's leading monomials; for a proper map this is the topological
     degree.
     """
-    leads = _graph_basis_leads(f, budget)
+    leads = _graph_basis_leads(f)
     return staircase_count([e[:len(SOURCE_VARS)] for e in leads], len(SOURCE_VARS))
 
 
@@ -343,7 +343,7 @@ def _nonzero_jacobian(f: PolyMap) -> MultiPoly:
     return J
 
 
-def _eliminated_branch(g: PolyMap, F: MultiPoly, budget) -> list:
+def _eliminated_branch(g: PolyMap, F: MultiPoly) -> list:
     """The reduced basis of g's branch ideal, in (x, y) read as
     coordinates on the target plane, for F g's reduced critical curve.
 
@@ -361,10 +361,10 @@ def _eliminated_branch(g: PolyMap, F: MultiPoly, budget) -> list:
     top = F.total_degree()
     homogeneous = all(len({sum(e) for e in c.terms}) == 1 for c in g.components())
     return [q.rename(SOURCE_VARS) for q in elimination_ideal(
-        gens, SOURCE_VARS, budget, (lambda D: min(D + 1, top)) if homogeneous else None)]
+        gens, SOURCE_VARS, (lambda D: min(D + 1, top)) if homogeneous else None)]
 
 
-def branch_ideal(f: PolyMap, budget=None) -> list:
+def branch_ideal(f: PolyMap) -> list:
     """Generators of the ideal of f's branch curve, in (x, y) read as
     coordinates on the target plane, as claims and `verify_branch` take
     them.
@@ -376,17 +376,16 @@ def branch_ideal(f: PolyMap, budget=None) -> list:
     fixed sign.  The elimination runs for g = to . f, f with its
     target-side shears stripped: the branch ideal of f is that of g with
     `to` substituted into each generator.  Several generators are
-    reduced again, under the same budget, so the answer is f's reduced
-    basis.
+    reduced again, so the answer is f's reduced basis.
     """
     g, steps = _target_reduced(f)
-    gens = _eliminated_branch(g, squarefree_part(_nonzero_jacobian(g)), budget)
+    gens = _eliminated_branch(g, squarefree_part(_nonzero_jacobian(g)))
     if not steps:
         return gens
     images = dict(zip(SOURCE_VARS, _target_to(steps, g.field)))
     moved = [substitute(q, images) for q in gens]
     if len(moved) > 1:
-        moved = interreduce(buchberger(moved, budget=budget)).basis
+        moved = interreduce(buchberger(moved)).basis
     # the engine's canonical multiple: primitive over Q, monic over Q(zeta_N)
     return [primitive_normalize(monic(q)) for q in moved]
 
@@ -405,15 +404,14 @@ def branch_status(tiers: dict) -> str:
     return "pass"
 
 
-def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
-                  budget=None) -> dict:
+def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True) -> dict:
     """Check a claimed branch equation for f, cheap tiers first.
 
     The claimed polynomial is written in (x, y) read as coordinates on
     the target plane.  Tier one: the pullback of the claim must vanish
     on the reduced critical locus, i.e. be divisible by F, the
     squarefree part of J_f.  Tier two: the claim itself must be
-    squarefree.  Tier three (optional, budgeted): the branch ideal,
+    squarefree.  Tier three (optional): the branch ideal,
     eliminated over the same F as in `branch_ideal`, must be principal
     with the claim as generator, up to a unit.  F is built once and
     serves tiers one and three.  Both work on g = to . f, f with its
@@ -425,7 +423,7 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
     `claimed_squarefree`, `elimination` ("pass", "fail", "skipped-budget"
     or "not-run") and, for a skipped elimination, `elimination_stop`
     with the limit hit and the engine's counters.  `branch_status`
-    gives its verdict.
+    gives its verdict.  A budget stop before tier three is raised.
     """
     field = common_field(f.field, claimed.field)
     claim = claimed.in_field(field).rename(SOURCE_VARS)
@@ -443,7 +441,7 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True,
         try:
             # f's branch ideal is principal on the claim exactly when g's
             # is principal on claim . back
-            gens = _eliminated_branch(g, F, budget)
+            gens = _eliminated_branch(g, F)
             if len(gens) == 1 and is_scalar_multiple(
                     gens[0], primitive_normalize(moved)):
                 tiers["elimination"] = "pass"
@@ -473,19 +471,19 @@ def compose(f: PolyMap, pre: PlaneAutomorphism = None,
 
 
 def integral_relation_check(f: PolyMap, element: MultiPoly,
-                            relation: MultiPoly, main_var: str = "u") -> bool:
+                            relation: MultiPoly) -> bool:
     """Whether a monic relation r(u, s, t) annihilates `element` over the image.
 
-    The relation must be monic in its main variable up to a nonzero
+    The relation must be monic in its main variable u up to a nonzero
     scalar (a unit does not affect integrality); s and t stand for the
     two components of f.
     """
-    if relation.degree_in(main_var) < 1:
+    if relation.degree_in("u") < 1:
         raise ValueError("relation is constant in its main variable")
-    if not _is_monic_in(relation, main_var):
+    if not _is_monic_in(relation, "u"):
         raise ValueError("relation is not monic in its main variable")
     field = common_field(relation.field, f.field)
     elem = element.in_field(field)
-    images = {main_var: elem, "s": f.f1.in_field(field), "t": f.f2.in_field(field)}
+    images = {"u": elem, "s": f.f1.in_field(field), "t": f.f2.in_field(field)}
     value = substitute(relation.in_field(field), images)
     return not value.terms

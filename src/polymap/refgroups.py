@@ -568,9 +568,8 @@ def _action_images(g: Matrix2, fld):
     return {"x": x * g.a + y * g.b, "y": x * g.c + y * g.d}
 
 
-def is_invariant(group, p: MultiPoly) -> bool:
+def is_invariant(record: GroupRecord, p: MultiPoly) -> bool:
     """Whether p is fixed by the group's linear action (generators suffice)."""
-    record = group.record if isinstance(group, GroupElements) else group
     fld = common_field(p.field, CyclotomicField(record.conductor))
     pl = p.in_field(fld)
     for g in record.generators:
@@ -788,8 +787,7 @@ def claimed_branch(record: GroupRecord) -> MultiPoly:
     return parse_poly(_CLAIMED_EXCEPTIONAL[record.params[0]])
 
 
-def verify_table4_row(record: GroupRecord, tier: str = "divisibility",
-                      budget=None) -> dict:
+def verify_table4_row(record: GroupRecord, tier: str = "divisibility") -> dict:
     """Tiered check that the claimed branch matches the quotient map.
 
     tier "divisibility" runs the two cheap certificates; tier "full"
@@ -800,7 +798,7 @@ def verify_table4_row(record: GroupRecord, tier: str = "divisibility",
     if tier not in ("divisibility", "full"):
         raise ValueError("tier must be 'divisibility' or 'full'")
     tiers = verify_branch(quotient_map(record), claimed_branch(record),
-                          run_elimination=(tier == "full"), budget=budget)
+                          run_elimination=(tier == "full"))
     status = branch_status(tiers)
     return {"tiers": tiers, "ok": status != "fail", "status": status}
 

@@ -63,7 +63,7 @@ def test_malformed_budget_flag_is_usage_error(capsys, value):
 
 # one call of every subcommand that takes --budget
 BUDGETED = [("proper", "(x, y^2)"), ("degree", "(x, y^2)"),
-            ("branch", "(x, y^3+x*y)"),
+            ("branch", "(x, y^3+x*y)"), ("milnor", "x^4 + x^2*y + y^4"),
             ("distinguish", "(x, y^3 - 3*x^2*y)", "(x, y^3 - 3*x^3*y)"),
             ("family", "pinch", "--d", "3"), ("verify-table4",),
             ("verify-theorem-b", "--n-max", "2")]
@@ -102,7 +102,8 @@ def test_parser_is_built_once_and_reads_environment_per_call(capsys, monkeypatch
 
 
 @pytest.mark.parametrize("argv", [("verify-theorem-a", "--d", "3"),
-                                  ("milnor", "x^4 + x^2*y + y^4")],
+                                  ("group", "G4", "--verify"),
+                                  ("classes", "--degree", "4")],
                          ids=lambda argv: argv[0])
 def test_subcommand_without_a_basis_takes_no_budget(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -206,8 +207,8 @@ def test_rejected_input_exits_one(capsys, argv, message):
 
 
 def test_milnor_at_smooth_point_needs_no_pair(capsys, monkeypatch):
-    # milnor builds no basis, so even a zero budget in the environment
-    # leaves it alone; a unit among the partials settles mu = 0 at once
+    # a unit among the partials settles mu = 0 at once, with no basis, so
+    # even a zero budget in the environment lets milnor finish
     monkeypatch.setenv("POLYMAP_BUDGET", "0")
     curve = ("-5*x^5*y^5 - 1/2*x^3*y^5 - 4/3*x^2*y^6 + 1/3*x^2*y^3"
              " + 5/3*x^4 + 5/2*y")
@@ -408,7 +409,7 @@ def test_verify_theorem_b_builds_each_maps_bases_once(capsys, monkeypatch):
 
 def test_verify_theorem_b_reports_both_totals_of_a_failing_pair(capsys, monkeypatch):
     monkeypatch.setattr(cli, "distinguish_by_milnor",
-                        lambda *maps, budget=None: [1] * len(maps))
+                        lambda *maps: [1] * len(maps))
     code, out, _ = run(capsys, "--json", "verify-theorem-b", "--n-max", "3")
     assert code == 1
     assert json.loads(out)["checks"][-1] == {
@@ -502,13 +503,46 @@ def test_budget_reaches_the_total_milnor_basis(capsys):
                                 "basis_size": 3}
 
 
-def test_milnor_ignores_the_budget_environment(capsys, monkeypatch):
-    # milnor builds no basis, so POLYMAP_BUDGET does not reach it, and a
-    # malformed value is not read either
-    for value in ("1", "abc"):
-        monkeypatch.setenv("POLYMAP_BUDGET", value)
-        code, out, _ = run(capsys, "milnor", "x^4 + x^2*y + y^4")
-        assert code == 0 and "milnor: pass" in out and "milnor=5" in out
+def test_milnor_reads_the_budget_environment(capsys, monkeypatch):
+    # milnor's common-component gcd can build a basis, so POLYMAP_BUDGET
+    # reaches it: a curve the modular gcd decides passes under any budget,
+    # and a malformed value is a usage error
+    monkeypatch.setenv("POLYMAP_BUDGET", "1")
+    code, out, _ = run(capsys, "milnor", "x^4 + x^2*y + y^4")
+    assert code == 0 and "milnor: pass" in out and "milnor=5" in out
+    monkeypatch.setenv("POLYMAP_BUDGET", "abc")
+    code, out, err = run(capsys, "milnor", "x^4 + x^2*y + y^4")
+    assert code == 2 and not out and err.startswith("polymap: POLYMAP_BUDGET")
+
+
+# a curve whose partials share a component that no modular image
+# decides, so the common-component gcd builds the fallback basis
+FALLBACK_CURVE = "(x^2 - y^3 + x*y)^2*(1 + x + 2*y)"
+
+
+def test_budget_reaches_the_gcd_fallback_of_milnor(capsys):
+    code, out, _ = run(capsys, "--json", "milnor", FALLBACK_CURVE, "--budget", "2")
+    check = json.loads(out)["checks"][0]
+    assert code == 0 and check["status"] == "skipped-budget"
+    assert check["details"] == {"limit": "pair-reduction budget 2 exceeded",
+                                "pair_reductions": 2, "zero_reductions": 0,
+                                "basis_size": 4}
+    code, out, _ = run(capsys, "--json", "milnor", FALLBACK_CURVE, "--budget", "3")
+    check = json.loads(out)["checks"][0]
+    assert code == 0 and check["status"] == "pass"
+    assert check["details"]["milnor"] == "infinite"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("degree", "(x+y+x*y, x^3*y)", "--budget", "1"), 0),
+    (("family", "whitney", "--d", "7", "--budget", "1"), 1),
+], ids=["skipped", "rejected"])
+def test_budget_ends_with_the_command(capsys, argv, code):
+    # cli.main runs in-process many times over (the benchmark does), so
+    # the budget of one command must not outlive it, however it ends;
+    # pinch(4) is the skipped map, whose basis needs more than one pair
+    assert run(capsys, *argv)[0] == code
+    assert maps.topological_degree(maps.make_family("pinch", d=4)) == 4
 
 
 def test_branch_with_claim(capsys):

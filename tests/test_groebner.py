@@ -13,7 +13,8 @@ from polymap.groebner import (ComputationBudget, IdealBasis,
                               ResourceBudgetExceeded, _Entry, _entries,
                               _ExponentOverflow, _gm_update, _grading,
                               _packed, _Packing, _reduce_terms, buchberger,
-                              elimination_ideal, interreduce, quotient_dimension)
+                              elimination_ideal, interreduce, quotient_dimension,
+                              under_budget)
 from polymap.maps import (PlaneAutomorphism, compose, critical_ideal,
                           make_family)
 from polymap.numberfield import CycloNumber
@@ -119,10 +120,12 @@ def test_elimination_with_several_eliminants_is_pinned():
 
 def test_budget_interrupts():
     gens = [parse_poly("x^4 + y^3 - 1"), parse_poly("x^2*y + x*y^2 - 7")]
-    with pytest.raises(ResourceBudgetExceeded):
-        buchberger(gens, budget=ComputationBudget(max_pair_reductions=1))
+    with pytest.raises(ResourceBudgetExceeded), \
+            under_budget(ComputationBudget(max_pair_reductions=1)):
+        buchberger(gens)
     # generous budget sails through
-    buchberger(gens, budget=ComputationBudget(max_pair_reductions=10000))
+    with under_budget(ComputationBudget(max_pair_reductions=10000)):
+        buchberger(gens)
 
 
 def test_budget_stop_reports_progress():
@@ -131,8 +134,9 @@ def test_budget_stop_reports_progress():
     gens = [parse_poly("x^4 + y^3 - 1"), parse_poly("x^2*y + x*y^2 - 7")]
     assert buchberger(gens).stats["pair_reductions"] == 3
     for limit, live in ((0, 2), (1, 3), (2, 4)):
-        with pytest.raises(ResourceBudgetExceeded) as exc:
-            buchberger(gens, budget=ComputationBudget(max_pair_reductions=limit))
+        with pytest.raises(ResourceBudgetExceeded) as exc, \
+                under_budget(ComputationBudget(max_pair_reductions=limit)):
+            buchberger(gens)
         assert exc.value.stats == {"pair_reductions": limit,
                                    "zero_reductions": 0, "basis_size": live}
 
@@ -237,7 +241,8 @@ def test_buchberger_returns_the_minimal_basis(gens, which):
     assume(gens)
     order = _engine_orders(len(gens[0].vars))[which]
     try:
-        gb = buchberger(gens, order, ComputationBudget(max_pair_reductions=40))
+        with under_budget(ComputationBudget(max_pair_reductions=40)):
+            gb = buchberger(gens, order)
     except ResourceBudgetExceeded:
         assume(False)
     for a, b in itertools.permutations(gb.leads, 2):
@@ -393,7 +398,8 @@ def q12_polys(max_terms, max_exp):
 @given(st.lists(q12_polys(3, 2), min_size=2, max_size=2), q12_polys(5, 4), exact_orders)
 def test_normal_form_is_exact_over_q12(gens, p, order):
     try:
-        basis = buchberger(gens, order, ComputationBudget(max_pair_reductions=40))
+        with under_budget(ComputationBudget(max_pair_reductions=40)):
+            basis = buchberger(gens, order)
     except ResourceBudgetExceeded:
         assume(False)
     _assert_exact_normal_forms(basis, p, CycloNumber(12, (1, 2, 0, Fraction(-1, 3))))
@@ -578,7 +584,8 @@ def test_engine_leads_are_the_leading_exponents(gens, which):
     assume(gens)
     order = _engine_orders(2)[which]
     try:
-        gb = buchberger(gens, order, ComputationBudget(max_pair_reductions=40))
+        with under_budget(ComputationBudget(max_pair_reductions=40)):
+            gb = buchberger(gens, order)
     except ResourceBudgetExceeded:
         assume(False)
     assert gb.leads == [g.leading(order)[0] for g in gb.basis]

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from oracles import jacobian_branch
 from polymap import maps
 from polymap.groebner import (ComputationBudget, ResourceBudgetExceeded,
-                              buchberger, elimination_ideal, staircase_count)
+                              buchberger, elimination_ideal, staircase_count,
+                              under_budget)
 from polymap.maps import (PlaneAutomorphism, PolyMap, _target_back, _target_reduced,
                           _target_to, branch_ideal, branch_status, compose, critical_ideal,
                           _is_monic_in, integral_relation_check, is_proper,
@@ -98,9 +99,9 @@ def test_degree_counts_generic_fiber_of_non_proper_map():
 
 
 def test_degree_budget():
-    with pytest.raises(ResourceBudgetExceeded):
-        topological_degree(make_family("pinch", d=5),
-                           budget=ComputationBudget(max_pair_reductions=1))
+    with pytest.raises(ResourceBudgetExceeded), \
+            under_budget(ComputationBudget(max_pair_reductions=1)):
+        topological_degree(make_family("pinch", d=5))
 
 
 def test_branch_whitney_frozen():
@@ -222,8 +223,9 @@ def test_verify_branch_tiers():
 
 def test_verify_branch_budget_status():
     f = make_family("pinch", d=5)
-    check = verify_branch(f, branch_ideal(f)[0],
-                          budget=ComputationBudget(max_pair_reductions=2))
+    claim = branch_ideal(f)[0]
+    with under_budget(ComputationBudget(max_pair_reductions=2)):
+        check = verify_branch(f, claim)
     assert check["elimination"] == "skipped-budget"
     # the cheap tiers pass, so the claim is skipped, not failed
     assert branch_status(check) == "skipped-budget"
@@ -496,7 +498,8 @@ def test_branch_of_sheared_pinch_finishes_under_budget():
     for _ in range(6):
         pre, post = _automorphism(rng, 0), _automorphism(rng)
         unsheared = branch_ideal(compose(base, pre=pre))
-        gens = branch_ideal(compose(base, pre=pre, post=post), ComputationBudget(1000))
+        with under_budget(ComputationBudget(1000)):
+            gens = branch_ideal(compose(base, pre=pre, post=post))
         u, v = post.inverse
         moved = substitute(unsheared[0], {"x": u, "y": v})
         assert len(unsheared) == 1 and len(gens) == 1

@@ -641,8 +641,8 @@ def _count_eliminations(monkeypatch):
     calls = []
     eliminate = groebner.elimination_ideal
     monkeypatch.setattr(groebner, "elimination_ideal",
-                        lambda gens, names, budget=None:
-                        calls.append(names) or eliminate(gens, names, budget))
+                        lambda gens, names:
+                        calls.append(names) or eliminate(gens, names))
     return calls
 
 
@@ -685,6 +685,19 @@ def test_engine_gcd_takes_a_variable_the_ring_lacks(monkeypatch):
     assert gcd_poly(h * (t - u ** 2), h ** 2 * (t * u - 3)) == h
     assert calls == [("t__",)]
     assert squarefree_part(h ** 2 * (t * u - 3)) == primitive_normalize(h * (t * u - 3))
+
+
+def test_budget_reaches_the_engine_gcd():
+    # the images cannot decide the repeated part of this curve, so its
+    # squarefree part builds a basis, and the ambient budget bounds it
+    p = parse_poly("(x^2 - y^3 + x*y)^2*(1 + x + 2*y)")
+    with pytest.raises(groebner.ResourceBudgetExceeded) as exc, \
+            groebner.under_budget(groebner.ComputationBudget(max_pair_reductions=0)):
+        squarefree_part(p)
+    assert exc.value.stats == {"pair_reductions": 0, "zero_reductions": 0,
+                               "basis_size": 2}
+    assert squarefree_part(p) == primitive_normalize(
+        parse_poly("(x^2 - y^3 + x*y)*(1 + x + 2*y)"))
 
 
 def test_squarefree_part_of_a_constant_is_one():
