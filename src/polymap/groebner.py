@@ -9,13 +9,21 @@ that w-degree is the pair's sugar (Giovini, Mora, Niesi, Robbiano,
 Traverso, "One sugar cube, please", ISSAC 1991).  Otherwise selection is
 the normal strategy: the smallest lcm in the active order.
 
+Each new basis element costs one pass of bookkeeping: the pair update
+prunes the old pairs in place and hands back only the new ones to push,
+and the live elements stay sorted by lead, a new one inserted by
+bisection.
+
 When the weights are (1, 1, a, b) on four variables, a caller may pass
 the quotient's Hilbert function hf (`hilbert`).  In each degree D the
 engine counts the monomials no lead divides, one less per new element;
 at hf(D) the other pairs of degree D reduce to zero and are dropped
 unreduced and unbudgeted (Traverso, "Hilbert functions and the
 Buchberger algorithm", JSC 22, 1996).  Any other count on leaving
-degree D raises ArithmeticError.
+degree D raises ArithmeticError.  The count walks staircase corners:
+the run keeps the minimal (x, y) staircase of each (s, t)-exponent it
+has counted and puts each new lead into the ones it belongs to
+(`_StandardCount`).
 
 Reduction is one division loop for both coefficient fields.  Over Q it
 is fraction-free: every basis element is a primitive integer
@@ -40,9 +48,11 @@ an exponent that outgrows its field shows as a set guard bit when the
 new monomial first gets its key, and an input exponent that does not
 fit is caught when it is packed; either way the fields widen and the
 computation starts over (`_packed`), so no exponent ever wraps.
-Polynomials enter and leave the engine as MultiPolys with tuple
-exponents, and the engine hands over each basis element's leading
-exponent with the basis (`IdealBasis.leads`), so nothing reads it again.
+Polynomials enter the engine as MultiPolys with tuple exponents.  A
+basis leaves it packed: each element becomes a MultiPoly when it is
+first read, and each basis element's leading exponent comes with the
+basis (`IdealBasis.leads`), so a caller that reads only the leads
+decodes nothing.
 
 `buchberger` returns the minimal basis: the leading monomials, which
 fix the staircase, are those of the reduced basis, but no tail is
@@ -59,7 +69,8 @@ budget once per command and reports a stop as "skipped-budget".
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field as dataclass_field
@@ -127,17 +138,57 @@ class IdealBasis:
 
     `buchberger` gives the minimal basis, smallest lead first, each
     element primitive over Q and monic over Q(zeta_N); `interreduce`
-    turns it into the reduced basis with the same leads.
+    turns it into the reduced basis with the same leads.  The engine's
+    bases are sequences that turn an element into a MultiPoly when it
+    is first read, so a caller of `leads` alone decodes nothing.
     """
 
     order: MonomialOrder
-    basis: list
+    basis: Sequence
     leads: list
     stats: dict = dataclass_field(default_factory=dict)
 
     @property
     def vars(self):
         return self.basis[0].vars
+
+
+class _Decoded(Sequence):
+    """Basis elements kept as packed term dicts, each decoded into a
+    MultiPoly of the ring of `ring` the first time it is read.
+
+    It keeps the packing's field layout, not the packing, so the
+    packing's key memo goes when the run that built it returns.
+    """
+
+    __slots__ = ("_terms", "_polys", "_vars", "_field", "_offsets", "_mask")
+
+    def __init__(self, terms, ring, packing):
+        self._terms = terms
+        self._polys = [None] * len(terms)
+        self._vars, self._field = ring.vars, ring.field
+        self._offsets, self._mask = packing.offsets, packing.mask
+
+    def __len__(self):
+        return len(self._terms)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        p = self._polys[k]
+        if p is None:
+            offsets, mask = self._offsets, self._mask
+            p = self._polys[k] = MultiPoly(
+                self._vars, {tuple((m >> o) & mask for o in offsets): c
+                             for m, c in self._terms[k].items()},
+                self._field, _clean=True)
+        return p
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def __repr__(self):
+        return repr(list(self))
 
 
 def _exp_divides(a, b):
@@ -379,34 +430,40 @@ def _spoly_terms(f: _Entry, g: _Entry, lcm):
     return terms
 
 
-def _gm_update(pairs, entries, new: _Entry, packing):
-    """Gebauer-Moeller update of the pair set for a freshly added element."""
+def _gm_update(pairs, entries, active, new: _Entry, packing):
+    """Gebauer-Moeller update of the pair set for a freshly added element.
+
+    `active` holds the live entries other than `new`.  Prunes the old
+    pairs in `pairs` in place, adds the new ones, and returns those.
+    """
     t = new.index
     lead = new.lead_exp
     guard = packing.guard
-    # candidate pairs with the new element, from the non-retired part
-    fresh = {g.index: packing.lcm(g.lead_exp, lead) for g in entries
-             if not g.retired and g.index != t}
+    lcm_of = packing.lcm
+    # candidate pairs with the new element, from the live entries
+    fresh = {g.index: lcm_of(g.lead_exp, lead) for g in active}
 
     def lcm_with_new(i):
         # a member of an old pair may be retired
         lcm = fresh.get(i)
-        return packing.lcm(entries[i].lead_exp, lead) if lcm is None else lcm
+        return lcm_of(entries[i].lead_exp, lead) if lcm is None else lcm
 
     # prune old pairs strictly dominated by the new element
-    survivors = {}
-    for (i, j), lcm in pairs.items():
-        if (((lcm | guard) - lead) & guard == guard
-                and lcm_with_new(i) != lcm and lcm_with_new(j) != lcm):
-            continue
-        survivors[(i, j)] = lcm
+    dead = [ij for ij, lcm in pairs.items()
+            if ((lcm | guard) - lead) & guard == guard
+            and lcm_with_new(ij[0]) != lcm and lcm_with_new(ij[1]) != lcm]
+    for ij in dead:
+        del pairs[ij]
     # drop candidates whose lcm is a proper multiple of another candidate's
     # lcm; a proper divisor of a packed monomial is a smaller int, so in
     # increasing order each lcm meets its divisors among the minimal ones
     minimal = []
     for lcm in sorted(set(fresh.values())):
         lg = lcm | guard
-        if not any((lg - other) & guard == guard for other in minimal):
+        for other in minimal:
+            if (lg - other) & guard == guard:
+                break
+        else:
             minimal.append(lcm)
     minimal = set(minimal)
     # one representative per lcm class, the smallest index; a coprime
@@ -416,11 +473,13 @@ def _gm_update(pairs, entries, new: _Entry, packing):
     for i, lcm in fresh.items():
         if lcm in minimal:
             classes.setdefault(lcm, []).append(i)
+    new_pairs = {}
     for lcm, members in classes.items():
         if any(lcm == entries[i].lead_exp + lead for i in members):
             continue
-        survivors[(members[0], t)] = lcm
-    return survivors
+        new_pairs[(min(members), t)] = lcm
+    pairs.update(new_pairs)
+    return new_pairs
 
 
 def _grading(gens):
@@ -498,25 +557,72 @@ def buchberger(generators, order: MonomialOrder = None, hilbert=None) -> IdealBa
     return IdealBasis(order, basis, leads, stats=stats)
 
 
-def _standard_count(leads, weights, degree):
-    """Monomials x^a y^b s^c t^e of weighted degree `degree` that no lead
-    divides, `leads` sorted.  Per (c, e), with r = degree - w_s c - w_t e,
-    a lead with lc <= c and le <= e divides x^a y^(r - a) for la <= a <= r - lb."""
-    _, _, ws, wt = weights
-    count = 0
-    for c in range(degree // ws + 1):
-        for e in range((degree - ws * c) // wt + 1):
-            r = degree - ws * c - wt * e
-            count += r + 1
-            end = -1
-            for la, lb, lc, le in leads:
-                if la > r:
-                    break
-                hi = r - lb
-                if lc <= c and le <= e and hi > end and hi >= la:
-                    count -= hi - max(la, end + 1) + 1
-                    end = hi
-    return count
+class _StandardCount:
+    """Monomials x^a y^b s^c t^e of each weighted degree that no lead
+    divides, for weights (1, 1, w_s, w_t).
+
+    Per (c, e) the leads with lc <= c and le <= e cover the (a, b) above
+    their minimal (x, y) corners.  Each (c, e) a count reaches keeps its
+    staircase, the corners sorted by a with b falling, and each new lead
+    goes into the staircases it belongs to.  A retired lead is divisible
+    by the lead that retires it, so its corner is covered by that lead's
+    in every staircase and nothing is ever taken out.
+    """
+
+    __slots__ = ("ws", "wt", "leads", "stairs")
+
+    def __init__(self, weights):
+        _, _, self.ws, self.wt = weights
+        self.leads = []     # every lead added, unpacked
+        self.stairs = {}    # (c, e) -> its corners [(a, b)]
+
+    def add(self, lead):
+        self.leads.append(lead)
+        a, b, lc, le = lead
+        for (c, e), corners in self.stairs.items():
+            if lc <= c and le <= e:
+                # the corner left of a is the only one that can cover (a, b);
+                # the ones from k on that it covers form a run
+                k = bisect_right(corners, (a, b))
+                if k and corners[k - 1][1] <= b:
+                    continue
+                j = k
+                while j < len(corners) and corners[j][1] >= b:
+                    j += 1
+                corners[k:j] = [(a, b)]
+
+    def _staircase(self, c, e):
+        corners = []
+        for a, b in sorted((a, b) for a, b, lc, le in self.leads if lc <= c and le <= e):
+            if not corners or b < corners[-1][1]:
+                corners.append((a, b))
+        return corners
+
+    def count(self, degree):
+        """The number of standard monomials of weighted degree `degree`.
+
+        With r = degree - w_s c - w_t e, a corner (a, b) covers
+        x^i y^(r - i) for a <= i <= r - b; those intervals rise with
+        the corners, so one sweep counts their union.
+        """
+        ws, wt, stairs = self.ws, self.wt, self.stairs
+        total = 0
+        for c in range(degree // ws + 1):
+            for e in range((degree - ws * c) // wt + 1):
+                corners = stairs.get((c, e))
+                if corners is None:
+                    corners = stairs[c, e] = self._staircase(c, e)
+                r = degree - ws * c - wt * e
+                total += r + 1
+                end = -1
+                for a, b in corners:
+                    if a > r:
+                        break
+                    hi = r - b
+                    if hi >= a:
+                        total -= hi - max(a, end + 1) + 1
+                        end = hi
+        return total
 
 
 def _buchberger(gens, budget, weights, packing, hf):
@@ -531,40 +637,41 @@ def _buchberger(gens, budget, weights, packing, hf):
     stats = {"pair_reductions": 0, "zero_reductions": 0, "basis_size": 0}
     if hf:
         stats["hilbert_skipped"] = 0
+    standard = _StandardCount(weights) if hf else None
 
     entries: list[_Entry] = []
     active: list[_Entry] = []     # the live entries, smallest lead first
-    leads = []                    # with hf, their leads unpacked and sorted
     pairs: dict = {}
     # the smallest lcm comes first: by weighted degree when there is a
     # grading, then by the order, then by the pair; a popped pair that is
     # no longer in `pairs` was pruned
     queue = []
 
+    def rank(e):
+        return -negkey(e.lead_exp)
+
     def add(terms, lead):
-        nonlocal pairs, active
+        nonlocal active
         entry = _Entry(_normalized(terms, lead, field), lead, len(entries))
         entries.append(entry)
         stats["basis_size"] += 1
         # pairs are formed against the pre-retirement basis; only afterwards may
         # elements with now-redundant leading terms stop spawning future pairs
-        pairs = _gm_update(pairs, entries, entry, packing)
-        for (i, j), lcm in pairs.items():
-            if j == entry.index:
-                key = -negkey(lcm)
-                heappush(queue, ((key,) if weights is None else
-                                 (sum(map(mul, weights, unpack(lcm))), key), (i, j)))
-        for e in active:
-            if divides(lead, e.lead_exp):
+        for ij, lcm in _gm_update(pairs, entries, active, entry, packing).items():
+            key = -negkey(lcm)
+            heappush(queue, ((key,) if weights is None else
+                             (sum(map(mul, weights, unpack(lcm))), key), ij))
+        # a multiple of the new lead sorts after it
+        at = bisect_left(active, -negkey(lead), key=rank)
+        retired = [e for e in active[at:] if divides(lead, e.lead_exp)]
+        if retired:
+            for e in retired:
                 e.retired = True
-                stats["basis_size"] -= 1
-                if hf:
-                    del leads[bisect_left(leads, unpack(e.lead_exp))]
-        active = [e for e in active if not e.retired]
-        active.append(entry)
-        active.sort(key=lambda e: negkey(e.lead_exp), reverse=True)
+            stats["basis_size"] -= len(retired)
+            active = [e for e in active if not e.retired]
+        active.insert(at, entry)
         if hf:
-            insort(leads, unpack(lead))
+            standard.add(unpack(lead))
 
     for terms, lead in sorted((_pack_terms(g, packing) for g in gens),
                               key=lambda tl: negkey(tl[1]), reverse=True):
@@ -587,7 +694,7 @@ def _buchberger(gens, budget, weights, packing, hf):
             check()
             degree = r[0]
             target = hf(degree)
-            count = _standard_count(leads, weights, degree)
+            count = standard.count(degree)
         if hf and count == target:
             # every lead of this degree is found, so the pair reduces to zero
             stats["hilbert_skipped"] += 1
@@ -605,8 +712,8 @@ def _buchberger(gens, budget, weights, packing, hf):
 
     kept = _minimal(active, packing)
     stats["basis_size"] = len(kept)
-    return ([_unpacked(gens[0], e.terms, packing) for e in kept],
-            [packing.unpack(e.lead_exp) for e in kept], stats)
+    return (_Decoded([e.terms for e in kept], gens[0], packing),
+            [unpack(e.lead_exp) for e in kept], stats)
 
 
 def _minimal(entries, packing):
@@ -620,7 +727,7 @@ def _minimal(entries, packing):
 
 
 def _interreduce(entries, ring, packing):
-    """(reduced basis as MultiPolys of `ring`, their leading exponents),
+    """(reduced basis in the ring of `ring`, their leading exponents),
     from the entries of a minimal Groebner basis sorted by leading monomial.
 
     Each element is reduced by the others; its leading term is not
@@ -630,15 +737,8 @@ def _interreduce(entries, ring, packing):
     for entry in entries:
         others = [k for k in entries if k is not entry]
         terms, _ = _reduce_terms(dict(entry.terms), others, packing, ring.field)
-        out.append(_unpacked(ring, _normalized(terms, entry.lead_exp, ring.field), packing))
-    return out, [packing.unpack(k.lead_exp) for k in entries]
-
-
-def _unpacked(ring, terms, packing):
-    """The MultiPoly of a packed term dict, in the ring of `ring`."""
-    unpack = packing.unpack
-    return MultiPoly(ring.vars, {unpack(m): c for m, c in terms.items()},
-                     ring.field, _clean=True)
+        out.append(_normalized(terms, entry.lead_exp, ring.field))
+    return _Decoded(out, ring, packing), [packing.unpack(k.lead_exp) for k in entries]
 
 
 def _entries(basis: IdealBasis, packing):
@@ -683,7 +783,7 @@ def elimination_ideal(generators, eliminate, hilbert=None) -> list:
 
 def quotient_dimension(basis: IdealBasis):
     """Dimension of the quotient ring by the basis's ideal; math.inf if not finite."""
-    return staircase_count(basis.leads, len(basis.vars))
+    return staircase_count(basis.leads, len(basis.leads[0]))
 
 
 def staircase_count(leads, nvars):

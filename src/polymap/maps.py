@@ -240,13 +240,19 @@ def _target_reduced(f: PolyMap) -> tuple:
         if degrees[lo] < 1 or degrees[hi] % degrees[lo]:
             break
         k = degrees[hi] // degrees[lo]
-        # a power's extreme monomials are k times its base's, so a
-        # mismatch rules the step out before any coefficient arithmetic
+        # the top form of a power is the power of the top form, so its
+        # extreme monomials are k times its base's and their coefficients
+        # are k-th powers: a mismatch there rules the step out before
+        # any product is built
         first, last = _top_extremes(comps[lo], degrees[lo])
         if _top_extremes(comps[hi], degrees[hi]) != (k * first, k * last):
             break
-        c = (comps[hi].terms[(k * first, degrees[hi] - k * first)]
-             * field_inverse(comps[lo].terms[(first, degrees[lo] - first)]) ** k)
+        lo_first, lo_last = (comps[lo].terms[(a, degrees[lo] - a)] for a in (first, last))
+        hi_first, hi_last = (comps[hi].terms[(k * a, degrees[hi] - k * a)]
+                             for a in (first, last))
+        c = hi_first * field_inverse(lo_first) ** k
+        if hi_last != c * lo_last ** k:
+            break
         reduced = comps[hi] - comps[lo] ** k * c
         if reduced.total_degree() >= degrees[hi]:
             break

@@ -581,7 +581,9 @@ def substitute(p: MultiPoly, images: dict) -> MultiPoly:
     each group p_k is summed as scalars times cached products of powers
     of the other images, and the groups are folded as
     (...(p_d*X^(d-k) + p_k)*X^(k-j) + p_j...)*X^i.  That takes about
-    deg_x(p) full products, not one per term.
+    deg_x(p) full products, not one per term.  When every image is a
+    single term, as under a monomial matrix, no product is needed: each
+    term of p maps to one term.
     """
     target_vars = None
     target_field = p.field
@@ -606,13 +608,41 @@ def substitute(p: MultiPoly, images: dict) -> MultiPoly:
     if not used:
         return MultiPoly.constant(p.constant_value(), target_vars, target_field)
 
-    (xi, ximg), rest = used[0], used[1:]
-    powers = [[None, img] for _, img in rest]   # powers[j][e] = image_j^e
-
     def power(plist, e):
         while len(plist) <= e:
             plist.append(plist[-1] * plist[1])
         return plist[e]
+
+    coerce = target_field.coerce
+    if all(len(img.terms) == 1 for _, img in used):
+        # every image is one term k_j*m_j, so each term of p goes to one
+        # term: its coefficient times the k_j^e_j, at the product of the m_j^e_j
+        action = [(i, *next(iter(img.terms.items()))) for i, img in used]
+        scalars = [[None, k] for _, _, k in action]     # scalars[j][e] = k_j^e
+        acc = {}
+        for exps, coeff in p.terms.items():
+            c = coerce(coeff)
+            out = (0,) * len(target_vars)
+            for (i, m, _), plist in zip(action, scalars):
+                e = exps[i]
+                if e:
+                    c = c * power(plist, e)
+                    out = tuple(o + e * d for o, d in zip(out, m))
+            cur = acc.get(out)
+            if cur is None:
+                acc[out] = c
+            else:
+                cur = cur + c
+                if cur:
+                    acc[out] = cur
+                else:
+                    del acc[out]
+        if not target_field.is_cyclotomic:
+            _canonical(acc)
+        return MultiPoly(target_vars, acc, target_field, _clean=True)
+
+    (xi, ximg), rest = used[0], used[1:]
+    powers = [[None, img] for _, img in rest]   # powers[j][e] = image_j^e
 
     monomials = {}      # exponents of the other variables -> their image
 
@@ -628,7 +658,6 @@ def substitute(p: MultiPoly, images: dict) -> MultiPoly:
             monomials[r] = m
         return m
 
-    coerce = target_field.coerce
     origin = (0,) * len(target_vars)
     slices = {}
     for exps, coeff in p.terms.items():

@@ -563,9 +563,9 @@ def verify_presentation(record: GroupRecord) -> bool:
 # invariant theory
 
 def _action_images(g: Matrix2, fld):
-    x = MultiPoly.variable("x", VARS, fld)
-    y = MultiPoly.variable("y", VARS, fld)
-    return {"x": x * g.a + y * g.b, "y": x * g.c + y * g.d}
+    """The images a*x + b*y and c*x + d*y of x and y under g, in `fld`."""
+    return {"x": MultiPoly(VARS, {(1, 0): g.a, (0, 1): g.b}, fld),
+            "y": MultiPoly(VARS, {(1, 0): g.c, (0, 1): g.d}, fld)}
 
 
 def is_invariant(record: GroupRecord, p: MultiPoly) -> bool:

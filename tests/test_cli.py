@@ -1,6 +1,7 @@
 """Command-line surface: reports, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -489,6 +490,16 @@ def test_homogeneous_elimination_skip_reports_skipped_pairs(capsys):
         "zero_reductions": 1, "basis_size": 13, "hilbert_skipped": 8}
     code, out, _ = run(capsys, *argv, "--budget", "12")
     assert code == 0 and json.loads(out)["checks"][0]["status"] == "pass"
+
+
+def test_full_tier_budget_stops_are_frozen(capsys):
+    # 35 of the rows stop at budget 3, each reporting the engine's counters
+    # and live basis size at the stop, so any change to what the engine
+    # does before its fourth pair reduction changes these bytes
+    code, out, _ = run(capsys, "verify-table4", "--tier", "full", "--budget", "3", "--json")
+    assert code == 0 and out.count('"elimination_stop"') == 35
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a0ce68f169b14eb2bb5ec63b82e3ca6457d9af01d6cc197d00387c364e60177b")
 
 
 def test_budget_reaches_the_total_milnor_basis(capsys):

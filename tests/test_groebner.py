@@ -1,7 +1,9 @@
 """Buchberger bases, elimination, and the packed engine layer."""
 
+import gc
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import pytest
@@ -9,14 +11,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import Lex, normal_form, resultant
+from polymap import curves, groebner, maps
+from polymap.curves import distinguish_by_milnor
 from polymap.groebner import (ComputationBudget, IdealBasis,
                               ResourceBudgetExceeded, _Entry, _entries,
-                              _ExponentOverflow, _gm_update, _grading,
-                              _packed, _Packing, _reduce_terms, buchberger,
-                              elimination_ideal, interreduce, quotient_dimension,
-                              under_budget)
-from polymap.maps import (PlaneAutomorphism, compose, critical_ideal,
-                          make_family)
+                              _exp_divides, _ExponentOverflow, _gm_update, _grading,
+                              _packed, _Packing, _reduce_terms, _StandardCount,
+                              buchberger, elimination_ideal, interreduce,
+                              quotient_dimension, under_budget)
+from polymap.maps import (PlaneAutomorphism, compose, critical_ideal, is_proper,
+                          make_family, topological_degree)
 from polymap.numberfield import CycloNumber
 from polymap.parser import format_poly, parse_poly
 from polymap.polyring import (CyclotomicField, DegRevLex, MultiPoly, QQ,
@@ -643,5 +647,106 @@ def test_pair_update_matches_the_quadratic_update(leads, rnd):
     new = entries[-1]
     pairs = {(i, j): packing.lcm(entries[i].lead_exp, entries[j].lead_exp)
              for i, j in itertools.combinations(range(new.index), 2) if rnd.random() < 0.5}
-    assert (_gm_update(dict(pairs), entries, new, packing)
-            == _gm_update_quadratic(dict(pairs), entries, new, packing))
+    want = _gm_update_quadratic(dict(pairs), entries, new, packing)
+    # the live entries in any order: the engine keeps them sorted by lead
+    active = [g for g in entries[:-1] if not g.retired]
+    rnd.shuffle(active)
+    got = dict(pairs)
+    added = _gm_update(got, entries, active, new, packing)
+    assert got == want
+    assert added == {ij: lcm for ij, lcm in want.items() if ij[1] == new.index}
+
+
+# ---------------------------------------------------------------------------
+# the Hilbert count against enumeration of the standard monomials
+
+
+def _standard_by_enumeration(leads, weights, degree):
+    _, _, ws, wt = weights
+    count = 0
+    for c in range(degree // ws + 1):
+        for e in range((degree - ws * c) // wt + 1):
+            r = degree - ws * c - wt * e
+            count += sum(not any(_exp_divides(lead, (a, r - a, c, e)) for lead in leads)
+                         for a in range(r + 1))
+    return count
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5), st.integers(0, 2),
+                          st.integers(0, 2)), min_size=1, max_size=14),
+       st.lists(st.integers(0, 12), min_size=1, max_size=14))
+def test_standard_count_matches_enumeration(ws_wt, leads, degrees):
+    # leads arrive in a random order, as the engine's do: one that a live
+    # lead divides never comes, and each new one retires the live leads it
+    # divides; counts at random, repeated degrees come between them.  Few
+    # x-exponents make corners that share one.
+    weights = (1, 1, *ws_wt)
+    standard = _StandardCount(weights)
+    live = []
+    for k, lead in enumerate(leads):
+        if not any(_exp_divides(old, lead) for old in live):
+            live = [old for old in live if not _exp_divides(lead, old)] + [lead]
+            standard.add(lead)
+        degree = degrees[k % len(degrees)]
+        assert standard.count(degree) == _standard_by_enumeration(live, weights, degree)
+
+
+# ---------------------------------------------------------------------------
+# bases decoded where they are read
+
+
+def _recording_bases(monkeypatch):
+    """Every basis the engine returns from here on, to any caller."""
+    bases = []
+
+    def recording(*args, **kwargs):
+        basis = buchberger(*args, **kwargs)
+        bases.append(basis)
+        return basis
+
+    for module in (groebner, maps, curves):
+        monkeypatch.setattr(module, "buchberger", recording)
+    return bases
+
+
+def _decoded(basis):
+    return [k for k, p in enumerate(basis.basis._polys) if p is not None]
+
+
+def test_leads_only_callers_decode_nothing(monkeypatch):
+    bases = _recording_bases(monkeypatch)
+    f = quotient_map(exceptional_group(4))
+    assert is_proper(f)
+    assert topological_degree(f) == 24
+    assert distinguish_by_milnor(make_family("pinch", d=3)) == [1]
+    assert len(bases) == 4    # distinguish_by_milnor checks properness first
+    assert all(_decoded(b) == [] for b in bases)
+
+
+def test_elimination_decodes_only_its_eliminants(monkeypatch):
+    bases = _recording_bases(monkeypatch)
+    gens = branch_ideal_generators(quotient_map(exceptional_group(4)))
+    (branch,) = elimination_ideal(gens, ("x", "y"))
+    (gb,) = bases
+    free = [k for k, e in enumerate(gb.leads) if not any(e[:2])]
+    assert len(gb.leads) == 14 and len(free) == 1
+    assert _decoded(gb) == free
+    assert branch.total_degree() == 3
+
+
+def test_decoded_basis_keeps_no_packing():
+    # what a basis holds after the run: its packed terms, their field
+    # layout and the decoded polynomials, but not the packing and its key memo
+    gb = buchberger(branch_ideal_generators(quotient_map(exceptional_group(4))),
+                    block_order(("x", "y", "s", "t"), ("x", "y")))
+    seen, todo = set(), [gb]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType)):
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (_Packing, types.FunctionType)), obj
+        todo.extend(gc.get_referents(obj))
+    assert gb.basis == list(gb.basis) and gb.basis[-1] is gb.basis[len(gb.basis) - 1]

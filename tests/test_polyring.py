@@ -5,7 +5,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -300,17 +300,38 @@ def substitutions(draw):
     p_field = draw(st.sampled_from((QQ, field)))
     p = draw(st.one_of(_polys_over(p_field, source, 5, 3),
                        _polys_over(p_field, source, 1, 0)))
+    # single-term images, as a monomial matrix gives; exponents of at most
+    # one make two images collide often
+    single = draw(st.booleans())
     images = {}
     for v in source:
         if v in target and draw(st.booleans()):
             continue
         image_field = draw(st.sampled_from((QQ, field)))
-        images[v] = draw(_polys_over(image_field, target, 3, draw(st.sampled_from((0, 2)))))
+        if single:
+            images[v] = draw(_single_terms(image_field, target))
+        else:
+            images[v] = draw(_polys_over(image_field, target, 3,
+                                         draw(st.sampled_from((0, 2)))))
     return p, images
+
+
+def _single_terms(field, variables):
+    exps = st.tuples(*[st.integers(0, 1)] * len(variables))
+    return st.tuples(exps, _coefficients(field).filter(bool)).map(
+        lambda term: MultiPoly(variables, dict([term]), field))
+
+
+_Z3 = CyclotomicField(3)
 
 
 @settings(max_examples=120, deadline=None)
 @given(substitutions())
+# images that collide (x -> y, y -> y), and collisions that cancel
+@example((X + Y * 2, {"x": Y, "y": Y}))
+@example((X - Y, {"x": Y, "y": Y}))
+@example((X ** 2 - Y ** 2, {"x": -Y}))
+@example((X ** 3 * Y - Y ** 4, {"x": MultiPoly(("x", "y"), {(0, 1): zeta(3, 1)}, _Z3)}))
 def test_substitute_matches_term_by_term(case):
     p, images = case
     # equality covers the target variables and field as well as the terms

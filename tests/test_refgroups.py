@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from polymap import groebner, refgroups
+from polymap.groebner import buchberger
 from polymap.maps import critical_ideal, is_proper, topological_degree, verify_branch
 from polymap.numberfield import embed, zeta
 from polymap.parser import parse_poly
@@ -470,6 +471,29 @@ def test_verify_table4_full_rows():
     for spec in ("Z_3", "G(3,3,2)", "G4", "Z_1", "Z_1xZ_1"):
         report = verify_table4_row(parse_group_spec(spec), tier="full")
         assert report["ok"] and report["tiers"]["elimination"] == "pass", spec
+
+
+def test_engine_work_over_every_table4_row(monkeypatch):
+    # the engine's counters are deterministic, so this pins the work of the
+    # whole full tier, G_21 and G_22 included: a change to pair selection,
+    # the pair criteria or the Hilbert count shows here
+    bases = []
+
+    def recording(*args, **kwargs):
+        basis = buchberger(*args, **kwargs)
+        bases.append(basis)
+        return basis
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    rows = default_table4_rows()
+    for rec in rows:
+        report = verify_table4_row(rec, tier="full")
+        assert report["ok"] and report["tiers"]["elimination"] == "pass", rec.label
+    assert len(rows) == len(bases) == 43
+    total = {key: sum(b.stats[key] for b in bases)
+             for key in ("pair_reductions", "zero_reductions", "hilbert_skipped")}
+    assert total == {"pair_reductions": 744, "zero_reductions": 58, "hilbert_skipped": 1003}
+    assert max(len(b.leads) for b in bases) == 64
 
 
 def test_corrected_constants_pass_and_printed_variants_fail():
