@@ -6,11 +6,15 @@ planes.  Properness and topological degree are both read from one
 basis of the graph ideal <s - f1, t - f2> under a block order with
 (x, y) first.  The branch curve comes from eliminating the source
 variables from the graph ideal together with F, the squarefree part
-of the Jacobian determinant J, built once per map; tier one of
-`verify_branch` divides by the same F.  This gives the ideal of the
-branch curve, the radical of the elimination over J, and for a proper
-map the two are equal.  F is the cheaper input: a reflection-group
-quotient map's J carries each mirror e_H - 1 times, F each once.  A
+of the Jacobian determinant J; tier one of `verify_branch` divides by
+the same F.  This gives the ideal of the branch curve, the radical of
+the elimination over J, and for a proper map the two are equal.  F is
+the cheaper input: a reflection-group quotient map's J carries each
+mirror e_H - 1 times, F each once.  One squarefree decomposition of J
+per map gives F and its multiplicity strata P_k, the factors J carries
+exactly k times, and the elimination runs once per stratum: the branch
+ideal is the lcm of the strata's principal ideals, or, when some
+stratum's ideal is not principal, the one elimination over F.  A
 curve on the target plane, a branch generator or a claim, is written
 in (x, y) like the catalog's claims and the command line's.
 
@@ -33,9 +37,9 @@ from __future__ import annotations
 from .groebner import (ResourceBudgetExceeded, buchberger, elimination_ideal,
                        interreduce, staircase_count)
 from .polyring import (MultiPoly, QQ, RingMismatch, block_order, common_field,
-                       divides, field_inverse, is_scalar_multiple, is_squarefree,
-                       jacobian_det, monic, primitive_normalize, squarefree_part,
-                       substitute)
+                       divides, exact_div, field_inverse, gcd_poly, is_scalar_multiple,
+                       is_squarefree, jacobian_det, monic, primitive_normalize,
+                       squarefree_decomposition, squarefree_part, substitute)
 
 SOURCE_VARS = ("x", "y")
 TARGET_VARS = ("s", "t")
@@ -349,25 +353,52 @@ def _nonzero_jacobian(f: PolyMap) -> MultiPoly:
     return J
 
 
-def _eliminated_branch(g: PolyMap, F: MultiPoly) -> list:
+def _eliminated_branch(g: PolyMap, F: MultiPoly, strata: dict) -> list:
     """The reduced basis of g's branch ideal, in (x, y) read as
-    coordinates on the target plane, for F g's reduced critical curve.
+    coordinates on the target plane, for F the squarefree part of g's
+    Jacobian J and strata its multiplicity strata
+    (`squarefree_decomposition`).
 
-    Eliminates x and y from <F, s - g1, t - g2>.  Its zero set is the
-    image of V(F) = V(J), and the eliminated ideal is the ideal of that
-    image, the radical of the elimination over J (Cox, Little & O'Shea,
-    *Ideals, Varieties, and Algorithms*, §3.2 and §4.4).  For a proper
-    map the two are equal; they differ only where a critical curve with
-    a repeated factor collapses to a point.  For g1, g2 homogeneous of
-    degrees d1, d2 the quotient is k[x, y]/(F) graded by (1, 1, d1, d2),
-    the weights the engine derives, and its Hilbert function
-    min(D + 1, deg F) drives the elimination.
+    Eliminating x and y from <F, s - g1, t - g2> gives the kernel of
+    k[s, t] -> k[x, y]/(F).  Its zero set is the image of V(F) = V(J),
+    and it is the ideal of that image, the radical of the elimination
+    over J (Cox, Little & O'Shea, *Ideals, Varieties, and Algorithms*,
+    §3.2 and §4.4).  For a proper map the two are equal; they differ
+    only where a critical curve with a repeated factor collapses to a
+    point.  The strata are coprime with product F, so (F) is the
+    intersection of the (P_k) and the kernel is the intersection of
+    the kernels over the P_k (§4.3): each stratum is eliminated on its
+    own, and eliminations cost far more than linearly in the degree.
+    When every stratum's kernel is principal, the intersection is the
+    lcm of their generators.  A stratum whose kernel is not, such as a
+    curve collapsed to a point, sends the whole map to the one
+    elimination over F, as does a J with a single stratum.  For g1, g2
+    homogeneous of degrees d1, d2 each quotient k[x, y]/(P) is graded
+    by (1, 1, d1, d2), the weights the engine derives, and its Hilbert
+    function min(D + 1, deg P) drives the elimination.
     """
-    gens = [F.extended(SOURCE_VARS + TARGET_VARS), *_graph_generators(g)]
-    top = F.total_degree()
     homogeneous = all(len({sum(e) for e in c.terms}) == 1 for c in g.components())
-    return [q.rename(SOURCE_VARS) for q in elimination_ideal(
-        gens, SOURCE_VARS, (lambda D: min(D + 1, top)) if homogeneous else None)]
+
+    def eliminated(P):
+        gens = [P.extended(SOURCE_VARS + TARGET_VARS), *_graph_generators(g)]
+        top = P.total_degree()
+        return [q.rename(SOURCE_VARS) for q in elimination_ideal(
+            gens, SOURCE_VARS, (lambda D: min(D + 1, top)) if homogeneous else None)]
+
+    if len(strata) > 1:
+        least = None
+        for P in strata.values():
+            gens = eliminated(P)
+            if len(gens) > 1:
+                break
+            (q,) = gens
+            least = q if least is None else exact_div(least * q, gcd_poly(least, q))
+        else:
+            # the strata's generators lead with rational coefficients, as the
+            # engine's elements are monic, so the lcm does too and its
+            # primitive associate is the one elimination would give
+            return [primitive_normalize(least)]
+    return eliminated(F)
 
 
 def branch_ideal(f: PolyMap) -> list:
@@ -377,15 +408,16 @@ def branch_ideal(f: PolyMap) -> list:
 
     Eliminates the source variables from <F, s - f1, t - f2>, with F the
     squarefree part of J_f, so the answer is the radical of the
-    elimination over J_f (`_eliminated_branch`; the two agree for every
-    proper map).  Each generator comes back content-normalized with a
+    elimination over J_f (the two agree for every proper map); the
+    elimination runs once per multiplicity stratum of J_f where it can
+    (`_eliminated_branch`).  Each generator comes back content-normalized with a
     fixed sign.  The elimination runs for g = to . f, f with its
     target-side shears stripped: the branch ideal of f is that of g with
     `to` substituted into each generator.  Several generators are
     reduced again, so the answer is f's reduced basis.
     """
     g, steps = _target_reduced(f)
-    gens = _eliminated_branch(g, squarefree_part(_nonzero_jacobian(g)))
+    gens = _eliminated_branch(g, *squarefree_decomposition(_nonzero_jacobian(g)))
     if not steps:
         return gens
     images = dict(zip(SOURCE_VARS, _target_to(steps, g.field)))
@@ -417,10 +449,11 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True) -> dict:
     the target plane.  Tier one: the pullback of the claim must vanish
     on the reduced critical locus, i.e. be divisible by F, the
     squarefree part of J_f.  Tier two: the claim itself must be
-    squarefree.  Tier three (optional): the branch ideal,
-    eliminated over the same F as in `branch_ideal`, must be principal
-    with the claim as generator, up to a unit.  F is built once and
-    serves tiers one and three.  Both work on g = to . f, f with its
+    squarefree.  Tier three (optional): the branch ideal, eliminated
+    as in `branch_ideal`, must be principal with the claim as
+    generator, up to a unit.  One decomposition of J
+    gives F for tier one and the strata for tier three; without tier
+    three only F is built.  Both work on g = to . f, f with its
     target-side shears stripped, and on the claim moved to g's target,
     claim . back: its pullback along g is claim . f, and g's branch
     ideal is generated by it exactly when f's is generated by the claim.
@@ -435,7 +468,8 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True) -> dict:
     claim = claimed.in_field(field).rename(SOURCE_VARS)
     # claim . f is (claim . back) . g, built without f's high-degree powers
     g, steps = _target_reduced(PolyMap(f.f1.in_field(field), f.f2.in_field(field)))
-    F = squarefree_part(_nonzero_jacobian(g))
+    J = _nonzero_jacobian(g)
+    F, strata = squarefree_decomposition(J) if run_elimination else (squarefree_part(J), None)
     moved = claim
     if steps:
         moved = substitute(claim, dict(zip(SOURCE_VARS, _target_back(steps, field))))
@@ -447,7 +481,7 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True) -> dict:
         try:
             # f's branch ideal is principal on the claim exactly when g's
             # is principal on claim . back
-            gens = _eliminated_branch(g, F)
+            gens = _eliminated_branch(g, F, strata)
             if len(gens) == 1 and is_scalar_multiple(
                     gens[0], primitive_normalize(moved)):
                 tiers["elimination"] = "pass"

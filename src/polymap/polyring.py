@@ -1070,14 +1070,54 @@ def _repeated_part(p: MultiPoly) -> MultiPoly:
     return g
 
 
-def squarefree_part(p: MultiPoly) -> MultiPoly:
-    """Product of the distinct irreducible factors of p, as a primitive associate."""
+def _split(p: MultiPoly):
+    """(F, R): F = sqf(p) as a primitive associate and R = p / F up to a
+    unit, the factors that p carries more than once, each once fewer."""
     if not p.terms:
         raise ValueError("squarefree part of the zero polynomial")
     if p.is_constant():
-        return MultiPoly.constant(1, p.vars, p.field)
+        return MultiPoly.constant(1, p.vars, p.field), p
     g = _repeated_part(p)
-    return primitive_normalize(p if g.is_constant() else exact_div(p, g))
+    return primitive_normalize(p if g.is_constant() else exact_div(p, g)), g
+
+
+def squarefree_part(p: MultiPoly) -> MultiPoly:
+    """Product of the distinct irreducible factors of p, as a primitive associate."""
+    return _split(p)[0]
+
+
+def squarefree_decomposition(p: MultiPoly):
+    """(F, strata): F = squarefree_part(p), and strata = {k: P_k} by
+    increasing k, P_k the primitive product of the irreducible factors
+    that p carries exactly k times, for each k where there are some.
+
+    The strata are squarefree and pairwise coprime, F is their product
+    up to a unit, and p = c * prod(P_k^k).  They come off the repeated
+    part R of `_split` by the gcd chain of Yun's decomposition (Yun,
+    SYMSAC 1976, in the gcd-only form that needs no derivative in one
+    chosen variable): with C the factors of multiplicity at least k and
+    R = prod f^(e - k) over them, Y = gcd(C, R) is the factors of
+    multiplicity above k, P_k = C / Y, and the chain goes on with C = Y
+    and R / Y.  Where C divides R, every factor of C occurs more than k
+    times: there is no stratum k, and R / C is taken without a gcd, so
+    J = c*F^k costs k - 1 divisions and no gcd.
+    """
+    F, R = _split(p)
+    strata = {}
+    C, k = F, 1
+    while not C.is_constant():
+        if R.is_constant():
+            strata[k] = primitive_normalize(C)
+            break
+        try:
+            R = exact_div(R, C)
+        except ExactDivisionError:
+            Y = gcd_poly(C, R)
+            R = exact_div(R, Y)
+            strata[k] = primitive_normalize(exact_div(C, Y))
+            C = Y
+        k += 1
+    return F, strata
 
 
 def is_squarefree(p: MultiPoly) -> bool:

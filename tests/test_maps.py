@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import jacobian_branch
-from polymap import maps
+from polymap import groebner, maps
 from polymap.groebner import (ComputationBudget, ResourceBudgetExceeded,
                               buchberger, elimination_ideal, staircase_count,
                               under_budget)
@@ -23,7 +23,7 @@ from polymap.parser import parse_map, parse_poly
 from polymap.polyring import (CyclotomicField, MultiPoly, QQ, block_order, divides,
                               is_scalar_multiple, is_squarefree, primitive_normalize,
                               squarefree_part, substitute)
-from polymap.refgroups import default_table4_rows, quotient_map
+from polymap.refgroups import claimed_branch, default_table4_rows, quotient_map
 
 X = MultiPoly.variable("x", ("x", "y"))
 Y = MultiPoly.variable("y", ("x", "y"))
@@ -170,16 +170,77 @@ def test_branch_of_a_collapsed_repeated_critical_curve_is_the_radical():
 
 
 def test_verify_branch_builds_the_squarefree_part_once(monkeypatch):
-    # tier one and the elimination share one F, also when the map sheds
-    # a target shear first
+    # tier one and the elimination share F and its strata from one
+    # decomposition of J, also when the map sheds a target shear first
     calls = []
-    real = maps.squarefree_part
-    monkeypatch.setattr(maps, "squarefree_part", lambda p: calls.append(p) or real(p))
+    real = maps.squarefree_decomposition
+    monkeypatch.setattr(maps, "squarefree_decomposition",
+                        lambda p: calls.append(p) or real(p))
+    monkeypatch.setattr(maps, "squarefree_part", None)
     f = pmap("(x, y^3 + x^4)")
     assert _target_reduced(f)[1]
     tiers = verify_branch(f, parse_poly("y - x^4"))
     assert branch_status(tiers) == "pass" and tiers["elimination"] == "pass"
     assert calls == [3 * Y ** 2]
+
+
+def _eliminated_over(monkeypatch):
+    """The polynomials of the source plane that each branch elimination runs over."""
+    over = []
+    real = maps.elimination_ideal
+
+    def recording(gens, *args):
+        over.append(gens[0].restricted(("x", "y")))
+        return real(gens, *args)
+    monkeypatch.setattr(maps, "elimination_ideal", recording)
+    return over
+
+
+def _plain_branch(f):
+    """One elimination over F = sqf(J), with no strata and no Hilbert function."""
+    allv = ("x", "y", "s", "t")
+    gens = [squarefree_part(critical_ideal(f)).extended(allv),
+            MultiPoly.variable("s", allv, f.field) - f.f1.extended(allv),
+            MultiPoly.variable("t", allv, f.field) - f.f2.extended(allv)]
+    return [q.rename(("x", "y")) for q in elimination_ideal(gens, ("x", "y"))]
+
+
+@pytest.mark.parametrize("text, strata, fallback, want", [
+    # J = 2*x^2*y: the line x = 0 collapses to the origin, whose ideal is
+    # not principal, so the one elimination over F decides
+    ("(x, x^2*y^2)", ["y", "x"], True, "y"),
+    # J = x^2*(2*y - 1): the same, and the origin lies on the image parabola
+    ("(x, x^2*y*(y-1))", ["2*y - 1", "x"], True, "x^2 + 4*y"),
+    # pinch: J = x^2*(x - 3*y - 2*x*y), each stratum maps onto a curve, and
+    # the branch curve is the lcm of the two
+    ("(x+y+x*y, x^3*y)", ["x - 3*y - 2*x*y", "x"], False,
+     "27*x^4*y - 4*x^3*y^2 + 6*x^2*y^2 - 192*x*y^2 + 27*y^3 - 256*y^2"),
+    # J = y^2*(y - 1)*(5*y - 3): the lines y = 0 and y = 1 of two strata
+    # both map onto t = 0, so the lcm is not the product
+    ("(x, y^3*(y-1)^2)", ["(y - 1)*(5*y - 3)", "y"], False, "3125*y^2 - 108*y"),
+], ids=["line-to-point", "line-to-point-on-parabola", "pinch", "shared-image"])
+def test_branch_ideal_is_the_intersection_over_the_strata(monkeypatch, text, strata,
+                                                         fallback, want):
+    over = _eliminated_over(monkeypatch)
+    f = pmap(text)
+    assert branch_ideal(f) == [parse_poly(want)] == _plain_branch(f)
+    F = squarefree_part(critical_ideal(f))
+    strata = [primitive_normalize(parse_poly(q)) for q in strata]
+    assert over == strata + [F] * fallback
+
+
+def test_g19_eliminates_once_per_stratum(monkeypatch):
+    # J carries 30 mirrors once, 20 twice and 12 four times; the three
+    # stratum bases are all the bases the row builds, its gcds included
+    over = _eliminated_over(monkeypatch)
+    bases = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda *args: bases.append(args) or real(*args))
+    rec = next(r for r in default_table4_rows() if r.label == "G_19")
+    tiers = verify_branch(quotient_map(rec), claimed_branch(rec))
+    assert branch_status(tiers) == "pass"
+    assert [q.total_degree() for q in over] == [30, 20, 12] and len(bases) == 3
 
 
 @pytest.mark.parametrize("field", [QQ, CyclotomicField(3)], ids=["Q", "Q(zeta_3)"])

@@ -1,6 +1,7 @@
 """Sparse polynomial arithmetic over the rationals and cyclotomic fields."""
 
 import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -19,7 +20,8 @@ from polymap.polyring import (BlockOrder, CyclotomicField, DegRevLex,
                               derivative, divides, exact_div,
                               gcd_poly, hessian_det, is_scalar_multiple,
                               is_squarefree, jacobian_det, monic, primitive_normalize,
-                              squarefree_part, substitute)
+                              squarefree_decomposition, squarefree_part, substitute)
+from polymap.refgroups import default_table4_rows, quotient_map
 
 X = MultiPoly.variable("x", ("x", "y"))
 Y = MultiPoly.variable("y", ("x", "y"))
@@ -728,6 +730,88 @@ def test_squarefree_part_of_a_constant_is_one():
     assert is_squarefree(c)
     with pytest.raises(ValueError):
         squarefree_part(MultiPoly.zero(("x", "y"), fld))
+
+
+def _check_decomposition(p, expected=None):
+    """squarefree_decomposition(p) against its contract, and against the
+    strata {k: P_k} p was built from, compared up to a unit."""
+    F, strata = squarefree_decomposition(p)
+    assert F == squarefree_part(p)
+    assert list(strata) == sorted(strata)
+    one = MultiPoly.constant(1, p.vars, p.field)
+    product, power = one, one
+    for k, P in strata.items():
+        assert not P.is_constant() and is_squarefree(P)
+        assert primitive_normalize(P) == P
+        product, power = product * P, power * P ** k
+    for (_, P), (_, Q) in itertools.combinations(strata.items(), 2):
+        assert gcd_poly(P, Q).is_constant()
+    assert primitive_normalize(product) == F
+    assert is_scalar_multiple(power, p)
+    if expected is not None:
+        assert list(strata) == sorted(expected)
+        assert all(is_scalar_multiple(strata[k], P) for k, P in expected.items())
+
+
+@pytest.mark.parametrize("field", [QQ, CyclotomicField(3)], ids=["Q", "Q(zeta_3)"])
+def test_squarefree_decomposition_of_known_products(field):
+    # products c * prod(f^k) of random squarefree, pairwise coprime factors
+    # of degree one or two, with known multiplicities; most repeated parts
+    # take the engine's gcd, which is slow over Q(zeta_3), hence fewer cases
+    rng = random.Random(11)
+    coeffs = [0, 1, -1, 2, -3] + ([zeta(3), 1 - zeta(3) * 2] if field.is_cyclotomic else [])
+    x, y = X.in_field(field), Y.in_field(field)
+    checked = 0
+    while checked < (10 if field.is_cyclotomic else 25):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            degree = rng.randint(1, 2)
+            f = sum((x ** a * y ** b * rng.choice(coeffs)
+                     for a in range(degree + 1) for b in range(degree + 1 - a)),
+                    MultiPoly.zero(X.vars, field))
+            factors.append(f)
+        if (any(f.is_constant() or not is_squarefree(f) for f in factors)
+                or any(not gcd_poly(f, g).is_constant()
+                       for f, g in itertools.combinations(factors, 2))):
+            continue
+        expected = {}
+        p = MultiPoly.constant(rng.choice([Fraction(-3, 5), 7] + coeffs[5:]), X.vars, field)
+        for f in factors:
+            k = rng.randint(1, 3)
+            expected[k] = expected.get(k, 1) * f
+            p = p * f ** k
+        _check_decomposition(p, expected)
+        checked += 1
+
+
+def test_squarefree_decomposition_of_fixed_inputs(monkeypatch):
+    _check_decomposition(X ** 3 * Y * (Y + 1) ** 2, {1: Y, 2: Y + 1, 3: X})
+    fld = CyclotomicField(3)
+    c = MultiPoly.constant(zeta(3), ("x", "y"), fld)
+    assert squarefree_decomposition(c) == (MultiPoly.constant(1, c.vars, fld), {})
+    with pytest.raises(ValueError):
+        squarefree_decomposition(MultiPoly.zero(("x", "y"), fld))
+    # c*F^k: each stratum below k is found by a division, with no gcd
+    # past the ones the squarefree part takes
+    calls = []
+    real = polyring.gcd_poly
+    monkeypatch.setattr(polyring, "gcd_poly", lambda a, b: calls.append(a) or real(a, b))
+    F = X ** 2 + Y ** 3 + 1
+    squarefree_part(F ** 5 * 3)
+    before = len(calls)
+    assert squarefree_decomposition(F ** 5 * 3) == (F, {5: F})
+    assert len(calls) == 2 * before
+
+
+def test_squarefree_decomposition_of_g19():
+    # the quotient map's Jacobian carries each mirror e_H - 1 times: the
+    # 30 mirrors of order-2 reflections once, 20 of order 3 twice and 12
+    # of order 5 four times
+    rec = next(r for r in default_table4_rows() if r.label == "G_19")
+    J = jacobian_det(*quotient_map(rec).components())
+    F, strata = squarefree_decomposition(J)
+    assert {k: P.total_degree() for k, P in strata.items()} == {1: 30, 2: 20, 4: 12}
+    _check_decomposition(J)
 
 
 def test_coprime_images_in_three_variables():
