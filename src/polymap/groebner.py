@@ -14,17 +14,6 @@ prunes the old pairs in place and hands back only the new ones to push,
 and the live elements stay sorted by lead, a new one inserted by
 bisection.
 
-When the weights are (1, 1, a, b) on four variables, a caller may pass
-the quotient's Hilbert function hf (`hilbert`).  In each degree D the
-engine counts the monomials no lead divides, one less per new element;
-at hf(D) the other pairs of degree D reduce to zero and are dropped
-unreduced and unbudgeted (Traverso, "Hilbert functions and the
-Buchberger algorithm", JSC 22, 1996).  Any other count on leaving
-degree D raises ArithmeticError.  The count walks staircase corners:
-the run keeps the minimal (x, y) staircase of each (s, t)-exponent it
-has counted and puts each new lead into the ones it belongs to
-(`_StandardCount`).
-
 Reduction is one division loop for both coefficient fields.  Over Q it
 is fraction-free: every basis element is a primitive integer
 polynomial, so the partial remainder stays in integers over one
@@ -69,7 +58,7 @@ budget once per command and reports a stop as "skipped-budget".
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -189,10 +178,6 @@ class _Decoded(Sequence):
 
     def __repr__(self):
         return repr(list(self))
-
-
-def _exp_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
 
 
 class _ExponentOverflow(ArithmeticError):
@@ -531,13 +516,11 @@ def _grading(gens):
     return tuple(x // content for x in w)
 
 
-def buchberger(generators, order: MonomialOrder = None, hilbert=None) -> IdealBasis:
+def buchberger(generators, order: MonomialOrder = None) -> IdealBasis:
     """Minimal Groebner basis of the generated ideal under a global monomial order.
 
     The leads are those of the reduced basis; `interreduce` gives the
-    reduced basis itself.  `hilbert` is the quotient's Hilbert function
-    for generators in four variables that weights (1, 1, a, b) make
-    homogeneous; for any other generators it raises ValueError.
+    reduced basis itself.
     """
     if order is None:
         order = DegRevLex()
@@ -549,85 +532,15 @@ def buchberger(generators, order: MonomialOrder = None, hilbert=None) -> IdealBa
     for g in gens[1:]:
         ring._same_ring(g)
     weights = _grading(gens)
-    if hilbert and (weights is None or len(weights) != 4 or weights[:2] != (1, 1)):
-        raise ValueError("hilbert needs generators homogeneous for weights (1, 1, a, b)")
     basis, leads, stats = _packed(
-        lambda packing: _buchberger(gens, budget, weights, packing, hilbert),
+        lambda packing: _buchberger(gens, budget, weights, packing),
         len(ring.vars), order)
     return IdealBasis(order, basis, leads, stats=stats)
 
 
-class _StandardCount:
-    """Monomials x^a y^b s^c t^e of each weighted degree that no lead
-    divides, for weights (1, 1, w_s, w_t).
-
-    Per (c, e) the leads with lc <= c and le <= e cover the (a, b) above
-    their minimal (x, y) corners.  Each (c, e) a count reaches keeps its
-    staircase, the corners sorted by a with b falling, and each new lead
-    goes into the staircases it belongs to.  A retired lead is divisible
-    by the lead that retires it, so its corner is covered by that lead's
-    in every staircase and nothing is ever taken out.
-    """
-
-    __slots__ = ("ws", "wt", "leads", "stairs")
-
-    def __init__(self, weights):
-        _, _, self.ws, self.wt = weights
-        self.leads = []     # every lead added, unpacked
-        self.stairs = {}    # (c, e) -> its corners [(a, b)]
-
-    def add(self, lead):
-        self.leads.append(lead)
-        a, b, lc, le = lead
-        for (c, e), corners in self.stairs.items():
-            if lc <= c and le <= e:
-                # the corner left of a is the only one that can cover (a, b);
-                # the ones from k on that it covers form a run
-                k = bisect_right(corners, (a, b))
-                if k and corners[k - 1][1] <= b:
-                    continue
-                j = k
-                while j < len(corners) and corners[j][1] >= b:
-                    j += 1
-                corners[k:j] = [(a, b)]
-
-    def _staircase(self, c, e):
-        corners = []
-        for a, b in sorted((a, b) for a, b, lc, le in self.leads if lc <= c and le <= e):
-            if not corners or b < corners[-1][1]:
-                corners.append((a, b))
-        return corners
-
-    def count(self, degree):
-        """The number of standard monomials of weighted degree `degree`.
-
-        With r = degree - w_s c - w_t e, a corner (a, b) covers
-        x^i y^(r - i) for a <= i <= r - b; those intervals rise with
-        the corners, so one sweep counts their union.
-        """
-        ws, wt, stairs = self.ws, self.wt, self.stairs
-        total = 0
-        for c in range(degree // ws + 1):
-            for e in range((degree - ws * c) // wt + 1):
-                corners = stairs.get((c, e))
-                if corners is None:
-                    corners = stairs[c, e] = self._staircase(c, e)
-                r = degree - ws * c - wt * e
-                total += r + 1
-                end = -1
-                for a, b in corners:
-                    if a > r:
-                        break
-                    hi = r - b
-                    if hi >= a:
-                        total -= hi - max(a, end + 1) + 1
-                        end = hi
-        return total
-
-
-def _buchberger(gens, budget, weights, packing, hf):
+def _buchberger(gens, budget, weights, packing):
     """(minimal basis, leading exponents, stats) of the generators, under
-    the packing's order; hf is the Hilbert function of a `hilbert` run."""
+    the packing's order."""
     negkey = packing.negkey
     divides = packing.divides
     unpack = packing.unpack
@@ -635,9 +548,6 @@ def _buchberger(gens, budget, weights, packing, hf):
     # basis_size counts the live (non-retired) entries throughout, so a
     # budget stop reports the basis as it stood
     stats = {"pair_reductions": 0, "zero_reductions": 0, "basis_size": 0}
-    if hf:
-        stats["hilbert_skipped"] = 0
-    standard = _StandardCount(weights) if hf else None
 
     entries: list[_Entry] = []
     active: list[_Entry] = []     # the live entries, smallest lead first
@@ -670,34 +580,15 @@ def _buchberger(gens, budget, weights, packing, hf):
             stats["basis_size"] -= len(retired)
             active = [e for e in active if not e.retired]
         active.insert(at, entry)
-        if hf:
-            standard.add(unpack(lead))
 
     for terms, lead in sorted((_pack_terms(g, packing) for g in gens),
                               key=lambda tl: negkey(tl[1]), reverse=True):
         add(terms, lead)
 
-    degree, target, count = None, None, 0
-
-    def check():
-        # a wrong count means a wrong engine or a wrong hf
-        if degree is not None and count != target:
-            raise ArithmeticError(f"{count} standard monomials in weighted degree "
-                                  f"{degree}, but the Hilbert function is {target}")
-
     while queue:
-        r, (i, j) = heappop(queue)
+        _, (i, j) = heappop(queue)
         lcm = pairs.pop((i, j), None)
         if lcm is None:
-            continue
-        if hf and r[0] != degree:
-            check()
-            degree = r[0]
-            target = hf(degree)
-            count = standard.count(degree)
-        if hf and count == target:
-            # every lead of this degree is found, so the pair reduces to zero
-            stats["hilbert_skipped"] += 1
             continue
         budget.check_pairs(stats)
         stats["pair_reductions"] += 1
@@ -705,10 +596,8 @@ def _buchberger(gens, budget, weights, packing, hf):
                                   active, packing, field)
         if rterms:
             add(rterms, next(iter(rterms)))
-            count -= 1  # the new lead is its own only multiple of its degree
         else:
             stats["zero_reductions"] += 1
-    check()
 
     kept = _minimal(active, packing)
     stats["basis_size"] = len(kept)
@@ -761,13 +650,13 @@ def interreduce(basis: IdealBasis) -> IdealBasis:
     return IdealBasis(basis.order, reduced, leads, stats=dict(basis.stats))
 
 
-def elimination_ideal(generators, eliminate, hilbert=None) -> list:
+def elimination_ideal(generators, eliminate) -> list:
     """Generators of the ideal's intersection with the subring without `eliminate`."""
     gens = [g for g in generators if g.terms]
     if not gens:
         raise ValueError("no nonzero generators")
     variables = gens[0].vars
-    gb = buchberger(gens, block_order(variables, tuple(eliminate)), hilbert)
+    gb = buchberger(gens, block_order(variables, tuple(eliminate)))
     keep = tuple(v for v in variables if v not in eliminate)
     elim_idx = [variables.index(v) for v in eliminate]
     # the eliminated block comes first in the order, so an element whose
@@ -782,31 +671,23 @@ def elimination_ideal(generators, eliminate, hilbert=None) -> list:
 
 
 def quotient_dimension(basis: IdealBasis):
-    """Dimension of the quotient ring by the basis's ideal; math.inf if not finite."""
-    return staircase_count(basis.leads, len(basis.leads[0]))
+    """Dimension of the quotient ring by the ideal of a basis in two
+    variables; math.inf if not finite."""
+    return staircase_count(basis.leads)
 
 
-def staircase_count(leads, nvars):
-    """Number of monomials in nvars variables outside the monomial ideal
-    that the exponent vectors `leads` generate; math.inf if not finite."""
-    if any(not any(e) for e in leads):
-        return 0  # the ideal contains a unit
-    bounds = []
-    for i in range(nvars):
-        pure = [e[i] for e in leads if all(x == 0 for j, x in enumerate(e) if j != i)]
-        if not pure:
-            return math.inf
-        bounds.append(min(pure))
-    count = 0
+def staircase_count(leads):
+    """Number of monomials x^a y^b outside the monomial ideal that the
+    exponent pairs `leads` generate; math.inf if not finite.
 
-    def walk(prefix):
-        nonlocal count
-        if len(prefix) == nvars:
-            if not any(_exp_divides(le, prefix) for le in leads):
-                count += 1
-            return
-        for e in range(bounds[len(prefix)]):
-            walk(prefix + (e,))
-
-    walk(())
-    return count
+    The minimal corners, sorted by a, have b falling; the monomials
+    with a_i <= a < a_(i+1) are standard below b_i.  The count is finite
+    when the first corner is a pure power of y and the last one of x.
+    """
+    corners = []
+    for a, b in sorted(leads):
+        if not corners or b < corners[-1][1]:
+            corners.append((a, b))
+    if not corners or corners[0][0] or corners[-1][1]:
+        return math.inf
+    return sum((a1 - a0) * b0 for (a0, b0), (a1, _) in zip(corners, corners[1:]))

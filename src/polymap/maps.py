@@ -338,7 +338,7 @@ def topological_degree(f: PolyMap) -> int:
     degree.
     """
     leads = _graph_basis_leads(f)
-    return staircase_count([e[:len(SOURCE_VARS)] for e in leads], len(SOURCE_VARS))
+    return staircase_count([e[:len(SOURCE_VARS)] for e in leads])
 
 
 def critical_ideal(f: PolyMap) -> MultiPoly:
@@ -372,18 +372,11 @@ def _eliminated_branch(g: PolyMap, F: MultiPoly, strata: dict) -> list:
     When every stratum's kernel is principal, the intersection is the
     lcm of their generators.  A stratum whose kernel is not, such as a
     curve collapsed to a point, sends the whole map to the one
-    elimination over F, as does a J with a single stratum.  For g1, g2
-    homogeneous of degrees d1, d2 each quotient k[x, y]/(P) is graded
-    by (1, 1, d1, d2), the weights the engine derives, and its Hilbert
-    function min(D + 1, deg P) drives the elimination.
+    elimination over F, as does a J with a single stratum.
     """
-    homogeneous = all(len({sum(e) for e in c.terms}) == 1 for c in g.components())
-
     def eliminated(P):
         gens = [P.extended(SOURCE_VARS + TARGET_VARS), *_graph_generators(g)]
-        top = P.total_degree()
-        return [q.rename(SOURCE_VARS) for q in elimination_ideal(
-            gens, SOURCE_VARS, (lambda D: min(D + 1, top)) if homogeneous else None)]
+        return [q.rename(SOURCE_VARS) for q in elimination_ideal(gens, SOURCE_VARS)]
 
     if len(strata) > 1:
         least = None

@@ -6,7 +6,7 @@ beside, resultants by fraction-free elimination on the Sylvester
 matrix, the normal form by textbook multivariate division, and the
 branch elimination over the whole Jacobian determinant.
 `normal_form` goes back to the package with the Milnor spectrum of
-ROADMAP item 2, whose multiplication matrices will be its first
+ROADMAP item 3, whose multiplication matrices will be its first
 runtime caller.
 """
 
@@ -48,8 +48,8 @@ def normal_form(p: MultiPoly, basis) -> MultiPoly:
 def jacobian_branch(f) -> list:
     """k[s, t] ∩ <J, s - f1, t - f2> for the map f as given, J its
     Jacobian determinant, in (x, y) read as coordinates on the target
-    plane: one plain elimination, with no shear stripped and no Hilbert
-    function.
+    plane: one plain elimination, with no shear stripped and no
+    multiplicity strata.
 
     `maps.branch_ideal` eliminates over the squarefree part of J instead,
     so it returns the radical of this ideal; the two agree for every

@@ -480,30 +480,32 @@ def test_elimination_skip_reports_progress(capsys):
         "pair_reductions": 2, "zero_reductions": 0, "basis_size": 2}
 
 
-def test_homogeneous_elimination_skip_reports_skipped_pairs(capsys):
-    # pairs skipped by the Hilbert function are counted apart and cost no
-    # budget: 12 reductions finish the elimination that skips 14 pairs
+def test_homogeneous_elimination_skip_reports_progress(capsys):
+    # J = 8*x*y*(x^4 - y^4) is squarefree, so the branch curve is one
+    # elimination; it stops where budget 11 cuts it and finishes at 27
     argv = ("--json", "branch", "(x^4 + y^4, x^2*y^2)", "--claimed", "x^2*y - 4*y^3")
     code, out, _ = run(capsys, *argv, "--budget", "11")
     check = json.loads(out)["checks"][0]
     assert code == 0 and check["status"] == "skipped-budget"
     assert check["details"]["elimination_stop"] == {
         "limit": "pair-reduction budget 11 exceeded", "pair_reductions": 11,
-        "zero_reductions": 1, "basis_size": 13, "hilbert_skipped": 8}
-    code, out, _ = run(capsys, *argv, "--budget", "12")
+        "zero_reductions": 2, "basis_size": 12}
+    code, out, _ = run(capsys, *argv, "--budget", "26")
+    assert code == 0 and json.loads(out)["checks"][0]["status"] == "skipped-budget"
+    code, out, _ = run(capsys, *argv, "--budget", "27")
     assert code == 0 and json.loads(out)["checks"][0]["status"] == "pass"
 
 
 def test_full_tier_budget_stops_are_frozen(capsys):
-    # 28 of the rows stop at budget 3, each reporting the engine's counters
+    # 31 of the rows stop at budget 3, each reporting the engine's counters
     # and live basis size at the stop, so any change to what the engine
     # does before its fourth pair reduction in a basis changes these bytes;
     # a row whose Jacobian has several multiplicity strata builds a basis
     # per stratum, each counting its pairs from zero
     code, out, _ = run(capsys, "verify-table4", "--tier", "full", "--budget", "3", "--json")
-    assert code == 0 and out.count('"elimination_stop"') == 28
+    assert code == 0 and out.count('"elimination_stop"') == 31
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "876cb8f563556789a4c78b412dde8013f0290601ec1782a70442a6cddddbb450")
+        "2bc92dfd3e920d2260feff726fd27afd00c648cd1ad93cd7760605d302c44a46")
 
 
 def test_full_tier_answers_are_frozen(capsys):

@@ -15,10 +15,10 @@ from polymap import curves, groebner, maps
 from polymap.curves import distinguish_by_milnor
 from polymap.groebner import (ComputationBudget, IdealBasis,
                               ResourceBudgetExceeded, _Entry, _entries,
-                              _exp_divides, _ExponentOverflow, _gm_update, _grading,
-                              _packed, _Packing, _reduce_terms, _StandardCount,
+                              _ExponentOverflow, _gm_update, _grading,
+                              _packed, _Packing, _reduce_terms,
                               buchberger, elimination_ideal, interreduce,
-                              quotient_dimension, under_budget)
+                              quotient_dimension, staircase_count, under_budget)
 from polymap.maps import (PlaneAutomorphism, compose, critical_ideal, is_proper,
                           make_family, topological_degree)
 from polymap.numberfield import CycloNumber
@@ -66,7 +66,6 @@ def test_quotient_dimension_monomial_staircase():
 
 
 def test_quotient_dimension_infinite():
-    import math
     basis = buchberger([X * Y])
     assert quotient_dimension(basis) == math.inf
 
@@ -294,40 +293,6 @@ def test_g4_elimination_stats():
     gb = buchberger(gens, block_order(("x", "y", "s", "t"), ("x", "y")))
     assert gb.stats == {"pair_reductions": 30, "zero_reductions": 17,
                         "basis_size": 14}
-
-
-def _g4_hilbert(hf):
-    gens = branch_ideal_generators(quotient_map(exceptional_group(4)))
-    return buchberger(gens, block_order(("x", "y", "s", "t"), ("x", "y")), hilbert=hf)
-
-
-def test_g4_hilbert_stats():
-    # the Jacobian has degree 8; 16 of the 30 plain pairs are skipped
-    # unreduced, and the leads are those of the plain run
-    gb = _g4_hilbert(lambda D: min(D + 1, 8))
-    assert gb.stats == {"pair_reductions": 14, "zero_reductions": 1,
-                        "basis_size": 14, "hilbert_skipped": 16}
-    gens = branch_ideal_generators(quotient_map(exceptional_group(4)))
-    assert gb.leads == buchberger(gens, block_order(("x", "y", "s", "t"), ("x", "y"))).leads
-
-
-@pytest.mark.parametrize("hf", [lambda D: min(D + 1, 9), lambda D: min(D + 1, 7),
-                                lambda D: min(D + 2, 8), lambda D: min(D, 8)])
-def test_wrong_hilbert_function_raises(hf):
-    with pytest.raises(ArithmeticError, match="Hilbert function"):
-        _g4_hilbert(hf)
-
-
-def test_hilbert_needs_homogeneous_generators():
-    # whitney's generators are graded by (2, 1, 2, 3), the composed map's
-    # by no weights at all
-    order = block_order(("x", "y", "s", "t"), ("x", "y"))
-    shear = PlaneAutomorphism.triangular(parse_poly("x^2 + 1"), lower=True)
-    moved = compose(make_family("whitney"), pre=shear,
-                    post=PlaneAutomorphism.linear(1, 2, 1, 3))
-    for f in (make_family("whitney"), moved):
-        with pytest.raises(ValueError):
-            buchberger(branch_ideal_generators(f), order, hilbert=lambda D: min(D + 1, 2))
 
 
 @settings(max_examples=20, deadline=None)
@@ -658,39 +623,25 @@ def test_pair_update_matches_the_quadratic_update(leads, rnd):
 
 
 # ---------------------------------------------------------------------------
-# the Hilbert count against enumeration of the standard monomials
+# the staircase count against enumeration of the standard monomials
 
 
-def _standard_by_enumeration(leads, weights, degree):
-    _, _, ws, wt = weights
-    count = 0
-    for c in range(degree // ws + 1):
-        for e in range((degree - ws * c) // wt + 1):
-            r = degree - ws * c - wt * e
-            count += sum(not any(_exp_divides(lead, (a, r - a, c, e)) for lead in leads)
-                         for a in range(r + 1))
-    return count
+def _standard_in_box(leads, n):
+    return sum(not any(a <= i and b <= j for a, b in leads)
+               for i in range(n) for j in range(n))
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.tuples(st.integers(1, 3), st.integers(1, 3)),
-       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5), st.integers(0, 2),
-                          st.integers(0, 2)), min_size=1, max_size=14),
-       st.lists(st.integers(0, 12), min_size=1, max_size=14))
-def test_standard_count_matches_enumeration(ws_wt, leads, degrees):
-    # leads arrive in a random order, as the engine's do: one that a live
-    # lead divides never comes, and each new one retires the live leads it
-    # divides; counts at random, repeated degrees come between them.  Few
-    # x-exponents make corners that share one.
-    weights = (1, 1, *ws_wt)
-    standard = _StandardCount(weights)
-    live = []
-    for k, lead in enumerate(leads):
-        if not any(_exp_divides(old, lead) for old in live):
-            live = [old for old in live if not _exp_divides(lead, old)] + [lead]
-            standard.add(lead)
-        degree = degrees[k % len(degrees)]
-        assert standard.count(degree) == _standard_by_enumeration(live, weights, degree)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=8),
+       st.lists(st.integers(0, 6), max_size=2), st.lists(st.integers(0, 6), max_size=2))
+def test_staircase_count_matches_enumeration(leads, x_powers, y_powers):
+    # every standard monomial of a finite staircase lies below the largest
+    # exponent of a lead, so a count that grows with the box is infinite;
+    # leads come unsorted, repeated and not minimal, and may hold a unit
+    leads = leads + [(a, 0) for a in x_powers] + [(0, b) for b in y_powers]
+    top = max((max(e) for e in leads), default=0)
+    inner, outer = _standard_in_box(leads, top + 1), _standard_in_box(leads, top + 2)
+    assert staircase_count(leads) == (inner if inner == outer else math.inf)
 
 
 # ---------------------------------------------------------------------------

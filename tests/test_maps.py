@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jacobian_branch
+from oracles import jacobian_branch, resultant
 from polymap import groebner, maps
 from polymap.groebner import (ComputationBudget, ResourceBudgetExceeded,
                               buchberger, elimination_ideal, staircase_count,
@@ -197,7 +197,7 @@ def _eliminated_over(monkeypatch):
 
 
 def _plain_branch(f):
-    """One elimination over F = sqf(J), with no strata and no Hilbert function."""
+    """One elimination over F = sqf(J), with no strata."""
     allv = ("x", "y", "s", "t")
     gens = [squarefree_part(critical_ideal(f)).extended(allv),
             MultiPoly.variable("s", allv, f.field) - f.f1.extended(allv),
@@ -245,8 +245,8 @@ def test_g19_eliminates_once_per_stratum(monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, CyclotomicField(3)], ids=["Q", "Q(zeta_3)"])
 def test_homogeneous_branch_matches_the_plain_elimination(field):
-    # the Hilbert-driven elimination of branch_ideal gives the generators
-    # of an elimination of the same ideal that reduces every pair
+    # branch_ideal, eliminating once per stratum of J, gives the generators
+    # of the one elimination over the squarefree part of J
     rng = random.Random(7)
     coeffs = [0, 1, -1, 2, -3] + ([zeta(3), 1 - zeta(3) * 2] if field.is_cyclotomic else [])
     allv = ("x", "y", "s", "t")
@@ -263,6 +263,43 @@ def test_homogeneous_branch_matches_the_plain_elimination(field):
                 MultiPoly.variable("t", allv, f.field) - f.f2.extended(allv)]
         plain = elimination_ideal(gens, ("x", "y"))
         assert branch_ideal(f) == [q.rename(("x", "y")) for q in plain], f
+        checked += 1
+
+
+@pytest.mark.parametrize("field", [QQ, CyclotomicField(3)], ids=["Q", "Q(zeta_3)"])
+def test_homogeneous_elimination_divides_the_iterated_resultant(field):
+    # Res_y eliminates y from F and each graph generator, and Res_x x from
+    # those two, so R = Res_x(Res_y(F, s - f1), Res_y(F, t - f2)) lies in
+    # <F, s - f1, t - f2> and its generator h divides it.  Maps whose
+    # ideal is not principal, and those where R cannot be formed this way
+    # or is zero, are skipped.
+    rng = random.Random(7)
+    coeffs = [0, 1, -1, 2, -3] + ([zeta(3), 1 - zeta(3) * 2] if field.is_cyclotomic else [])
+    allv = ("x", "y", "s", "t")
+    checked = 0
+    while checked < 6:
+        f = PolyMap(*(MultiPoly(("x", "y"), {(a, d - a): rng.choice(coeffs)
+                                             for a in range(d + 1)}, field)
+                      for d in (rng.randint(1, 3), rng.randint(1, 3))))
+        J = critical_ideal(f)
+        if not f.f1.terms or not f.f2.terms or not J.terms:
+            continue
+        F = squarefree_part(J).extended(allv)
+        if F.degree_in("y") < 1:
+            continue
+        graph = [MultiPoly.variable(v, allv, field) - c.extended(allv)
+                 for v, c in zip(("s", "t"), f.components())]
+        gens = elimination_ideal([F, *graph], ("x", "y"))
+        if len(gens) > 1:
+            continue
+        inner = [resultant(F, g, "y") for g in graph]
+        if any(r.degree_in("x") < 1 for r in inner):
+            continue
+        R = resultant(*inner, "x")
+        if not R.terms:
+            continue
+        (h,) = gens
+        assert h.total_degree() > 0 and divides(h, R.restricted(("s", "t"))), f
         checked += 1
 
 
@@ -469,7 +506,7 @@ def test_stripped_shears_give_the_unreduced_answers(base):
                        block_order(ALL_VARS, ("x", "y"))).leads
     assert is_proper(f) == all(any(e[i] and not any(e[:i] + e[i + 1:]) for e in leads)
                                for i in range(2))
-    assert topological_degree(f) == staircase_count([e[:2] for e in leads], 2)
+    assert topological_degree(f) == staircase_count([e[:2] for e in leads])
     branch = jacobian_branch(f)
     assert branch_ideal(f) == branch
     claim = branch[0]

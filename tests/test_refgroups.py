@@ -4,6 +4,7 @@ import random
 import re
 from dataclasses import replace
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -473,17 +474,13 @@ def test_verify_table4_full_rows():
         assert report["ok"] and report["tiers"]["elimination"] == "pass", spec
 
 
-def test_engine_work_over_every_table4_row(monkeypatch):
-    # the engine's counters are deterministic, so this pins the work of the
-    # whole full tier, G_21 and G_22 included: a change to pair selection,
-    # the pair criteria or the Hilbert count shows here.  A row eliminates
-    # once per multiplicity stratum of its Jacobian: 19 rows have two or
-    # more (G_11 and G_19 three), so 43 rows build 64 bases
+def _full_tier_bases(monkeypatch):
+    """(generators, basis) of every basis the full tier builds over all 43 rows."""
     bases = []
 
-    def recording(*args, **kwargs):
-        basis = buchberger(*args, **kwargs)
-        bases.append(basis)
+    def recording(generators, *args):
+        basis = buchberger(generators, *args)
+        bases.append((generators, basis))
         return basis
 
     monkeypatch.setattr(groebner, "buchberger", recording)
@@ -491,11 +488,52 @@ def test_engine_work_over_every_table4_row(monkeypatch):
     for rec in rows:
         report = verify_table4_row(rec, tier="full")
         assert report["ok"] and report["tiers"]["elimination"] == "pass", rec.label
-    assert len(rows) == 43 and len(bases) == 64
+    assert len(rows) == 43
+    return bases
+
+
+def test_engine_work_over_every_table4_row(monkeypatch):
+    # the engine's counters are deterministic, so this pins the work of the
+    # whole full tier, G_21 and G_22 included: a change to pair selection
+    # or the pair criteria shows here.  A row eliminates once per
+    # multiplicity stratum of its Jacobian: 19 rows have two or more (G_11
+    # and G_19 three), so 43 rows build 64 bases
+    bases = [basis for _, basis in _full_tier_bases(monkeypatch)]
+    assert len(bases) == 64
     total = {key: sum(b.stats[key] for b in bases)
-             for key in ("pair_reductions", "zero_reductions", "hilbert_skipped")}
-    assert total == {"pair_reductions": 487, "zero_reductions": 39, "hilbert_skipped": 470}
+             for key in ("pair_reductions", "zero_reductions")}
+    assert total == {"pair_reductions": 957, "zero_reductions": 509}
     assert max(len(b.leads) for b in bases) == 64
+
+
+def _standard_by_enumeration(leads, weights, degree):
+    """Monomials x^a y^b s^c t^e of weighted degree `degree` under weights
+    (1, 1, w_s, w_t) that no lead divides."""
+    _, _, ws, wt = weights
+    count = 0
+    for c in range(degree // ws + 1):
+        for e in range((degree - ws * c) // wt + 1):
+            r = degree - ws * c - wt * e
+            below = [(la, lb) for la, lb, lc, le in leads if lc <= c and le <= e]
+            count += sum(not any(la <= a and lb <= r - a for la, lb in below)
+                         for a in range(r + 1))
+    return count
+
+
+def test_full_tier_bases_have_the_hilbert_function_of_their_stratum(monkeypatch):
+    # each basis is of <P, s - g1, t - g2> for a stratum P of the Jacobian
+    # of a map whose components are homogeneous of degrees d1 and d2.
+    # Graded by (1, 1, d1, d2), its quotient is k[x, y]/(P), so in every
+    # weighted degree D the leads leave min(D + 1, deg P) standard monomials
+    bases = _full_tier_bases(monkeypatch)
+    assert len(bases) == 64
+    for (P, *graph), basis in bases:
+        d1, d2 = (max(sum(e[:2]) for e in g.terms) for g in graph)
+        weights = (1, 1, d1, d2)
+        top = max(sum(map(mul, weights, lead)) for lead in basis.leads)
+        for D in range(top + 1):
+            assert (_standard_by_enumeration(basis.leads, weights, D)
+                    == min(D + 1, P.total_degree())), (P, D)
 
 
 def test_corrected_constants_pass_and_printed_variants_fail():
