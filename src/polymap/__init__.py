@@ -9,13 +9,13 @@ their invariant quotient maps.
 from .numberfield import CycloNumber, cyclotomic_polynomial, embed, zeta
 from .polyring import (CyclotomicField, MultiPoly, QQ, block_order, DegRevLex,
                        gcd_poly, exact_div, jacobian_det, hessian_det,
-                       is_squarefree, squarefree_part)
+                       squarefree_decomposition)
 from .parser import PolyParseError, format_poly, parse_map, parse_poly
 
 __all__ = [
     "CycloNumber", "cyclotomic_polynomial", "embed", "zeta",
     "CyclotomicField", "MultiPoly", "QQ", "block_order", "DegRevLex",
     "gcd_poly", "exact_div", "jacobian_det", "hessian_det",
-    "is_squarefree", "squarefree_part",
+    "squarefree_decomposition",
     "PolyParseError", "format_poly", "parse_map", "parse_poly",
 ]

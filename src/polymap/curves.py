@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import math
 
-from .groebner import buchberger, quotient_dimension
+from .groebner import buchberger, staircase_count
 from .maps import PolyMap, critical_ideal, is_proper
 from .polyring import (MultiPoly, derivative, gcd_poly, primitive_normalize,
-                       squarefree_part)
+                       squarefree_decomposition)
 
 
 def _intersection_multiplicity(F: MultiPoly, G: MultiPoly):
@@ -59,8 +59,11 @@ def milnor_at_origin(F: MultiPoly):
     math.inf at a non-isolated critical point.
 
     dim C{x,y}/(F_x, F_y) is the intersection multiplicity of the two
-    partials at the origin, so a smooth point gives 0.
+    partials at the origin, so a smooth point gives 0.  The zero
+    polynomial defines no curve and is refused.
     """
+    if not F.terms:
+        raise ValueError("the zero polynomial defines no curve")
     if (0,) * len(F.vars) in F.terms:
         raise ValueError("curve does not pass through the origin")
     return _intersection_multiplicity(*(derivative(F, v) for v in F.vars))
@@ -106,7 +109,7 @@ def _total_milnor(F: MultiPoly) -> int:
     singular point with its Milnor number and nothing else.
     """
     gens = [derivative(F, v) for v in F.vars] + [F * F]
-    return quotient_dimension(buchberger(gens))
+    return staircase_count(buchberger(gens).leads)
 
 
 def distinguish_by_milnor(*maps: PolyMap) -> list:
@@ -125,5 +128,5 @@ def distinguish_by_milnor(*maps: PolyMap) -> list:
         J = critical_ideal(h)
         if J.is_constant():
             raise ValueError(f"map {k} has no critical curve")
-        totals.append(_total_milnor(squarefree_part(J)))
+        totals.append(_total_milnor(squarefree_decomposition(J)[0]))
     return totals

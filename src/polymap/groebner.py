@@ -670,12 +670,6 @@ def elimination_ideal(generators, eliminate) -> list:
     return [primitive_normalize(g.restricted(keep)) for g in basis]
 
 
-def quotient_dimension(basis: IdealBasis):
-    """Dimension of the quotient ring by the ideal of a basis in two
-    variables; math.inf if not finite."""
-    return staircase_count(basis.leads)
-
-
 def staircase_count(leads):
     """Number of monomials x^a y^b outside the monomial ideal that the
     exponent pairs `leads` generate; math.inf if not finite.

@@ -14,7 +14,8 @@ mirror e_H - 1 times, F each once.  One squarefree decomposition of J
 per map gives F and its multiplicity strata P_k, the factors J carries
 exactly k times, and the elimination runs once per stratum: the branch
 ideal is the lcm of the strata's principal ideals, or, when some
-stratum's ideal is not principal, the one elimination over F.  A
+stratum's ideal is not principal, the one elimination over F.  A J
+with one stratum is eliminated over F, which is that stratum.  A
 curve on the target plane, a branch generator or a claim, is written
 in (x, y) like the catalog's claims and the command line's.
 
@@ -38,8 +39,8 @@ from .groebner import (ResourceBudgetExceeded, buchberger, elimination_ideal,
                        interreduce, staircase_count)
 from .polyring import (MultiPoly, QQ, RingMismatch, block_order, common_field,
                        divides, exact_div, field_inverse, gcd_poly, is_scalar_multiple,
-                       is_squarefree, jacobian_det, monic, primitive_normalize,
-                       squarefree_decomposition, squarefree_part, substitute)
+                       jacobian_det, monic, primitive_normalize,
+                       squarefree_decomposition, substitute)
 
 SOURCE_VARS = ("x", "y")
 TARGET_VARS = ("s", "t")
@@ -371,27 +372,26 @@ def _eliminated_branch(g: PolyMap, F: MultiPoly, strata: dict) -> list:
     own, and eliminations cost far more than linearly in the degree.
     When every stratum's kernel is principal, the intersection is the
     lcm of their generators.  A stratum whose kernel is not, such as a
-    curve collapsed to a point, sends the whole map to the one
-    elimination over F, as does a J with a single stratum.
+    curve collapsed to a point, ends the loop: if it is F itself, its
+    kernel is the answer, and otherwise the one elimination over F
+    runs.  A constant J has no strata, and its branch ideal is <1>.
     """
     def eliminated(P):
         gens = [P.extended(SOURCE_VARS + TARGET_VARS), *_graph_generators(g)]
         return [q.rename(SOURCE_VARS) for q in elimination_ideal(gens, SOURCE_VARS)]
 
-    if len(strata) > 1:
-        least = None
-        for P in strata.values():
-            gens = eliminated(P)
-            if len(gens) > 1:
-                break
-            (q,) = gens
-            least = q if least is None else exact_div(least * q, gcd_poly(least, q))
-        else:
-            # the strata's generators lead with rational coefficients, as the
-            # engine's elements are monic, so the lcm does too and its
-            # primitive associate is the one elimination would give
-            return [primitive_normalize(least)]
-    return eliminated(F)
+    least = MultiPoly.constant(1, SOURCE_VARS, g.field)
+    for P in strata.values():
+        gens = eliminated(P)
+        if len(gens) > 1:
+            return gens if P == F else eliminated(F)
+        # a kernel over a nonconstant P is a proper ideal, so q is not constant
+        (q,) = gens
+        least = q if least.is_constant() else exact_div(least * q, gcd_poly(least, q))
+    # the strata's generators lead with rational coefficients, as the
+    # engine's elements are monic, so the lcm does too and its primitive
+    # associate is the one elimination would give
+    return [primitive_normalize(least)]
 
 
 def branch_ideal(f: PolyMap) -> list:
@@ -442,41 +442,44 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True) -> dict:
     the target plane.  Tier one: the pullback of the claim must vanish
     on the reduced critical locus, i.e. be divisible by F, the
     squarefree part of J_f.  Tier two: the claim itself must be
-    squarefree.  Tier three (optional): the branch ideal, eliminated
-    as in `branch_ideal`, must be principal with the claim as
-    generator, up to a unit.  One decomposition of J
-    gives F for tier one and the strata for tier three; without tier
-    three only F is built.  Both work on g = to . f, f with its
-    target-side shears stripped, and on the claim moved to g's target,
-    claim . back: its pullback along g is claim . f, and g's branch
-    ideal is generated by it exactly when f's is generated by the claim.
+    squarefree, all its strata of multiplicity one.  Tier three
+    (optional): the branch ideal, eliminated as in `branch_ideal`, must
+    be principal with the claim as generator, up to a unit.  One
+    decomposition of J gives F for tier one and the strata for tier
+    three, whether or not tier three runs.  Both work on g = to . f, f
+    with its target-side shears stripped, and on the claim moved to g's
+    target, claim . back: its pullback along g is claim . f, and g's
+    branch ideal is generated by it exactly when f's is generated by the
+    claim.
 
     Returns the tier report: `substitution_divisible`,
     `claimed_squarefree`, `elimination` ("pass", "fail", "skipped-budget"
     or "not-run") and, for a skipped elimination, `elimination_stop`
     with the limit hit and the engine's counters.  `branch_status`
-    gives its verdict.  A budget stop before tier three is raised.
+    gives its verdict.  A budget stop before tier three is raised, and
+    so is a zero claim, which defines no curve.
     """
+    if not claimed.terms:
+        raise ValueError("claimed branch curve is the zero polynomial")
     field = common_field(f.field, claimed.field)
     claim = claimed.in_field(field).rename(SOURCE_VARS)
     # claim . f is (claim . back) . g, built without f's high-degree powers
     g, steps = _target_reduced(PolyMap(f.f1.in_field(field), f.f2.in_field(field)))
     J = _nonzero_jacobian(g)
-    F, strata = squarefree_decomposition(J) if run_elimination else (squarefree_part(J), None)
+    F, strata = squarefree_decomposition(J)
     moved = claim
     if steps:
         moved = substitute(claim, dict(zip(SOURCE_VARS, _target_back(steps, field))))
     pullback = substitute(moved, {"x": g.f1, "y": g.f2})
     tiers = {"substitution_divisible": divides(F, pullback),
-             "claimed_squarefree": is_squarefree(claim),
+             "claimed_squarefree": squarefree_decomposition(claim)[1].keys() <= {1},
              "elimination": "not-run"}
     if run_elimination:
         try:
             # f's branch ideal is principal on the claim exactly when g's
             # is principal on claim . back
             gens = _eliminated_branch(g, F, strata)
-            if len(gens) == 1 and is_scalar_multiple(
-                    gens[0], primitive_normalize(moved)):
+            if len(gens) == 1 and is_scalar_multiple(gens[0], moved):
                 tiers["elimination"] = "pass"
             else:
                 tiers["elimination"] = "fail"

@@ -15,11 +15,9 @@ variables, such as `11664*x^5*y`, is one token that the grammar reads
 as one factor; any other text goes through the grammar's small tokens.
 Each grammar rule returns a fresh term dict {exponents: coefficient}
 that its caller owns: a sum merges its terms into the first one's dict
-in place, a product or power of single terms adds or scales exponents,
-and only products and powers of sums (or of zero) go through
-`MultiPoly` arithmetic.  Each component becomes one `MultiPoly` at the
-end.  Nesting deeper than the interpreter's stack is a parse error at
-the token reached.
+in place, and products and powers go through `MultiPoly` arithmetic.
+Each component becomes one `MultiPoly` at the end.  Nesting deeper
+than the interpreter's stack is a parse error at the token reached.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import lcm
-from operator import add
 
 from .numberfield import CycloNumber, zeta
 from .polyring import CyclotomicField, MultiPoly, QQ, DegRevLex
@@ -201,14 +198,7 @@ class _Parser:
         p = self.factor()
         while self.toks[self.pos][0] == "*":
             self.pos += 1
-            q = self.factor()
-            if len(p) == 1 and len(q) == 1:
-                # every printed term is such a product: skip the general product
-                (ep, cp), = p.items()
-                (eq, cq), = q.items()
-                p = {tuple(map(add, ep, eq)): self.field.coerce(cp * cq)}
-            else:
-                p = (self.wrap(p) * self.wrap(q)).terms
+            p = (self.wrap(p) * self.wrap(self.factor())).terms
         return p
 
     def factor(self) -> dict:
@@ -230,11 +220,7 @@ class _Parser:
         tok = self.expect("number")
         if "/" in tok[1]:
             raise PolyParseError("exponent must be a nonnegative integer", tok[2])
-        n = int(tok[1])
-        if len(base) == 1:
-            (exps, c), = base.items()
-            return {tuple([e * n for e in exps]): self.field.coerce(c ** n)}
-        return (self.wrap(base) ** n).terms
+        return (self.wrap(base) ** int(tok[1])).terms
 
     def atom(self) -> dict:
         tok = self.toks[self.pos]

@@ -1054,55 +1054,38 @@ def gcd_poly(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return shared * monic(g)
 
 
-def _repeated_part(p: MultiPoly) -> MultiPoly:
-    """gcd(p, dp/dv for each variable v that p uses).
+def squarefree_decomposition(p: MultiPoly):
+    """(F, strata): F the product of the distinct irreducible factors of
+    p, as a primitive associate, and strata = {k: P_k} by increasing k,
+    P_k the primitive product of the irreducible factors that p carries
+    exactly k times, for each k where there are some.
 
-    In characteristic zero an irreducible factor f of multiplicity e
-    divides it exactly e - 1 times: f does not divide df/dv for a
-    variable v that f uses.
+    The strata are squarefree and pairwise coprime, F is their product
+    up to a unit, and p = c * prod(P_k^k); a constant p gives (1, {}).
+    The repeated part R = gcd(p, dp/dv for each variable v that p uses)
+    carries each irreducible factor f of multiplicity e exactly e - 1
+    times, as in characteristic zero f does not divide df/dv for a
+    variable v that f uses; F = p / R.  The strata come off R by the gcd
+    chain of Yun's decomposition (Yun, SYMSAC 1976, in the gcd-only form
+    that needs no derivative in one chosen variable): with C the factors
+    of multiplicity at least k and R = prod f^(e - k) over them,
+    Y = gcd(C, R) is the factors of multiplicity above k, P_k = C / Y,
+    and the chain goes on with C = Y and R / Y.  Where C divides R,
+    every factor of C occurs more than k times: there is no stratum k,
+    and R / C is taken without a gcd, so p = c*F^k costs k - 1 divisions
+    and no gcd past the repeated part's.
     """
-    g = p
-    for v in p.vars:
-        if p.uses_variable(v):
-            g = gcd_poly(g, derivative(p, v))
-            if g.is_constant():
-                break
-    return g
-
-
-def _split(p: MultiPoly):
-    """(F, R): F = sqf(p) as a primitive associate and R = p / F up to a
-    unit, the factors that p carries more than once, each once fewer."""
     if not p.terms:
         raise ValueError("squarefree part of the zero polynomial")
     if p.is_constant():
-        return MultiPoly.constant(1, p.vars, p.field), p
-    g = _repeated_part(p)
-    return primitive_normalize(p if g.is_constant() else exact_div(p, g)), g
-
-
-def squarefree_part(p: MultiPoly) -> MultiPoly:
-    """Product of the distinct irreducible factors of p, as a primitive associate."""
-    return _split(p)[0]
-
-
-def squarefree_decomposition(p: MultiPoly):
-    """(F, strata): F = squarefree_part(p), and strata = {k: P_k} by
-    increasing k, P_k the primitive product of the irreducible factors
-    that p carries exactly k times, for each k where there are some.
-
-    The strata are squarefree and pairwise coprime, F is their product
-    up to a unit, and p = c * prod(P_k^k).  They come off the repeated
-    part R of `_split` by the gcd chain of Yun's decomposition (Yun,
-    SYMSAC 1976, in the gcd-only form that needs no derivative in one
-    chosen variable): with C the factors of multiplicity at least k and
-    R = prod f^(e - k) over them, Y = gcd(C, R) is the factors of
-    multiplicity above k, P_k = C / Y, and the chain goes on with C = Y
-    and R / Y.  Where C divides R, every factor of C occurs more than k
-    times: there is no stratum k, and R / C is taken without a gcd, so
-    J = c*F^k costs k - 1 divisions and no gcd.
-    """
-    F, R = _split(p)
+        return MultiPoly.constant(1, p.vars, p.field), {}
+    R = p
+    for v in p.vars:
+        if p.uses_variable(v):
+            R = gcd_poly(R, derivative(p, v))
+            if R.is_constant():
+                break
+    F = primitive_normalize(p if R.is_constant() else exact_div(p, R))
     strata = {}
     C, k = F, 1
     while not C.is_constant():
@@ -1118,10 +1101,3 @@ def squarefree_decomposition(p: MultiPoly):
             C = Y
         k += 1
     return F, strata
-
-
-def is_squarefree(p: MultiPoly) -> bool:
-    """Whether p has no repeated factor, without building its squarefree part."""
-    if not p.terms:
-        raise ValueError("squarefree part of the zero polynomial")
-    return _repeated_part(p).is_constant()

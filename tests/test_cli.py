@@ -196,6 +196,9 @@ REJECTED = [
     (("classes", "--degree", "1"), "the census starts at degree 2"),
     (("milnor", "x^2+y^2", "--at=1,0"), "curve does not pass through (1, 0)"),
     (("proper", "(x, x)"), "map is not dominant (algebraically dependent components)"),
+    (("milnor", "0"), "the zero polynomial defines no curve"),
+    (("milnor", "0", "--at", "1,1"), "the zero polynomial defines no curve"),
+    (("branch", "(x^2, y^2)", "--claimed", "0"), "claimed branch curve is the zero polynomial"),
 ]
 
 

@@ -21,8 +21,8 @@ from polymap.maps import (PlaneAutomorphism, PolyMap, _target_back, _target_redu
 from polymap.numberfield import zeta
 from polymap.parser import parse_map, parse_poly
 from polymap.polyring import (CyclotomicField, MultiPoly, QQ, block_order, divides,
-                              is_scalar_multiple, is_squarefree, primitive_normalize,
-                              squarefree_part, substitute)
+                              is_scalar_multiple, primitive_normalize,
+                              squarefree_decomposition, substitute)
 from polymap.refgroups import claimed_branch, default_table4_rows, quotient_map
 
 X = MultiPoly.variable("x", ("x", "y"))
@@ -31,6 +31,14 @@ Y = MultiPoly.variable("y", ("x", "y"))
 
 def pmap(text):
     return PolyMap(*parse_map(text))
+
+
+def _squarefree_part(p):
+    return squarefree_decomposition(p)[0]
+
+
+def _is_squarefree(p):
+    return squarefree_decomposition(p)[1].keys() <= {1}
 
 
 def test_polymap_basics():
@@ -135,7 +143,7 @@ def test_branch_over_the_squarefree_part_equals_the_elimination_over_J_on_table4
     repeated = 0
     for rec in rows:
         f = quotient_map(rec)
-        repeated += not is_squarefree(critical_ideal(f))
+        repeated += not _is_squarefree(critical_ideal(f))
         assert branch_ideal(f) == jacobian_branch(f), rec.label
     assert repeated == 30
 
@@ -151,7 +159,7 @@ def test_branch_over_the_squarefree_part_equals_the_elimination_over_J_under_aut
              quotient_map(rows["Z_2xZ_4"]), quotient_map(rows["Z_2xZ_3"])]
     rng = random.Random(7)
     for base in bases:
-        assert not is_squarefree(critical_ideal(base))
+        assert not _is_squarefree(critical_ideal(base))
         for _ in range(4):
             f = compose(base, pre=_automorphism(rng), post=_automorphism(rng))
             assert branch_ideal(f) == jacobian_branch(f), f
@@ -171,17 +179,21 @@ def test_branch_of_a_collapsed_repeated_critical_curve_is_the_radical():
 
 def test_verify_branch_builds_the_squarefree_part_once(monkeypatch):
     # tier one and the elimination share F and its strata from one
-    # decomposition of J, also when the map sheds a target shear first
+    # decomposition of J, also when the map sheds a target shear first;
+    # without the elimination J is decomposed the same way, and tier two
+    # decomposes the claim
     calls = []
     real = maps.squarefree_decomposition
     monkeypatch.setattr(maps, "squarefree_decomposition",
                         lambda p: calls.append(p) or real(p))
-    monkeypatch.setattr(maps, "squarefree_part", None)
     f = pmap("(x, y^3 + x^4)")
+    claim = parse_poly("y - x^4")
     assert _target_reduced(f)[1]
-    tiers = verify_branch(f, parse_poly("y - x^4"))
-    assert branch_status(tiers) == "pass" and tiers["elimination"] == "pass"
-    assert calls == [3 * Y ** 2]
+    for run_elimination, elimination in ((True, "pass"), (False, "not-run")):
+        calls.clear()
+        tiers = verify_branch(f, claim, run_elimination=run_elimination)
+        assert branch_status(tiers) == "pass" and tiers["elimination"] == elimination
+        assert calls == [3 * Y ** 2, claim]
 
 
 def _eliminated_over(monkeypatch):
@@ -199,7 +211,7 @@ def _eliminated_over(monkeypatch):
 def _plain_branch(f):
     """One elimination over F = sqf(J), with no strata."""
     allv = ("x", "y", "s", "t")
-    gens = [squarefree_part(critical_ideal(f)).extended(allv),
+    gens = [_squarefree_part(critical_ideal(f)).extended(allv),
             MultiPoly.variable("s", allv, f.field) - f.f1.extended(allv),
             MultiPoly.variable("t", allv, f.field) - f.f2.extended(allv)]
     return [q.rename(("x", "y")) for q in elimination_ideal(gens, ("x", "y"))]
@@ -224,7 +236,7 @@ def test_branch_ideal_is_the_intersection_over_the_strata(monkeypatch, text, str
     over = _eliminated_over(monkeypatch)
     f = pmap(text)
     assert branch_ideal(f) == [parse_poly(want)] == _plain_branch(f)
-    F = squarefree_part(critical_ideal(f))
+    F = _squarefree_part(critical_ideal(f))
     strata = [primitive_normalize(parse_poly(q)) for q in strata]
     assert over == strata + [F] * fallback
 
@@ -243,6 +255,31 @@ def test_g19_eliminates_once_per_stratum(monkeypatch):
     assert [q.total_degree() for q in over] == [30, 20, 12] and len(bases) == 3
 
 
+@pytest.mark.parametrize("label, text, want", [
+    # J = 3*F^2 for G_4: its one stratum is F, eliminated once
+    ("G_4", None, 1),
+    # one basis per stratum, and the gcds of the decomposition build none
+    ("G_19", None, 3),
+    # J = x^2: the one stratum x is F, so its kernel, the origin's ideal,
+    # is the answer with no second elimination
+    (None, "(x, x^2*y)", 1),
+    # J = 2*x^2*y: the strata y and x, and x's kernel is not principal,
+    # so F is eliminated after them
+    (None, "(x, x^2*y^2)", 3),
+], ids=["G_4", "G_19", "collapsed-line", "line-to-point"])
+def test_elimination_bases_per_map(monkeypatch, label, text, want):
+    bases = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger",
+                        lambda *args: bases.append(args) or real(*args))
+    if label is None:
+        f = pmap(text)
+    else:
+        f = quotient_map(next(r for r in default_table4_rows() if r.label == label))
+    branch_ideal(f)
+    assert len(bases) == want
+
+
 @pytest.mark.parametrize("field", [QQ, CyclotomicField(3)], ids=["Q", "Q(zeta_3)"])
 def test_homogeneous_branch_matches_the_plain_elimination(field):
     # branch_ideal, eliminating once per stratum of J, gives the generators
@@ -258,7 +295,7 @@ def test_homogeneous_branch_matches_the_plain_elimination(field):
         J = critical_ideal(f)
         if not f.f1.terms or not f.f2.terms or not J.terms:
             continue
-        gens = [squarefree_part(J).extended(allv),
+        gens = [_squarefree_part(J).extended(allv),
                 MultiPoly.variable("s", allv, f.field) - f.f1.extended(allv),
                 MultiPoly.variable("t", allv, f.field) - f.f2.extended(allv)]
         plain = elimination_ideal(gens, ("x", "y"))
@@ -284,7 +321,7 @@ def test_homogeneous_elimination_divides_the_iterated_resultant(field):
         J = critical_ideal(f)
         if not f.f1.terms or not f.f2.terms or not J.terms:
             continue
-        F = squarefree_part(J).extended(allv)
+        F = _squarefree_part(J).extended(allv)
         if F.degree_in("y") < 1:
             continue
         graph = [MultiPoly.variable(v, allv, field) - c.extended(allv)
@@ -481,8 +518,8 @@ def _unreduced_tiers(f, claim, branch):
     pullback = substitute(claim, {"x": f.f1, "y": f.f2})
     principal = len(branch) == 1 and is_scalar_multiple(branch[0],
                                                         primitive_normalize(claim))
-    return {"substitution_divisible": divides(squarefree_part(J), pullback),
-            "claimed_squarefree": is_squarefree(claim),
+    return {"substitution_divisible": divides(_squarefree_part(J), pullback),
+            "claimed_squarefree": _is_squarefree(claim),
             "elimination": "pass" if principal else "fail"}
 
 
@@ -580,7 +617,7 @@ def _readme_example_maps():
 
 def test_target_reduction_leaves_irreducible_maps_alone():
     examples = _readme_example_maps()
-    assert len(examples) == 9
+    assert len(examples) == 10
     for f in [quotient_map(rec) for rec in default_table4_rows()] + examples:
         g, steps = _target_reduced(f)
         assert g is f and steps == [], f

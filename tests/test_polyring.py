@@ -19,8 +19,8 @@ from polymap.polyring import (BlockOrder, CyclotomicField, DegRevLex,
                               QQ, RingMismatch, _product, block_order, common_field,
                               derivative, divides, exact_div,
                               gcd_poly, hessian_det, is_scalar_multiple,
-                              is_squarefree, jacobian_det, monic, primitive_normalize,
-                              squarefree_decomposition, squarefree_part, substitute)
+                              jacobian_det, monic, primitive_normalize,
+                              squarefree_decomposition, substitute)
 from polymap.refgroups import default_table4_rows, quotient_map
 
 X = MultiPoly.variable("x", ("x", "y"))
@@ -139,13 +139,22 @@ def test_exact_division():
     assert not divides(X + Y, X ** 2 + Y ** 2)
 
 
+def _squarefree_part(p):
+    return squarefree_decomposition(p)[0]
+
+
+def _is_squarefree(p):
+    return squarefree_decomposition(p)[1].keys() <= {1}
+
+
 def test_squarefree_part():
     p = (X + Y) ** 3 * (X - Y) ** 2 * (X + 1)
-    assert is_scalar_multiple(squarefree_part(p),
+    assert is_scalar_multiple(_squarefree_part(p),
                               (X + Y) * (X - Y) * (X + 1))
-    assert is_scalar_multiple(squarefree_part(X ** 2), X)
-    assert squarefree_part(X ** 3 * Y * (Y + 1) ** 2) == X * Y * (Y + 1)
-    assert is_squarefree(parse_poly("x*y*(y + 108*x^2)"))
+    assert is_scalar_multiple(_squarefree_part(X ** 2), X)
+    assert _squarefree_part(X ** 3 * Y * (Y + 1) ** 2) == X * Y * (Y + 1)
+    assert _is_squarefree(parse_poly("x*y*(y + 108*x^2)"))
+    assert not _is_squarefree(X ** 2 * Y)
 
 
 def test_normalizations():
@@ -656,8 +665,9 @@ def test_gcd_and_squarefree_match_the_prs(case):
     for run in (lambda fn, *args: fn(*args), _engine_only):
         assert run(gcd_poly, a, b) == want[0]
         for p, sf in zip(nonconstant, want[1:]):
-            assert run(squarefree_part, p) == sf
-            assert run(is_squarefree, p) == is_scalar_multiple(sf, p)
+            F, strata = run(squarefree_decomposition, p)
+            assert F == sf
+            assert (strata.keys() <= {1}) == is_scalar_multiple(sf, p)
 
 
 def _count_eliminations(monkeypatch):
@@ -707,7 +717,7 @@ def test_engine_gcd_takes_a_variable_the_ring_lacks(monkeypatch):
     # not homogeneous and not coprime, so the images cannot decide
     assert gcd_poly(h * (t - u ** 2), h ** 2 * (t * u - 3)) == h
     assert calls == [("t__",)]
-    assert squarefree_part(h ** 2 * (t * u - 3)) == primitive_normalize(h * (t * u - 3))
+    assert _squarefree_part(h ** 2 * (t * u - 3)) == primitive_normalize(h * (t * u - 3))
 
 
 def test_budget_reaches_the_engine_gcd():
@@ -716,32 +726,30 @@ def test_budget_reaches_the_engine_gcd():
     p = parse_poly("(x^2 - y^3 + x*y)^2*(1 + x + 2*y)")
     with pytest.raises(groebner.ResourceBudgetExceeded) as exc, \
             groebner.under_budget(groebner.ComputationBudget(max_pair_reductions=0)):
-        squarefree_part(p)
+        squarefree_decomposition(p)
     assert exc.value.stats == {"pair_reductions": 0, "zero_reductions": 0,
                                "basis_size": 2}
-    assert squarefree_part(p) == primitive_normalize(
+    assert _squarefree_part(p) == primitive_normalize(
         parse_poly("(x^2 - y^3 + x*y)*(1 + x + 2*y)"))
 
 
 def test_squarefree_part_of_a_constant_is_one():
     fld = CyclotomicField(3)
     c = MultiPoly.constant(zeta(3), ("x", "y"), fld)
-    assert squarefree_part(c) == MultiPoly.constant(1, ("x", "y"), fld)
-    assert is_squarefree(c)
+    assert squarefree_decomposition(c) == (MultiPoly.constant(1, ("x", "y"), fld), {})
     with pytest.raises(ValueError):
-        squarefree_part(MultiPoly.zero(("x", "y"), fld))
+        squarefree_decomposition(MultiPoly.zero(("x", "y"), fld))
 
 
 def _check_decomposition(p, expected=None):
     """squarefree_decomposition(p) against its contract, and against the
     strata {k: P_k} p was built from, compared up to a unit."""
     F, strata = squarefree_decomposition(p)
-    assert F == squarefree_part(p)
     assert list(strata) == sorted(strata)
     one = MultiPoly.constant(1, p.vars, p.field)
     product, power = one, one
     for k, P in strata.items():
-        assert not P.is_constant() and is_squarefree(P)
+        assert not P.is_constant() and _is_squarefree(P)
         assert primitive_normalize(P) == P
         product, power = product * P, power * P ** k
     for (_, P), (_, Q) in itertools.combinations(strata.items(), 2):
@@ -770,7 +778,7 @@ def test_squarefree_decomposition_of_known_products(field):
                      for a in range(degree + 1) for b in range(degree + 1 - a)),
                     MultiPoly.zero(X.vars, field))
             factors.append(f)
-        if (any(f.is_constant() or not is_squarefree(f) for f in factors)
+        if (any(f.is_constant() or not _is_squarefree(f) for f in factors)
                 or any(not gcd_poly(f, g).is_constant()
                        for f, g in itertools.combinations(factors, 2))):
             continue
@@ -786,21 +794,14 @@ def test_squarefree_decomposition_of_known_products(field):
 
 def test_squarefree_decomposition_of_fixed_inputs(monkeypatch):
     _check_decomposition(X ** 3 * Y * (Y + 1) ** 2, {1: Y, 2: Y + 1, 3: X})
-    fld = CyclotomicField(3)
-    c = MultiPoly.constant(zeta(3), ("x", "y"), fld)
-    assert squarefree_decomposition(c) == (MultiPoly.constant(1, c.vars, fld), {})
-    with pytest.raises(ValueError):
-        squarefree_decomposition(MultiPoly.zero(("x", "y"), fld))
     # c*F^k: each stratum below k is found by a division, with no gcd
-    # past the ones the squarefree part takes
+    # past the repeated part's, one per variable
     calls = []
     real = polyring.gcd_poly
     monkeypatch.setattr(polyring, "gcd_poly", lambda a, b: calls.append(a) or real(a, b))
     F = X ** 2 + Y ** 3 + 1
-    squarefree_part(F ** 5 * 3)
-    before = len(calls)
     assert squarefree_decomposition(F ** 5 * 3) == (F, {5: F})
-    assert len(calls) == 2 * before
+    assert len(calls) == 2
 
 
 def test_squarefree_decomposition_of_g19():
@@ -820,7 +821,7 @@ def test_coprime_images_in_three_variables():
     # each image is coprime, and a factor free of one variable still shows in another
     assert gcd_poly(x * y + Z, x + y * Z ** 2 + 1) == 1
     assert gcd_poly(y * (x + Z), y * (x - Z)) == y
-    assert is_squarefree(y * (x + Z)) and not is_squarefree(y ** 2 * (x + Z))
+    assert _is_squarefree(y * (x + Z)) and not _is_squarefree(y ** 2 * (x + Z))
 
 
 def test_exact_div_stops_at_a_fractional_quotient():
