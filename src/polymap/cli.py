@@ -55,7 +55,6 @@ class Check:
 class RunReport:
     command: list
     checks: list
-    tier: str | None = None
     elapsed: float = 0.0
 
     @property
@@ -64,9 +63,8 @@ class RunReport:
 
     def to_json(self) -> str:
         doc = {
-            "schema": 1,
+            "schema": 2,
             "command": self.command,
-            "tier": self.tier,
             "checks": [{"name": c.name, "status": c.status,
                         "details": c.details} for c in self.checks],
         }
@@ -138,7 +136,7 @@ def _cmd_branch(args):
         return [Check("branch", PASS,
                       {"map": _render_map(f),
                        "generators": [format_poly(g) for g in gens]})]
-    tiers = verify_branch(f, claim, run_elimination=True)
+    tiers = verify_branch(f, claim)
     return [Check("branch-claim", branch_status(tiers),
                   {"map": _render_map(f), "claimed": format_poly(claim), **tiers})]
 
@@ -242,7 +240,7 @@ def _row_identifier(record) -> str:
 def _cmd_verify_table4(args):
     checks = []
     for record in default_table4_rows():
-        report = verify_table4_row(record, tier=args.tier)
+        report = verify_table4_row(record)
         checks.append(Check(_row_identifier(record), report["status"],
                             {"group": record.label, **report["tiers"]}))
     return checks
@@ -408,8 +406,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-table4",
                        help="check the claimed branch curves of the catalog")
-    p.add_argument("--tier", choices=("divisibility", "full"),
-                   default="divisibility")
     common(p)
     p.set_defaults(handler=_cmd_verify_table4)
 
@@ -456,7 +452,6 @@ def main(argv=None) -> int:
         print(f"polymap: {exc}", file=sys.stderr)
         return 1
     report = RunReport(command=["polymap"] + argv, checks=checks,
-                       tier=getattr(args, "tier", None),
                        elapsed=time.time() - started)
     try:
         print(report.to_json() if args.json else report.to_text())

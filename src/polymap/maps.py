@@ -23,8 +23,9 @@ Before any Groebner basis, a map sheds its target-side shears
 (`_target_reduced`): while the top form of one component is c times a
 power of the other's, that multiple of the power is subtracted, and
 the step is recorded.  Only the callers that move a curve between the
-two targets build the triangular target automorphism from the steps:
-`branch_ideal` the forward way, `verify_branch` the inverse.
+two targets build the triangular target automorphism from the steps
+(`_target_to`): `branch_ideal` from the steps as recorded, and
+`verify_branch` its inverse, from the steps undone in reverse order.
 Every plane automorphism is a product of affine and triangular maps
 (Jung 1942; van der Kulk 1953), so a map post-composed with a shear
 loses it here.  Properness, degree and dominance do not change under a
@@ -213,11 +214,6 @@ def make_family(name: str, **params) -> PolyMap:
 # ---------------------------------------------------------------------------
 # basic geometry
 
-def _identity(field) -> tuple:
-    """The identity of the plane, as the components (x, y)."""
-    return tuple(MultiPoly.variable(v, SOURCE_VARS, field) for v in SOURCE_VARS)
-
-
 def _top_extremes(p: MultiPoly, degree: int) -> tuple:
     """The exponents of x in the first and last monomials of p's top form."""
     xs = [e[0] for e in p.terms if sum(e) == degree]
@@ -231,10 +227,10 @@ def _target_reduced(f: PolyMap) -> tuple:
     other's degree k*d, and the top form of f_hi is c times that of
     f_lo^k, f_hi becomes f_hi - c*f_lo^k, and the step (hi, k, c) is
     recorded.  Each step is a triangular target automorphism of
-    Jacobian determinant 1, so g's Jacobian is f's; `_target_to` and
-    `_target_back` build the composite automorphism from the steps for
-    the callers that move curves between the two targets.  A map that
-    admits no step comes back as itself with no steps.
+    Jacobian determinant 1, so g's Jacobian is f's; `_target_to` builds
+    the composite automorphism from the steps for the callers that move
+    curves between the two targets.  A map that admits no step comes
+    back as itself with no steps.
     """
     comps = list(f.components())
     steps = []
@@ -267,22 +263,16 @@ def _target_reduced(f: PolyMap) -> tuple:
 
 
 def _target_to(steps, field) -> tuple:
-    """`to`, as components in (x, y): the target automorphism with g = to . f."""
-    to = list(_identity(field))
+    """`to`, as components in (x, y): the target automorphism with g = to . f.
+
+    Each step (hi, k, c) follows the ones before it.  Its inverse is the
+    step (hi, k, -c), so `to`'s inverse, `back` with f = back . g, is
+    `_target_to` over the steps reversed with each c negated.
+    """
+    to = [MultiPoly.variable(v, SOURCE_VARS, field) for v in SOURCE_VARS]
     for hi, k, c in steps:
         to[hi] = to[hi] - to[1 - hi] ** k * c
     return tuple(to)
-
-
-def _target_back(steps, field) -> tuple:
-    """`back`, as components in (x, y): the inverse of `to`, so f = back . g."""
-    identity = _identity(field)
-    back = identity
-    for hi, k, c in steps:
-        # back . (the step's inverse), which adds c*u_lo^k to u_hi
-        undo = {SOURCE_VARS[hi]: identity[hi] + identity[1 - hi] ** k * c}
-        back = tuple(substitute(b, undo) for b in back)
-    return back
 
 
 def _graph_generators(f: PolyMap) -> list:
@@ -426,36 +416,33 @@ def branch_ideal(f: PolyMap) -> list:
 
 def branch_status(tiers: dict) -> str:
     """The verdict of a `verify_branch` report: fail if a tier refutes
-    the claim, skipped-budget if the elimination ran out of budget, else
-    pass."""
+    the claim, otherwise the elimination's pass, fail or skipped-budget."""
     if not (tiers["substitution_divisible"] and tiers["claimed_squarefree"]):
         return "fail"
-    if tiers["elimination"] in ("fail", "skipped-budget"):
-        return tiers["elimination"]
-    return "pass"
+    return tiers["elimination"]
 
 
-def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True) -> dict:
+def verify_branch(f: PolyMap, claimed: MultiPoly) -> dict:
     """Check a claimed branch equation for f, cheap tiers first.
 
     The claimed polynomial is written in (x, y) read as coordinates on
     the target plane.  Tier one: the pullback of the claim must vanish
     on the reduced critical locus, i.e. be divisible by F, the
     squarefree part of J_f.  Tier two: the claim itself must be
-    squarefree, all its strata of multiplicity one.  Tier three
-    (optional): the branch ideal, eliminated as in `branch_ideal`, must
-    be principal with the claim as generator, up to a unit.  One
-    decomposition of J gives F for tier one and the strata for tier
-    three, whether or not tier three runs.  Both work on g = to . f, f
-    with its target-side shears stripped, and on the claim moved to g's
-    target, claim . back: its pullback along g is claim . f, and g's
-    branch ideal is generated by it exactly when f's is generated by the
-    claim.
+    squarefree, all its strata of multiplicity one.  Tier three: the
+    branch ideal, eliminated as in `branch_ideal`, must be principal
+    with the claim as generator, up to a unit.  One decomposition of J
+    gives F for tier one and the strata for tier three.  Both work on
+    g = to . f, f with its target-side shears stripped, and on the
+    claim moved to g's target, claim . back: its pullback along g is
+    claim . f, and g's branch ideal is generated by it exactly when f's
+    is generated by the claim.
 
     Returns the tier report: `substitution_divisible`,
-    `claimed_squarefree`, `elimination` ("pass", "fail", "skipped-budget"
-    or "not-run") and, for a skipped elimination, `elimination_stop`
-    with the limit hit and the engine's counters.  `branch_status`
+    `claimed_squarefree`, `elimination` ("pass", "fail" or
+    "skipped-budget") and, for a skipped elimination, `elimination_stop`
+    with the limit hit and the engine's counters; a budget of 0 pair
+    reductions thus reports the two cheap tiers alone.  `branch_status`
     gives its verdict.  A budget stop before tier three is raised, and
     so is a zero claim, which defines no curve.
     """
@@ -469,23 +456,20 @@ def verify_branch(f: PolyMap, claimed: MultiPoly, run_elimination=True) -> dict:
     F, strata = squarefree_decomposition(J)
     moved = claim
     if steps:
-        moved = substitute(claim, dict(zip(SOURCE_VARS, _target_back(steps, field))))
+        back = _target_to([(hi, k, -c) for hi, k, c in reversed(steps)], field)
+        moved = substitute(claim, dict(zip(SOURCE_VARS, back)))
     pullback = substitute(moved, {"x": g.f1, "y": g.f2})
     tiers = {"substitution_divisible": divides(F, pullback),
-             "claimed_squarefree": squarefree_decomposition(claim)[1].keys() <= {1},
-             "elimination": "not-run"}
-    if run_elimination:
-        try:
-            # f's branch ideal is principal on the claim exactly when g's
-            # is principal on claim . back
-            gens = _eliminated_branch(g, F, strata)
-            if len(gens) == 1 and is_scalar_multiple(gens[0], moved):
-                tiers["elimination"] = "pass"
-            else:
-                tiers["elimination"] = "fail"
-        except ResourceBudgetExceeded as exc:
-            tiers["elimination"] = "skipped-budget"
-            tiers["elimination_stop"] = exc.details
+             "claimed_squarefree": squarefree_decomposition(claim)[1].keys() <= {1}}
+    try:
+        # f's branch ideal is principal on the claim exactly when g's is
+        # principal on claim . back
+        gens = _eliminated_branch(g, F, strata)
+        principal = len(gens) == 1 and is_scalar_multiple(gens[0], moved)
+        tiers["elimination"] = "pass" if principal else "fail"
+    except ResourceBudgetExceeded as exc:
+        tiers["elimination"] = "skipped-budget"
+        tiers["elimination_stop"] = exc.details
     return tiers
 
 

@@ -305,7 +305,7 @@ def test_json_schema(capsys):
     code, out, _ = run(capsys, "--json", "degree", "(x, y^2)")
     doc = json.loads(out)
     assert code == 0
-    assert doc["schema"] == 1
+    assert list(doc) == ["schema", "command", "checks"] and doc["schema"] == 2
     assert doc["command"][0] == "polymap"
     assert doc["checks"][0]["status"] == "pass"
     assert "elapsed" not in out  # timing stays out of the JSON rendering
@@ -340,7 +340,7 @@ def test_verify_theorem_a_json_pinned(capsys):
     code, out, _ = run(capsys, "--json", "verify-theorem-a")
     assert code == 0
     doc = json.loads(out)
-    assert doc["tier"] is None
+    assert doc["schema"] == 2 and "tier" not in doc
     expected = []
     for d, h2 in ((3, "-x*y + x - 2*y"), (4, "-2*x*y + x - 3*y"),
                   (5, "-3*x*y + x - 4*y")):
@@ -421,14 +421,20 @@ def test_verify_theorem_b_reports_both_totals_of_a_failing_pair(capsys, monkeypa
         "details": {"milnor_first": 1, "milnor_second": 1}}
 
 
-def test_verify_table4_divisibility(capsys):
-    code, out, _ = run(capsys, "--json", "verify-table4")
+def test_verify_table4_budget_zero_reports_the_certificates(capsys):
+    # a zero budget stops every row's first elimination before its first
+    # pair reduction, so each row reports the two cheap certificates alone
+    code, out, _ = run(capsys, "verify-table4", "--budget", "0", "--json")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["tier"] == "divisibility"
-    assert len(doc["checks"]) == 43
-    assert {c["status"] for c in doc["checks"]} == {"pass"}
-    names = [c["name"] for c in doc["checks"]]
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 43
+    for c in checks:
+        details = c["details"]
+        assert c["status"] == details["elimination"] == "skipped-budget", c["name"]
+        assert details["elimination_stop"]["pair_reductions"] == 0, c["name"]
+        assert details["substitution_divisible"] is True, c["name"]
+        assert details["claimed_squarefree"] is True, c["name"]
+    names = [c["name"] for c in checks]
     assert "f_2" in names and "f_{2,2}" in names
     assert "f_{6,3,2}" in names and "f~4" in names
 
@@ -499,25 +505,25 @@ def test_homogeneous_elimination_skip_reports_progress(capsys):
     assert code == 0 and json.loads(out)["checks"][0]["status"] == "pass"
 
 
-def test_full_tier_budget_stops_are_frozen(capsys):
+def test_table4_budget_stops_are_frozen(capsys):
     # 31 of the rows stop at budget 3, each reporting the engine's counters
     # and live basis size at the stop, so any change to what the engine
     # does before its fourth pair reduction in a basis changes these bytes;
     # a row whose Jacobian has several multiplicity strata builds a basis
     # per stratum, each counting its pairs from zero
-    code, out, _ = run(capsys, "verify-table4", "--tier", "full", "--budget", "3", "--json")
+    code, out, _ = run(capsys, "verify-table4", "--budget", "3", "--json")
     assert code == 0 and out.count('"elimination_stop"') == 31
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "2bc92dfd3e920d2260feff726fd27afd00c648cd1ad93cd7760605d302c44a46")
+        "7f246679475839477f0efeaff65e43980d71aa5872820c3b99ddf1c1bcbf0cb0")
 
 
-def test_full_tier_answers_are_frozen(capsys):
+def test_table4_answers_are_frozen(capsys):
     # every row's verdict and tier report without a budget: a change to the
     # engine or to how a branch ideal is assembled must leave these bytes
-    code, out, _ = run(capsys, "verify-table4", "--tier", "full", "--json")
+    code, out, _ = run(capsys, "verify-table4", "--json")
     assert code == 0 and out.count('"elimination": "pass"') == 43
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "6f3c663b286505c173c1dba2276e2d52ffbd8f5e2ed74af9d6df1223872cf040")
+        "ddd0a4e158c9e5a5ede3bbd27b12f5587de599fff2ddad79ed9112c5686d5489")
 
 
 def test_budget_reaches_the_total_milnor_basis(capsys):

@@ -14,7 +14,7 @@ from polymap import groebner, maps
 from polymap.groebner import (ComputationBudget, ResourceBudgetExceeded,
                               buchberger, elimination_ideal, staircase_count,
                               under_budget)
-from polymap.maps import (PlaneAutomorphism, PolyMap, _target_back, _target_reduced,
+from polymap.maps import (PlaneAutomorphism, PolyMap, _target_reduced,
                           _target_to, branch_ideal, branch_status, compose, critical_ideal,
                           _is_monic_in, integral_relation_check, is_proper,
                           make_family, topological_degree, verify_branch)
@@ -179,9 +179,8 @@ def test_branch_of_a_collapsed_repeated_critical_curve_is_the_radical():
 
 def test_verify_branch_builds_the_squarefree_part_once(monkeypatch):
     # tier one and the elimination share F and its strata from one
-    # decomposition of J, also when the map sheds a target shear first;
-    # without the elimination J is decomposed the same way, and tier two
-    # decomposes the claim
+    # decomposition of J, also when the map sheds a target shear first,
+    # and tier two decomposes the claim
     calls = []
     real = maps.squarefree_decomposition
     monkeypatch.setattr(maps, "squarefree_decomposition",
@@ -189,11 +188,9 @@ def test_verify_branch_builds_the_squarefree_part_once(monkeypatch):
     f = pmap("(x, y^3 + x^4)")
     claim = parse_poly("y - x^4")
     assert _target_reduced(f)[1]
-    for run_elimination, elimination in ((True, "pass"), (False, "not-run")):
-        calls.clear()
-        tiers = verify_branch(f, claim, run_elimination=run_elimination)
-        assert branch_status(tiers) == "pass" and tiers["elimination"] == elimination
-        assert calls == [3 * Y ** 2, claim]
+    tiers = verify_branch(f, claim)
+    assert branch_status(tiers) == "pass" and tiers["elimination"] == "pass"
+    assert calls == [3 * Y ** 2, claim]
 
 
 def _eliminated_over(monkeypatch):
@@ -348,9 +345,11 @@ def test_verify_branch_tiers():
     # scalar multiples are accepted
     scaled = verify_branch(f, parse_poly("8*x^3 + 54*y^2"))
     assert branch_status(scaled) == "pass"
-    # a wrong claim fails the divisibility certificate already
-    bad = verify_branch(f, parse_poly("y"), run_elimination=False)
-    assert not bad["substitution_divisible"] and branch_status(bad) == "fail"
+    # a wrong claim fails the divisibility certificate already, and the
+    # elimination refutes it too
+    bad = verify_branch(f, parse_poly("y"))
+    assert not bad["substitution_divisible"] and bad["elimination"] == "fail"
+    assert branch_status(bad) == "fail"
     # a non-squarefree claim fails tier two
     dup = verify_branch(f, parse_poly("(4*x^3 + 27*y^2)^2"))
     assert not dup["claimed_squarefree"] and branch_status(dup) == "fail"
@@ -563,8 +562,10 @@ def test_stripped_shears_transport_a_non_principal_branch_ideal():
 
 
 def _assert_transports(f, g, steps):
-    # to . f = g, back . g = f, and to . back is the identity
-    to, back = _target_to(steps, f.field), _target_back(steps, f.field)
+    # to . f = g, back . g = f, and to . back is the identity, with back
+    # the steps undone in reverse order
+    to = _target_to(steps, f.field)
+    back = _target_to([(hi, k, -c) for hi, k, c in reversed(steps)], f.field)
     assert tuple(substitute(c, {"x": f.f1, "y": f.f2}) for c in to) == g.components()
     assert tuple(substitute(c, {"x": g.f1, "y": g.f2}) for c in back) == f.components()
     assert tuple(substitute(c, {"x": back[0], "y": back[1]}) for c in to) == (X, Y)

@@ -8,9 +8,10 @@ from operator import mul
 
 import pytest
 
-from polymap import groebner, refgroups
-from polymap.groebner import buchberger
-from polymap.maps import critical_ideal, is_proper, topological_degree, verify_branch
+from polymap import groebner, maps, refgroups
+from polymap.groebner import ResourceBudgetExceeded, buchberger
+from polymap.maps import (branch_status, critical_ideal, is_proper, topological_degree,
+                          verify_branch)
 from polymap.numberfield import embed, zeta
 from polymap.parser import parse_poly
 from polymap.polyring import (CyclotomicField, MultiPoly, common_field, hessian_det,
@@ -439,26 +440,24 @@ def test_claimed_branch_frozen():
     assert claimed_branch(product_group(1, 1)) == MultiPoly.constant(1, ("x", "y"))
 
 
-def test_verify_table4_divisibility_rows():
-    for spec in ("Z_4", "Z2xZ3", "G(4,2,2)", "G4", "G5", "G6", "G7"):
-        report = verify_table4_row(parse_group_spec(spec))
-        assert report["ok"], spec
-        assert report["tiers"]["elimination"] == "not-run"
-
-
 def test_table4_cheap_tiers_build_no_basis(monkeypatch):
     # the slate is over Q and Q(zeta_6), and every gcd its cheap tiers take
     # has a monomial operand once monomial contents are out, is a unit by
     # the images, or is lifted in one variable or homogeneous in two, so
-    # none reaches the engine
+    # none reaches the engine; the elimination, which does, is stopped
     def refuse(*args, **kwargs):
         raise AssertionError("a Groebner basis was built")
+
+    def stop(*args):
+        raise ResourceBudgetExceeded("elimination stopped")
     monkeypatch.setattr(groebner, "buchberger", refuse)
+    monkeypatch.setattr(maps, "_eliminated_branch", stop)
     jacobians = {}
     for rec in default_table4_rows():
         f = quotient_map(rec)
-        tiers = verify_branch(f, claimed_branch(rec), run_elimination=False)
+        tiers = verify_branch(f, claimed_branch(rec))
         assert tiers["substitution_divisible"] and tiers["claimed_squarefree"], rec.label
+        assert tiers["elimination"] == "skipped-budget", rec.label
         jacobians[rec.label] = critical_ideal(f)
     assert len(jacobians) == 43
     assert squarefree_decomposition(jacobians["G_19"])[0] == parse_poly(
@@ -470,12 +469,17 @@ def test_table4_cheap_tiers_build_no_basis(monkeypatch):
 
 def test_verify_table4_full_rows():
     for spec in ("Z_3", "G(3,3,2)", "G4", "Z_1", "Z_1xZ_1"):
-        report = verify_table4_row(parse_group_spec(spec), tier="full")
+        report = verify_table4_row(parse_group_spec(spec))
         assert report["ok"] and report["tiers"]["elimination"] == "pass", spec
+    # "full" is the one tier; any other is refused before any work
+    assert verify_table4_row(parse_group_spec("Z_3"), tier="full")["ok"]
+    for tier in ("divisibility", None):
+        with pytest.raises(ValueError):
+            verify_table4_row(parse_group_spec("Z_3"), tier=tier)
 
 
 def _full_tier_bases(monkeypatch):
-    """(generators, basis) of every basis the full tier builds over all 43 rows."""
+    """(generators, basis) of every basis the check builds over all 43 rows."""
     bases = []
 
     def recording(generators, *args):
@@ -486,7 +490,7 @@ def _full_tier_bases(monkeypatch):
     monkeypatch.setattr(groebner, "buchberger", recording)
     rows = default_table4_rows()
     for rec in rows:
-        report = verify_table4_row(rec, tier="full")
+        report = verify_table4_row(rec)
         assert report["ok"] and report["tiers"]["elimination"] == "pass", rec.label
     assert len(rows) == 43
     return bases
@@ -494,7 +498,7 @@ def _full_tier_bases(monkeypatch):
 
 def test_engine_work_over_every_table4_row(monkeypatch):
     # the engine's counters are deterministic, so this pins the work of the
-    # whole full tier, G_21 and G_22 included: a change to pair selection
+    # whole check, G_21 and G_22 included: a change to pair selection
     # or the pair criteria shows here.  A row eliminates once per
     # multiplicity stratum of its Jacobian: 19 rows have two or more (G_11
     # and G_19 three), so 43 rows build 64 bases
@@ -553,11 +557,10 @@ def test_corrected_constants_pass_and_printed_variants_fail():
         rec = exceptional_group(no)
         assert claimed_branch(rec) == parse_poly(text)
         f = quotient_map(rec)
-        good = verify_branch(f, parse_poly(text), run_elimination=False)
-        assert good["substitution_divisible"], no
-        bad = verify_branch(f, parse_poly(misprinted[no]),
-                            run_elimination=False)
-        assert not bad["substitution_divisible"], no
+        good = verify_branch(f, parse_poly(text))
+        assert good["substitution_divisible"] and branch_status(good) == "pass", no
+        bad = verify_branch(f, parse_poly(misprinted[no]))
+        assert not bad["substitution_divisible"] and bad["elimination"] == "fail", no
 
 
 def test_default_slate_shape():
