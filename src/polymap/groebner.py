@@ -14,11 +14,12 @@ prunes the old pairs in place and hands back only the new ones to push,
 and the live elements stay sorted by lead, a new one inserted by
 bisection.
 
-Reduction is one division loop for both coefficient fields.  Over Q it
-is fraction-free: every basis element is a primitive integer
-polynomial, so the partial remainder stays in integers over one
-denominator that is divided out once at the end (`_reduce_terms`).
-Over Q(zeta_N) each step multiplies by the inverse leading coefficient.
+Reduction is one division loop for both coefficient fields, against
+basis elements that are canonical: primitive integer polynomials with a
+positive leading coefficient over Q, monic over Q(zeta_N).  Over Q it is
+fraction-free, so the partial remainder stays in integers; over
+Q(zeta_N) a step takes no inverse.  Either way the remainder is returned
+up to a nonzero factor, which the callers normalize (`_reduce_terms`).
 
 Inside the engine a monomial is one int, in the layout of Monagan &
 Pearce ("Polynomial division using dynamic arrays, heaps, and packed
@@ -63,7 +64,6 @@ from collections.abc import Sequence
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from operator import mul
 
@@ -263,13 +263,13 @@ def _packed(run, nvars, order):
 
 
 class _Entry:
-    """A basis element in the form the division loop reads: packed terms
-    and the leading term."""
+    """A basis element in the form the division loop reads: packed terms,
+    made canonical here (`_normalized`), and the leading term."""
 
     __slots__ = ("terms", "lead_exp", "lead_coeff", "index", "retired")
 
-    def __init__(self, terms, lead, index):
-        self.terms = terms
+    def __init__(self, terms, lead, index, field):
+        self.terms = terms = _normalized(terms, lead, field)
         self.lead_exp = lead
         self.lead_coeff = terms[lead]
         self.index = index
@@ -301,41 +301,27 @@ def _normalized(terms, lead, field):
     return {m: v // content for m, v in terms.items()}
 
 
-# over Q the division loop strips the content of its partial remainder
-# after this many scaled steps
-_STRIP_EVERY = 8
-
-
 def _reduce_terms(hterms, entries, packing, field):
-    """Full division of a raw term dict, packed, by the entry list.
+    """Full division of a packed term dict, integral over Q, by canonical
+    entries.
 
-    Returns (terms, scale): the remainder is scale * terms, and `terms`
-    runs from the leading term down.  The partial remainder's monomials
-    wait in a heap on their negated keys; a monomial that cancels stays
-    there and is skipped when it comes up.  Over Q the division is
-    fraction-free, as in Bareiss elimination: the partial remainder
-    is kept in integers; a step with leading
-    coefficient c against a reducer's lc multiplies it, and the terms
-    already moved to the remainder, by |lc|/gcd(c, lc) and subtracts an
-    integer multiple of the reducer, and the content is stripped every
-    few scaled steps.  `scale` collects those factors, so the exact
-    remainder costs one division per term; callers that normalize the
-    remainder anyway ignore it, since it is positive.  Over Q(zeta_N)
-    the same loop takes multiplier 1 and quotient c * field_inverse(lc),
-    and the scale is 1.
+    Returns the remainder up to a nonzero factor, its terms from the
+    leading term down.  The partial remainder's monomials wait in a heap
+    on their negated keys; a monomial that cancels stays there and is
+    skipped when it comes up.  Over Q the division is fraction-free, as
+    in Bareiss elimination: a step with leading coefficient c against a
+    reducer's leading coefficient lc > 0 multiplies the partial
+    remainder, and the terms already moved to the remainder, by
+    lc/gcd(c, lc) and subtracts c/gcd(c, lc) times the reducer.  Over
+    Q(zeta_N) every reducer is monic, so a step subtracts c times it.
     """
     integral = not field.is_cyclotomic
-    scale = 1
-    if integral:
-        hterms, den = integral_terms(hterms)
-        scale = Fraction(1, den)
     negkey = packing.negkey
     guard = packing.guard
     leads = [(g.lead_exp, g) for g in entries]
     heap = [(negkey(e), e) for e in hterms]
     heapify(heap)
     out = {}
-    scaled = 0
     while heap:
         e = heappop(heap)[1]
         c = hterms.pop(e, None)
@@ -348,20 +334,17 @@ def _reduce_terms(hterms, entries, packing, field):
         else:
             out[e] = c
             continue
-        lc = red.lead_coeff
+        factor = c
         if integral:
+            lc = red.lead_coeff
             g = math.gcd(c, lc)
-            mult = abs(lc) // g
-            factor = c // g if lc > 0 else -c // g
+            mult = lc // g
+            factor = c // g
             if mult != 1:
                 for k in hterms:
                     hterms[k] *= mult
                 for k in out:
                     out[k] *= mult
-                scale /= mult
-                scaled += 1
-        else:
-            factor = c * field_inverse(lc)
         shift = e - lead
         for ge, gc in red.terms.items():
             if ge == lead:
@@ -378,15 +361,7 @@ def _reduce_terms(hterms, entries, packing, field):
                     hterms[ne] = cur
                 else:
                     del hterms[ne]
-        if integral and mult != 1 and scaled % _STRIP_EVERY == 0:
-            content = math.gcd(*hterms.values(), *out.values())
-            if content > 1:
-                for k in hterms:
-                    hterms[k] //= content
-                for k in out:
-                    out[k] //= content
-                scale *= content
-    return out, scale
+    return out
 
 
 def _spoly_terms(f: _Entry, g: _Entry, lcm):
@@ -545,8 +520,8 @@ def _buchberger(gens, budget, weights, packing):
     divides = packing.divides
     unpack = packing.unpack
     field = gens[0].field
-    # basis_size counts the live (non-retired) entries throughout, so a
-    # budget stop reports the basis as it stood
+    # basis_size is the live basis at each budget check, so a stop
+    # reports the basis as it stood
     stats = {"pair_reductions": 0, "zero_reductions": 0, "basis_size": 0}
 
     entries: list[_Entry] = []
@@ -562,9 +537,8 @@ def _buchberger(gens, budget, weights, packing):
 
     def add(terms, lead):
         nonlocal active
-        entry = _Entry(_normalized(terms, lead, field), lead, len(entries))
+        entry = _Entry(terms, lead, len(entries), field)
         entries.append(entry)
-        stats["basis_size"] += 1
         # pairs are formed against the pre-retirement basis; only afterwards may
         # elements with now-redundant leading terms stop spawning future pairs
         for ij, lcm in _gm_update(pairs, entries, active, entry, packing).items():
@@ -577,7 +551,6 @@ def _buchberger(gens, budget, weights, packing):
         if retired:
             for e in retired:
                 e.retired = True
-            stats["basis_size"] -= len(retired)
             active = [e for e in active if not e.retired]
         active.insert(at, entry)
 
@@ -590,9 +563,10 @@ def _buchberger(gens, budget, weights, packing):
         lcm = pairs.pop((i, j), None)
         if lcm is None:
             continue
+        stats["basis_size"] = len(active)
         budget.check_pairs(stats)
         stats["pair_reductions"] += 1
-        rterms, _ = _reduce_terms(_spoly_terms(entries[i], entries[j], lcm),
+        rterms = _reduce_terms(_spoly_terms(entries[i], entries[j], lcm),
                                   active, packing, field)
         if rterms:
             add(rterms, next(iter(rterms)))
@@ -625,14 +599,15 @@ def _interreduce(entries, ring, packing):
     out = []
     for entry in entries:
         others = [k for k in entries if k is not entry]
-        terms, _ = _reduce_terms(dict(entry.terms), others, packing, ring.field)
+        terms = _reduce_terms(dict(entry.terms), others, packing, ring.field)
         out.append(_normalized(terms, entry.lead_exp, ring.field))
     return _Decoded(out, ring, packing), [packing.unpack(k.lead_exp) for k in entries]
 
 
 def _entries(basis: IdealBasis, packing):
     """The basis elements as packed entries, smallest lead first."""
-    entries = [_Entry(*_pack_terms(g, packing), i) for i, g in enumerate(basis.basis)]
+    field = basis.basis[0].field
+    entries = [_Entry(*_pack_terms(g, packing), i, field) for i, g in enumerate(basis.basis)]
     entries.sort(key=lambda e: packing.negkey(e.lead_exp), reverse=True)
     return entries
 
